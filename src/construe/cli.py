@@ -57,14 +57,32 @@ def _check_paths(paths, what: str):
             raise ResourceError(f"{what} file not found: {p}")
 
 
+def _read_with(loader, paths, what: str):
+    """Run *loader* on *paths*; a file that cannot be read as UTF-8 text
+    becomes a ResourceError naming it."""
+    try:
+        return loader(paths)
+    except (OSError, UnicodeDecodeError) as err:
+        # a decode error does not say which file it came from
+        for p in paths:
+            try:
+                Path(p).read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as file_err:
+                raise ResourceError(
+                    f"{what} file {p} cannot be read: {file_err}") from err
+        raise ResourceError(f"{what} files cannot be read: {err}") from err
+
+
 def load_resources(manifest: RunManifest) -> Resources:
     _check_paths(manifest.kb_files, "--kb")
     _check_paths(manifest.lexicon_files, "--lexicon")
     _check_paths(manifest.construction_files, "--constructions")
     try:
-        kb = kbmod.load_kb(manifest.kb_files)
-        lexicon = tagger.load_lexicon(manifest.lexicon_files)
-        repo = cons.load_constructions(manifest.construction_files)
+        kb = _read_with(kbmod.load_kb, manifest.kb_files, "--kb")
+        lexicon = _read_with(tagger.load_lexicon, manifest.lexicon_files,
+                             "--lexicon")
+        repo = _read_with(cons.load_constructions, manifest.construction_files,
+                          "--constructions")
     except (kbmod.KbLoadError, tagger.LexiconLoadError,
             cons.ConstructionLoadError) as err:
         raise ResourceError(str(err)) from err
@@ -321,10 +339,12 @@ def run_lint(manifest: RunManifest) -> list:
     _check_paths(manifest.kb_files, "--kb")
     _check_paths(manifest.lexicon_files, "--lexicon")
     _check_paths(manifest.construction_files, "--constructions")
-    kb, findings = kbmod.load_kb_lenient(manifest.kb_files)
-    lexicon, lex_findings = tagger.load_lexicon_lenient(manifest.lexicon_files)
-    repo, cons_findings = cons.load_constructions_lenient(
-        manifest.construction_files)
+    kb, findings = _read_with(kbmod.load_kb_lenient, manifest.kb_files, "--kb")
+    lexicon, lex_findings = _read_with(tagger.load_lexicon_lenient,
+                                       manifest.lexicon_files, "--lexicon")
+    repo, cons_findings = _read_with(cons.load_constructions_lenient,
+                                     manifest.construction_files,
+                                     "--constructions")
     findings = list(findings) + list(lex_findings) + list(cons_findings)
     findings.extend(kbmod.lint_kb(kb))
     findings.extend(cons.lint_constructions(repo, kb))
@@ -353,6 +373,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_resource_args(p):
     p.add_argument("--kb", action="append", default=[], metavar="FILE",
                    help="KB file (repeatable)")
@@ -361,14 +391,14 @@ def _add_resource_args(p):
     p.add_argument("--constructions", action="append", default=[],
                    metavar="FILE", help="construction file (repeatable)")
     p.add_argument("--lang", default="en", help="template language (default en)")
-    p.add_argument("--max-window", type=int, default=12,
+    p.add_argument("--max-window", type=_positive_int, default=12,
                    help="maximum window size in tokens (default 12)")
     p.add_argument("--mode", choices=["statement", "question", "check"],
                    default="statement",
                    help="what to do with free variables at the top level")
     p.add_argument("--context", default=None, metavar="OVERLAY",
                    help="application context overlaying the base context")
-    p.add_argument("--max-edges", type=int, default=50_000,
+    p.add_argument("--max-edges", type=_positive_int, default=50_000,
                    help="edge safety cap (default 50000)")
 
 

@@ -18,7 +18,9 @@ trailing ``|``) adds an empty alternative, so ``[the{}]`` makes "the"
 optional.  Alternatives may attach to a word ("place[d|]") or contain
 several tokens.  The cross product of all alternatives is stored as
 variants; each variant also gets a skeleton key (typed slots collapsed to
-untyped placeholders) and a lexical key (the literal strings only).
+untyped placeholders) and a lexical key (the literal strings only).  The
+repository also keeps every prefix of every skeleton key, so that
+retrieval can drop a partial tiling as soon as no stored key extends it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable
 
@@ -75,7 +78,7 @@ class TemplateVariant:
     language: str
     elements: tuple  # Literal | TypedSlot only
 
-    @property
+    @cached_property
     def slots(self) -> tuple:
         return tuple(e for e in self.elements if isinstance(e, TypedSlot))
 
@@ -441,7 +444,9 @@ class Repository:
         self._lexical: dict = {}
         self._skeleton: dict = {}
         self._typed: dict = {}
+        self._skeleton_prefixes: dict[str, set] = {}
         self._used_types: set = set()
+        self.has_anaphora = False       # any construction with :anaphoric slots
 
     @property
     def used_types(self) -> frozenset:
@@ -452,6 +457,7 @@ class Repository:
             raise ConstructionLoadError(
                 [Finding("cons-duplicate-id", f"construction {c.id} defined twice")])
         self.constructions[c.id] = c
+        self.has_anaphora = self.has_anaphora or bool(c.anaphoric_refs)
         for s in c.all_slots():
             self._used_types.add(s.type)
         for v in expand_variants(c):
@@ -460,6 +466,8 @@ class Repository:
             self._lexical.setdefault((v.language, lexical), []).append(v)
             self._skeleton.setdefault((v.language, skeleton), []).append(v)
             self._typed.setdefault((v.language, typed_key(v)), []).append(v)
+            prefixes = self._skeleton_prefixes.setdefault(v.language, set())
+            prefixes.update(skeleton[:i] for i in range(len(skeleton) + 1))
 
     def lookup(self, tier: str, key: tuple, language: str = "en") -> frozenset:
         """Exact-match retrieval on one tier; empty set when nothing
@@ -468,8 +476,11 @@ class Repository:
                  "typed": self._typed}[tier]
         return frozenset(index.get((language, tuple(key)), ()))
 
-    def languages(self) -> frozenset:
-        return frozenset(v.language for v in self.variants)
+    def skeleton_prefixes(self, language: str = "en") -> set:
+        """Every prefix of every stored skeleton key of *language*, the
+        empty and the full keys included.  A tiling whose partial skeleton
+        is not in this set can never complete to a stored variant."""
+        return self._skeleton_prefixes.get(language, set())
 
 
 def load_constructions_lenient(paths: Iterable | None = None, *,

@@ -4,15 +4,25 @@ composition on a parse graph, and anaphor resolution.
 
 The window starts at each token position at its maximum size and shrinks
 until one or more constructions apply, then the anchor advances one token.
-Every new edge re-enters the windows until the graph reaches a fixpoint.
-Candidate constructions are found by chaining three exact-match tiers:
-lexical keys, then skeletons, then fully typed variants built from the
-(pruned) upward type closures of the candidate filler edges.
+Sweeps over the anchors repeat until one adds no edge.  A sweep revisits
+only dirty anchors: those with a new edge inside their reach since their
+last visit, or, when some construction has anaphoric slots, a new edge to
+their left, where antecedents are searched.  Any other revisit would be a
+no-op.
+
+Candidate constructions are found by chaining three exact-match tiers.  A
+window is tiled left to right with literal tokens and slot sub-spans, and
+a tiling grows only while its partial skeleton is a prefix of some stored
+skeleton key; that pruning subsumes the lexical tier.  Complete tilings
+are confirmed on the skeleton tier, then on the typed tier, whose keys
+come from the (pruned) upward type closures of the filler edges, computed
+once per edge.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .constructions import (Construction, Repository, TypedSlot,
@@ -46,6 +56,8 @@ class EngineConfig:
     def __post_init__(self):
         if self.max_window < 1:
             raise ValueError("max_window must be at least 1")
+        if self.max_edges < 1:
+            raise ValueError("max_edges must be at least 1")
         if self.outermost_policy not in _POLICIES:
             raise ValueError(f"outermost_policy must be one of {_POLICIES}")
 
@@ -94,9 +106,13 @@ class ParseGraph:
         self.repo = repo
         self.config = config
         self.tokens = chart.tokens
+        self.folded = [t.surface.casefold() for t in self.tokens]
+        self.readings = [len(chart.token_concepts(i)) + 1
+                         for i in range(len(self.tokens))]
+        self._used_types = repo.used_types
         self.edges: list[Edge] = []
         self._by_span: dict[tuple, list] = {}
-        self._ends_at: dict[int, set] = {}
+        self._fillers: dict[int, dict] = {}   # start -> end -> slot type -> edges
         self._dedup: dict[tuple, Edge] = {}
         self._tried: set = set()
         self._applied: dict[tuple, Edge] = {}
@@ -110,9 +126,6 @@ class ParseGraph:
 
     def edges_at(self, start: int, end: int) -> list:
         return self._by_span.get((start, end), [])
-
-    def slot_span_ends(self, start: int, limit: int) -> list:
-        return sorted(e for e in self._ends_at.get(start, ()) if e <= limit)
 
     def trace_discard(self, kind: str, construction: str, span: tuple, detail: str):
         self.trace.append(TraceEvent(kind, construction, span, detail))
@@ -134,9 +147,26 @@ class ParseGraph:
                     output_var, output_type, kind, children)
         self.edges.append(edge)
         self._by_span.setdefault(span, []).append(edge)
-        self._ends_at.setdefault(span[0], set()).add(span[1])
         self._dedup[key] = edge
+        self._file_filler(edge)
         return edge, True
+
+    def _file_filler(self, edge: Edge):
+        """Index the edge under every used slot type that generalizes its
+        type, so retrieval asks the KB once per edge, not once per tiling."""
+        if edge.output_type is None:
+            return
+        try:
+            gens = self.kb.match_types(edge.output_type)
+        except UnknownTermError:
+            return
+        names = [g.name for g in gens
+                 if isinstance(g, Constant) and g.name in self._used_types]
+        if names:
+            type_map = self._fillers.setdefault(edge.start, {}) \
+                .setdefault(edge.end, {})
+            for name in names:
+                type_map.setdefault(name, []).append(edge)
 
 
 def _edge_kind(kb: KnowledgeBase, logic: Expr) -> str:
@@ -169,96 +199,64 @@ def _seed_tag_edges(graph: ParseGraph):
 # ---------------------------------------------------------------------------
 # Retrieval
 
-def _shapes(graph: ParseGraph, start: int, end: int):
-    """Tile the window with literal tokens and slot sub-spans.  A token may
-    always play a literal role; a slot sub-span needs at least one edge
-    spanning it exactly."""
-
-    def rec(pos):
-        if pos == end:
-            yield ()
-            return
-        for rest in rec(pos + 1):
-            yield (("lit", pos),) + rest
-        for span_end in graph.slot_span_ends(pos, end):
-            for rest in rec(span_end):
-                yield (("slot", (pos, span_end)),) + rest
-
-    yield from rec(start)
-
-
 def retrieve(graph: ParseGraph, start: int, end: int) -> list:
-    """Constructions applicable to the window, with their slot bindings,
-    found by lexical -> skeleton -> typed tier chaining.  Also records the
-    window's typed-pattern candidate count (the product over tokens of
-    readings plus the surface form itself)."""
-    kb, repo, config = graph.kb, graph.repo, graph.config
-    lang = config.language
+    """Constructions applicable to the window, with their slot bindings.
 
-    count = 1
-    for i in range(start, end):
-        count *= len(graph.chart.token_concepts(i)) + 1
-    graph.pattern_counts[(start, end)] = count
+    The window is tiled left to right with literal tokens and slot
+    sub-spans (spans with an edge that can fill some used slot type).  A
+    tiling is only extended while its partial skeleton is a prefix of a
+    stored skeleton key, which also implies the lexical tier.  A complete
+    tiling is confirmed on the skeleton tier, then on the typed tier.  Also
+    records the window's typed-pattern candidate count (the product over
+    tokens of readings plus the surface form itself)."""
+    repo, lang = graph.repo, graph.config.language
+    graph.pattern_counts[(start, end)] = math.prod(graph.readings[start:end])
+    prefixes, folded = repo.skeleton_prefixes(lang), graph.folded
+    found: dict = {}
+    stack = [(start, (), ())]
+    while stack:
+        pos, skeleton, type_maps = stack.pop()
+        if pos == end:
+            variants = repo.lookup("skeleton", skeleton, lang)
+            if variants:
+                _typed_matches(graph, skeleton, type_maps, variants, found)
+            continue
+        key = skeleton + (folded[pos],)
+        if key in prefixes:
+            stack.append((pos + 1, key, type_maps))
+        key = skeleton + (SKELETON_SLOT,)
+        if key in prefixes:
+            for span_end, type_map in graph._fillers.get(pos, {}).items():
+                if span_end <= end:
+                    stack.append((span_end, key, type_maps + (type_map,)))
+    return [found[sig] for sig in sorted(found)]
 
-    used = repo.used_types
-    results: list = []
-    seen: set = set()
-    for shape in _shapes(graph, start, end):
-        lex_key = tuple(graph.tokens[i].surface.casefold()
-                        for role, payload in shape if role == "lit"
-                        for i in (payload,))
-        if not repo.lookup("lexical", lex_key, lang):
-            continue
-        skel_key = tuple(SKELETON_SLOT if role == "slot"
-                         else graph.tokens[payload].surface.casefold()
-                         for role, payload in shape)
-        if not repo.lookup("skeleton", skel_key, lang):
-            continue
-        slot_spans = [payload for role, payload in shape if role == "slot"]
-        per_slot: list = []
-        for span in slot_spans:
-            type_map: dict = {}
-            for edge in graph.edges_at(*span):
-                if edge.output_type is None:
-                    continue
-                try:
-                    gens = kb.match_types(edge.output_type)
-                except UnknownTermError:
-                    continue
-                for g in gens:
-                    if isinstance(g, Constant) and g.name in used:
-                        type_map.setdefault(g.name, []).append(edge)
-            if not type_map:
-                per_slot = None
-                break
-            per_slot.append(type_map)
-        if per_slot is None:
-            continue
-        for combo in itertools.product(*[sorted(m) for m in per_slot]):
-            it = iter(combo)
-            tkey = tuple(("type", next(it)) if role == "slot"
-                         else ("lit", graph.tokens[payload].surface.casefold())
-                         for role, payload in shape)
-            variants = repo.lookup("typed", tkey, lang)
-            if not variants:
-                continue
-            edge_lists = [per_slot[j][combo[j]] for j in range(len(combo))]
-            for variant in sorted(variants, key=lambda v: (v.construction_id,
-                                                           tuple(map(str, v.elements)))):
-                slots = variant.slots
-                for edges in itertools.product(*edge_lists):
-                    binding = {slots[j]: edges[j] for j in range(len(slots))}
-                    sig = (variant.construction_id,
-                           tuple(sorted((s.index, e.id) for s, e in binding.items())))
-                    if sig in seen:
-                        continue
-                    seen.add(sig)
-                    results.append(Retrieval(
-                        graph.repo.constructions[variant.construction_id], binding))
-    results.sort(key=lambda r: (r.construction.id,
-                                tuple(sorted((s.index, e.id)
-                                             for s, e in r.binding.items()))))
-    return results
+
+def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
+                   skeleton_variants, found: dict):
+    """Typed-tier lookups for one complete tiling that matched
+    *skeleton_variants*.  Each slot tries the filler types that one of those
+    variants names there; every binding of a typed hit is added to *found*
+    under its (construction id, binding) signature."""
+    repo, lang = graph.repo, graph.config.language
+    choices = [sorted({v.slots[j].type for v in skeleton_variants}
+                      .intersection(type_map))
+               for j, type_map in enumerate(type_maps)]
+    for combo in itertools.product(*choices):
+        it = iter(combo)
+        tkey = tuple(("type", next(it)) if k is SKELETON_SLOT else ("lit", k)
+                     for k in skeleton)
+        variants = repo.lookup("typed", tkey, lang)
+        edge_lists = [type_maps[j][name] for j, name in enumerate(combo)]
+        for variant in variants:
+            slots = variant.slots
+            for edges in itertools.product(*edge_lists):
+                sig = (variant.construction_id,
+                       tuple(sorted((s.index, e.id) for s, e in zip(slots, edges))))
+                if sig not in found:
+                    found[sig] = Retrieval(
+                        repo.constructions[variant.construction_id],
+                        dict(zip(slots, edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +418,26 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
 def window_loop(graph: ParseGraph):
     """Run windows to fixpoint.  For each anchor the window shrinks until
     something applies; any application advances the anchor one token; the
-    whole sweep repeats while new edges keep appearing."""
+    sweep repeats while new edges keep appearing.
+
+    An anchor is revisited only when it is dirty: since its last visit
+    began, an edge was added inside its reach or, when the repository has
+    anaphoric constructions, an edge ending at or before the anchor, where
+    anaphora look.  Otherwise the revisit would retrieve the same
+    candidates, every one already tried, so skipping it changes nothing."""
     config = graph.config
     n = len(graph.tokens)
+    anaphora = graph.repo.has_anaphora
+    dirty = [True] * n
     while True:
         before = len(graph.edges)
         for start in range(n):
             if graph.truncated:
                 return
+            if not dirty[start]:
+                continue
+            dirty[start] = False
+            visit_start = len(graph.edges)
             for size in range(min(config.max_window, n - start), 0, -1):
                 applied = False
                 for r in retrieve(graph, start, start + size):
@@ -436,6 +446,14 @@ def window_loop(graph: ParseGraph):
                     applied = applied or bool(edges)
                 if applied:
                     break
+            for edge in graph.edges[visit_start:]:
+                # the anchors whose reach [a, a + min(max_window, n - a))
+                # holds the edge, and with anaphora those right of it
+                for a in range(max(0, edge.end - config.max_window),
+                               edge.start + 1):
+                    dirty[a] = True
+                if anaphora:
+                    dirty[edge.end:] = [True] * (n - edge.end)
         if len(graph.edges) == before or graph.truncated:
             return
 

@@ -8,10 +8,11 @@ the ground evaluator models truth over a tiny explicit universe.
 import random
 
 from construe.constructions import Literal, load_constructions
-from construe.interpreter import EngineConfig, ParseGraph
+from construe.interpreter import (EngineConfig, ParseGraph, apply_construction,
+                                  retrieve)
 from construe.kb import UnknownTermError, load_kb
 from construe.logic import (And, App, Constant, EQUALS, Not, QueryVar,
-                            free_query_vars)
+                            free_query_vars, print_expr)
 from construe.tagger import TagChart, Token
 
 
@@ -59,6 +60,40 @@ def retrieval_signatures(retrievals):
     return {(r.construction.id,
              frozenset((s.index, e.id) for s, e in r.binding.items()))
             for r in retrievals}
+
+
+# ---------------------------------------------------------------------------
+# Full re-sweep window loop (agenda oracle)
+
+def full_sweep_window_loop(graph):
+    """The window loop without an agenda: every sweep visits every anchor,
+    and sweeps repeat until one adds no edge."""
+    n = len(graph.tokens)
+    while True:
+        before = len(graph.edges)
+        for start in range(n):
+            if graph.truncated:
+                return
+            for size in range(min(graph.config.max_window, n - start), 0, -1):
+                applied = False
+                for r in retrieve(graph, start, start + size):
+                    edges = apply_construction(graph, r.construction, r.binding,
+                                               (start, start + size))
+                    applied = applied or bool(edges)
+                if applied:
+                    break
+        if len(graph.edges) == before or graph.truncated:
+            return
+
+
+def graph_outcome(graph):
+    """Everything the window loop determines: the edges in order (span,
+    source, printed logic and types, children), the discard trace and the
+    per-window pattern counts in insertion order."""
+    edges = [(e.span, e.source, print_expr(e.logic),
+              print_expr(e.output_type) if e.output_type is not None else None,
+              e.output_var, e.kind, e.children) for e in graph.edges]
+    return edges, list(graph.trace), list(graph.pattern_counts.items())
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import (BIO_CG_FILES, BIO_KB_FILES, BIO_LEX_FILES,
                       DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES)
 from construe.cli import main
@@ -112,6 +114,41 @@ def test_unreadable_kb_exit_code(tmp_path):
                      "--lexicon", str(DEMO_LEX_FILES[0]),
                      "--constructions", str(DEMO_CG_FILES[0]), "x"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--max-window", "--max-edges"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_limit_below_one_is_usage_error(capsys, flag, value):
+    rc, out = run_cli(["interpret", *demo_args(), flag, value,
+                       "big blue building"])
+    assert rc == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and flag in err
+    assert len(err.splitlines()) == 1
+
+
+def _non_utf8_args(tmp_path, flag):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("(lex \"caf\u00e9\" Cafe)\n".encode("latin-1"))
+    files = {"--kb": [str(p) for p in DEMO_KB_FILES],
+             "--lexicon": [str(DEMO_LEX_FILES[0])],
+             "--constructions": [str(DEMO_CG_FILES[0])]}
+    files[flag] = files[flag][:-1] + [str(bad)]
+    args = []
+    for f, paths in files.items():
+        for p in paths:
+            args += [f, p]
+    return args, bad
+
+
+@pytest.mark.parametrize("flag", ["--kb", "--lexicon", "--constructions"])
+def test_non_utf8_resource_is_resource_error(tmp_path, capsys, flag):
+    args, bad = _non_utf8_args(tmp_path, flag)
+    rc, out = run_cli(["interpret", *args, "big blue building"])
+    assert rc == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and str(bad) in err
+    assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 import random
+import time
 
 import pytest
 
-from helpers import brute_force_matches, random_instance, retrieval_signatures
-from construe.constructions import TypedSlot
-from construe.interpreter import (EngineConfig, compose, finalize, interpret,
-                                  resolve_anaphora, retrieve, window_loop)
-from construe.kb import ContextStack
+from helpers import (brute_force_matches, full_sweep_window_loop,
+                     graph_outcome, random_instance, retrieval_signatures)
+from construe import interpreter
+from construe.constructions import TypedSlot, load_constructions
+from construe.interpreter import (EngineConfig, ParseGraph, compose, finalize,
+                                  interpret, resolve_anaphora, retrieve,
+                                  window_loop)
+from construe.kb import ContextStack, load_kb
 from construe.logic import (Constant, QueryVar, equal_modulo_renaming,
                             free_query_vars, parse_expr, print_expr)
+from construe.tagger import load_lexicon, tag
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +125,75 @@ def test_window_loop_idempotent_at_fixpoint(run):
     assert len(graph.edges) == before
 
 
+DEMO_TEXTS = ("big blue building", "2 sandwiches", "Barack Obama eats a sandwich",
+              "blowing out candles", "blowing out tires",
+              "intracellular accumulation", "electron transport",
+              "white house dancing", "a bank is a kind of company",
+              "the song has 6 notes", "wimbledon , the end of the 2015 season",
+              "wimbledon olympics , the end of the 2015 season",
+              "the end of the 2015 season", "cat kibble", "kick the bucket",
+              "wimbledon olympics superbowl daytona masters euro , "
+              "the end of the 2015 season")
+BIO_TEXTS = ("G12V-K-Ras", "V12G-K-Ras")
+
+
+@pytest.mark.parametrize("max_window", [12, 3, 2])
+def test_agenda_matches_full_sweeps_on_phrases(demo_kb, demo_repo, demo_lexicon,
+                                               bio_kb, bio_repo, bio_lexicon,
+                                               monkeypatch, max_window):
+    config = EngineConfig(max_window=max_window)
+    cases = [(t, demo_kb, demo_repo, demo_lexicon) for t in DEMO_TEXTS]
+    cases += [(t, bio_kb, bio_repo, bio_lexicon) for t in BIO_TEXTS]
+    agenda = [graph_outcome(interpret(*case, config)) for case in cases]
+    monkeypatch.setattr(interpreter, "window_loop", full_sweep_window_loop)
+    full = [graph_outcome(interpret(*case, config)) for case in cases]
+    for case, got, expected in zip(cases, agenda, full):
+        assert got == expected, case[0]
+
+
+# "finale" finds no Event to its left on the first sweep; the only one,
+# "great big olympics", is built on the second sweep, when nothing has
+# changed inside the window of "finale".  "big olympics cup" needs the edge
+# that its own anchor added on the previous sweep.
+LATE_TEXTS = {"great big olympics finale": ("finale", "(FinaleFn (GreatFn (BigFn Games)))"),
+              "big olympics cup": ("cup", "(CupFn (BigFn Games))")}
+
+
+@pytest.mark.parametrize("text", sorted(LATE_TEXTS))
+def test_agenda_revisits_anchors_for_later_edges(monkeypatch, text):
+    kb = load_kb(text="(collection Event) (collection Games) (collection Big) "
+                      "(fn BigFn 1 (resultGenls Big)) "
+                      "(fn CupFn 1 (resultGenls Event)) "
+                      "(fn GreatFn 1 (resultGenls Event)) "
+                      "(fn FinaleFn 1 (resultGenls Event))")
+    lexicon = load_lexicon(text='(lex "olympics" Games)')
+    repo = load_constructions(text="""
+        (construction :id big :nl "big $Games#0" :logic (BigFn $Games#0)
+          :output-type Big)
+        (construction :id cup :nl "$Big#0 cup" :logic (CupFn $Big#0)
+          :output-type Event)
+        (construction :id great :nl "great $Big#0" :logic (GreatFn $Big#0)
+          :output-type Event)
+        (construction :id finale :nl "finale" :logic (FinaleFn $Event#1)
+          :anaphoric ($Event#1) :output-type Event)""")
+    graph = interpret(text, kb, repo, lexicon)
+    source, logic = LATE_TEXTS[text]
+    assert [print_expr(e.logic) for e in graph.edges
+            if e.source == source] == [logic]
+    monkeypatch.setattr(interpreter, "window_loop", full_sweep_window_loop)
+    assert graph_outcome(graph) == graph_outcome(interpret(text, kb, repo,
+                                                           lexicon))
+
+
+def test_agenda_matches_full_sweeps_on_random_instances():
+    for seed in range(150):
+        graph, _ = random_instance(random.Random(seed))
+        oracle, _ = random_instance(random.Random(seed))
+        window_loop(graph)
+        full_sweep_window_loop(oracle)
+        assert graph_outcome(graph) == graph_outcome(oracle), seed
+
+
 def test_edges_deduplicated_modulo_renaming(run):
     graph = run("Barack Obama eats a sandwich")
     keys = [(e.start, e.end, e.source,
@@ -149,6 +223,35 @@ def test_retrieve_matches_brute_force_on_random_instances():
         got = retrieval_signatures(retrieve(graph, start, end))
         expected = brute_force_matches(graph, start, end)
         assert got == expected
+
+
+def _deep_window_graph(text, kb, repo, lexicon):
+    chart = tag(text, lexicon)
+    n = len(chart.tokens)
+    graph = ParseGraph(text, chart, kb, repo, EngineConfig(max_window=n))
+    interpreter._seed_tag_edges(graph)
+    return graph, n
+
+
+def test_retrieve_on_deep_window(demo_kb, demo_repo, demo_lexicon):
+    # windows of this size used to exceed the recursion limit
+    graph, n = _deep_window_graph(" ".join(["big blue building"] * 367),
+                                  demo_kb, demo_repo, demo_lexicon)
+    assert n == 1101
+    t0 = time.perf_counter()
+    got = retrieve(graph, 0, n)
+    assert time.perf_counter() - t0 < 10.0
+    assert retrieval_signatures(got) == brute_force_matches(graph, 0, n)
+
+    # a stored key as long as the window: the walk goes the full depth
+    words = " ".join(["w"] * 1100)
+    repo = load_constructions(
+        text=f'(construction :id long :nl "{words}" :logic Marker)')
+    graph, n = _deep_window_graph(words, demo_kb, repo, demo_lexicon)
+    t0 = time.perf_counter()
+    got = retrieve(graph, 0, n)
+    assert time.perf_counter() - t0 < 10.0
+    assert [(r.construction.id, r.binding) for r in got] == [("long", {})]
 
 
 # ---------------------------------------------------------------------------
@@ -357,5 +460,7 @@ def test_language_config_selects_templates(run):
 def test_config_validation():
     with pytest.raises(ValueError):
         EngineConfig(max_window=0)
+    with pytest.raises(ValueError):
+        EngineConfig(max_edges=0)
     with pytest.raises(ValueError):
         EngineConfig(outermost_policy="maybe")
