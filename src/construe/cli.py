@@ -57,20 +57,27 @@ def _check_paths(paths, what: str):
             raise ResourceError(f"{what} file not found: {p}")
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of *path*; a file that cannot be read as such is a
+    ResourceError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        raise ResourceError(f"{what} file {path} cannot be read: {err}") from err
+
+
 def _read_with(loader, paths, what: str):
     """Run *loader* on *paths*; a file that cannot be read as UTF-8 text
-    becomes a ResourceError naming it."""
+    becomes a ResourceError naming it, and so does nesting too deep for
+    the (recursive) checks that follow reading."""
     try:
         return loader(paths)
     except (OSError, UnicodeDecodeError) as err:
-        # a decode error does not say which file it came from
-        for p in paths:
-            try:
-                Path(p).read_text(encoding="utf-8")
-            except (OSError, UnicodeDecodeError) as file_err:
-                raise ResourceError(
-                    f"{what} file {p} cannot be read: {file_err}") from err
+        for p in paths:     # a decode error does not say which file it was
+            _read_text(p, what)
         raise ResourceError(f"{what} files cannot be read: {err}") from err
+    except RecursionError as err:
+        raise ResourceError(f"{what} files nest too deeply to load") from err
 
 
 def load_resources(manifest: RunManifest) -> Resources:
@@ -176,7 +183,7 @@ def cmd_tag(resources: Resources, text: str, fmt: str, out) -> int:
         json.dump(doc, out, ensure_ascii=False)
         out.write("\n")
         return 0
-    by_span = {(s.start, s.end): s.concepts for s in chart.spans}
+    by_span = chart.by_span
     for i, tok in enumerate(chart.tokens):
         concepts = by_span.get((i, i + 1), ())
         out.write("%d:%d\t%s\t%s\n" % (i, i + 1, tok.surface,
@@ -270,7 +277,7 @@ def evaluate(records: list, verdicts: dict, unit: str = "tokens") -> dict:
 
 def read_captions(path: str) -> list:
     captions = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, "captions").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "\t" not in line:
@@ -285,7 +292,7 @@ def read_verdicts(path: str, records: list) -> dict:
                               for i in range(len(rec.interpretations))}
              for rec in records}
     verdicts: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, "verdicts").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -458,10 +465,9 @@ def main(argv=None, out=None) -> int:
         resources = load_resources(manifest)
         if args.command == "interpret":
             if args.file is not None:
-                path = Path(args.file)
-                if not path.exists():
+                if not Path(args.file).exists():
                     raise ResourceError(f"input file not found: {args.file}")
-                text = path.read_text(encoding="utf-8")
+                text = _read_text(args.file, "input")
             elif args.text is not None:
                 text = args.text
             else:

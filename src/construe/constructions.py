@@ -29,7 +29,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable
 
 from . import sexpr, tagger
@@ -129,6 +128,11 @@ class Construction:
 
     def all_slots(self) -> set:
         return self.nl_slots() | set(self.anaphoric_refs)
+
+    @cached_property
+    def variants(self) -> tuple:
+        """``expand_variants`` of this construction, expanded once."""
+        return tuple(expand_variants(self))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +268,10 @@ def _validate(c: Construction, sink: list) -> bool:
     nl = c.nl_slots()
     anaphoric = set(c.anaphoric_refs)
     bound = nl | anaphoric
+    logic_slots = _slot_occurrences(c.logic_template)
     # one unifying integer names one slot
     by_index: dict = {}
-    for s in bound | _slot_occurrences(c.logic_template):
+    for s in bound | logic_slots:
         prior = by_index.setdefault(s.index, s)
         if prior != s:
             err("cons-slot-index",
@@ -274,7 +279,7 @@ def _validate(c: Construction, sink: list) -> bool:
     if anaphoric & nl:
         overlap = ", ".join(str(s) for s in sorted(anaphoric & nl, key=str))
         err("cons-anaphoric", f"anaphoric slots also occur in a template: {overlap}")
-    for s in sorted(_slot_occurrences(c.logic_template), key=str):
+    for s in sorted(logic_slots, key=str):
         if s not in bound:
             err("cons-unbound-slot",
                 f"{s} in the logic template is neither a template slot nor "
@@ -293,7 +298,7 @@ def _validate(c: Construction, sink: list) -> bool:
         k = c.output_type[1]
         if k not in {s.index for s in bound}:
             err("cons-output-type", f"output type refers to unknown slot #{k}")
-    for v in expand_variants(c):
+    for v in c.variants:
         if not v.elements:
             err("cons-empty-variant", "an alternation choice leaves a variant empty")
             break
@@ -309,7 +314,7 @@ def _parse_form(form, sink: list) -> Construction | None:
         sink.append(Finding(code, msg))
 
     if not isinstance(form, sexpr.SexprList) or not form \
-            or str(form[0]) != "construction":
+            or not isinstance(form[0], sexpr.Symbol) or form[0] != "construction":
         err("cons-form", "expected a (construction ...) form")
         return None
     items = list(form[1:])
@@ -460,7 +465,7 @@ class Repository:
         self.has_anaphora = self.has_anaphora or bool(c.anaphoric_refs)
         for s in c.all_slots():
             self._used_types.add(s.type)
-        for v in expand_variants(c):
+        for v in c.variants:
             self.variants.append(v)
             skeleton, lexical = derive_keys(v)
             self._lexical.setdefault((v.language, lexical), []).append(v)
@@ -487,13 +492,7 @@ def load_constructions_lenient(paths: Iterable | None = None, *,
                                text: str | None = None) -> tuple:
     repo = Repository()
     findings: list = []
-    sources = []
-    if text is not None:
-        sources.append(("<string>", text))
-    for p in paths or ():
-        p = Path(p)
-        sources.append((str(p), p.read_text(encoding="utf-8")))
-    for name, content in sources:
+    for name, content in sexpr.read_sources(paths, text):
         try:
             forms = sexpr.parse_all(content, name)
         except sexpr.SexprError as err:

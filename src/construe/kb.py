@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable
 
 from . import sexpr
@@ -762,21 +761,11 @@ def _find_cycles(graph: dict) -> list:
     return cycles
 
 
-def _read_sources(paths: Iterable | None, text: str | None):
-    sources = []
-    if text is not None:
-        sources.append(("<string>", text))
-    for p in paths or ():
-        p = Path(p)
-        sources.append((str(p), p.read_text(encoding="utf-8")))
-    return sources
-
-
 def load_kb_lenient(paths: Iterable | None = None, *,
                     text: str | None = None) -> tuple:
     """Load and return (kb, findings) without raising on bad input."""
     loader = _Loader()
-    for name, content in _read_sources(paths, text):
+    for name, content in sexpr.read_sources(paths, text):
         try:
             forms = sexpr.parse_all(content, name)
         except sexpr.SexprError as err:

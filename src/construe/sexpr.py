@@ -1,10 +1,29 @@
 """Minimal s-expression reader shared by the expression, knowledge-base,
-lexicon and construction-file parsers."""
+lexicon and construction-file parsers, and the one place resource files
+are read from disk.
+
+``parse_all`` makes one pass of a single compiled pattern over the text
+and builds forms on an explicit stack, so nesting depth is limited only
+by memory.  Atoms that look like integers, ratios or decimals become
+``Fraction``; other atoms become ``Symbol``; quoted strings become plain
+``str`` (``\\n`` and ``\\t`` escapes decoded, any other escaped character
+taken literally); ``¬X`` reads as ``(not X)``; ``;`` starts a comment.
+Every ``Symbol`` and ``SexprList`` carries the 1-based line and column of
+its first character.  Columns count source characters, so they stay
+exact after a string with escapes or with line breaks inside it, and a
+``\\n`` escape does not start a new line (the character-at-a-time reader
+this one replaced got both wrong).  Errors are ``SexprError``: an
+unterminated string (reported first if the text has one), an unbalanced
+parenthesis, an unexpected ``)``, a dangling ``¬``, or a ratio with a
+zero denominator.
+"""
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from pathlib import Path
+from typing import Iterable
 
 
 class SexprError(Exception):
@@ -24,12 +43,6 @@ class Symbol(str):
     line = 0
     col = 0
 
-    def __new__(cls, value, line=0, col=0):
-        obj = super().__new__(cls, value)
-        obj.line = line
-        obj.col = col
-        return obj
-
 
 class SexprList(list):
     """Parenthesized form. A plain list with a source position."""
@@ -38,122 +51,112 @@ class SexprList(list):
     col = 0
 
 
-_NUMBER_RE = re.compile(r"^[+-]?\d+(/\d+)?$|^[+-]?\d+\.\d+$")
-_DELIMS = set('()";')
+# Blanks before a token are part of its match (one match per token, not
+# one more per blank run); the group number names the token kind, and a
+# comment or blanks at the very end match with no group.  A line break is
+# a token of its own, so that lines can be counted.
+_TOKEN_RE = re.compile(r"""
+    [^\S\n]*
+    (?:(\()                                  # 1
+      |(\))                                  # 2
+      |([^\s()";¬]+)                         # 3 atom or number
+      |(\n)                                  # 4
+      |"([^"\\]*(?:\\.[^"\\]*)*)"            # 5 string body
+      |(¬)                                   # 6 negation sign
+      |(")                                   # 7 string without an end
+      |;[^\n]*
+      |\Z)
+""", re.VERBOSE | re.DOTALL)
+_OPEN, _CLOSE, _ATOM, _NEWLINE, _STRING, _NEG, _UNTERMINATED = range(1, 8)
+_NUMBER_RE = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def _tokenize(text: str, source: str):
-    line, col = 1, 0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        col += 1
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in "()":
-            yield (ch, None, line, col)
-            i += 1
-            continue
-        if ch == "¬":  # negation sign, accepted as a prefix alias
-            yield ("neg", None, line, col)
-            i += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            buf = []
-            while i < n and text[i] != '"':
-                c = text[i]
-                if c == "\\" and i + 1 < n:
-                    i += 1
-                    c = {"n": "\n", "t": "\t"}.get(text[i], text[i])
-                if c == "\n":
-                    line += 1
-                    col = 0
-                buf.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise SexprError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            yield ("str", "".join(buf), start_line, start_col)
-            continue
-        start_line, start_col = line, col
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _DELIMS and text[j] != "¬":
-            j += 1
-        tok = text[i:j]
-        col += len(tok) - 1
-        i = j
-        yield ("atom", tok, start_line, start_col)
+def _unescape(m) -> str:
+    return _ESCAPES.get(m.group(1), m.group(1))
 
 
-def _atom(tok: str, line: int, col: int):
-    if _NUMBER_RE.match(tok):
-        return Fraction(tok)
-    return Symbol(tok, line, col)
+def _position(text: str, offset: int) -> tuple:
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
-class _Reader:
-    def __init__(self, text: str, source: str):
-        self.tokens = list(_tokenize(text, source))
-        self.pos = 0
-        self.source = source
-
-    def _peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def read(self):
-        tok = self._peek()
-        if tok is None:
-            return None
-        kind, value, line, col = tok
-        self.pos += 1
-        if kind == "atom":
-            return _atom(value, line, col)
-        if kind == "str":
-            return value
-        if kind == "neg":
-            inner = self.read()
-            if inner is None:
-                raise SexprError("dangling negation sign", line, col)
-            form = SexprList([Symbol("not", line, col), inner])
-            form.line, form.col = line, col
-            return form
-        if kind == "(":
-            items = SexprList()
-            items.line, items.col = line, col
-            while True:
-                nxt = self._peek()
-                if nxt is None:
-                    raise SexprError("unbalanced parenthesis", line, col)
-                if nxt[0] == ")":
-                    self.pos += 1
-                    return items
-                items.append(self.read())
-        raise SexprError("unexpected ')'", line, col)
+def _error_at(text: str, offset: int, message: str) -> SexprError:
+    # an unterminated string further on is reported first
+    for later in _TOKEN_RE.finditer(text, offset + 1):
+        if later.lastindex == _UNTERMINATED:
+            return SexprError("unterminated string",
+                              *_position(text, later.start(_UNTERMINATED)))
+    return SexprError(message, *_position(text, offset))
 
 
 def parse_all(text: str, source: str = "<string>") -> list:
     """Read every top-level form in *text*."""
-    reader = _Reader(text, source)
-    forms = []
-    while True:
-        form = reader.read()
-        if form is None:
-            return forms
-        forms.append(form)
+    forms: list = []
+    cur, cur_neg = forms, False     # list receiving forms; is it a ¬ frame
+    stack: list = []                # enclosing (list, is ¬ frame) pairs
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        if kind == _ATOM:
+            tok = m[_ATOM]
+            if tok[-1].isdecimal() and _NUMBER_RE.fullmatch(tok):
+                try:
+                    form = Fraction(tok)
+                except ZeroDivisionError:
+                    raise _error_at(text, m.start(_ATOM),
+                                    f"zero denominator in {tok}") from None
+            else:
+                form = Symbol(tok)
+                form.line = line
+                form.col = m.start(_ATOM) - line_start + 1
+        elif kind == _OPEN:
+            form = SexprList()
+            form.line = line
+            form.col = m.start(_OPEN) - line_start + 1
+            stack.append((cur, cur_neg))
+            cur, cur_neg = form, False
+            continue
+        elif kind == _CLOSE:
+            if cur_neg or not stack:
+                raise _error_at(text, m.start(_CLOSE), "unexpected ')'")
+            form = cur
+            cur, cur_neg = stack.pop()
+        elif kind == _NEWLINE:
+            line += 1
+            line_start = m.end()
+            continue
+        elif kind == _STRING:
+            form = m[_STRING]
+            if "\n" in form:
+                line += form.count("\n")
+                line_start = text.rfind("\n", 0, m.end()) + 1
+            if "\\" in form:
+                form = _ESCAPE_RE.sub(_unescape, form)
+        elif kind == _NEG:
+            col = m.start(_NEG) - line_start + 1
+            neg = Symbol("not")
+            neg.line, neg.col = line, col
+            form = SexprList([neg])
+            form.line, form.col = line, col
+            stack.append((cur, cur_neg))
+            cur, cur_neg = form, True
+            continue
+        elif kind == _UNTERMINATED:
+            raise SexprError("unterminated string", line,
+                             m.start(_UNTERMINATED) - line_start + 1)
+        else:                       # a comment, or blanks at the end
+            continue
+        cur.append(form)
+        while cur_neg:              # a ¬ frame is complete with one form
+            form = cur
+            cur, cur_neg = stack.pop()
+            cur.append(form)
+    if stack:
+        raise SexprError("dangling negation sign" if cur_neg
+                         else "unbalanced parenthesis", cur.line, cur.col)
+    return forms
 
 
 def parse_one(text: str, source: str = "<string>"):
@@ -162,3 +165,12 @@ def parse_one(text: str, source: str = "<string>"):
     if len(forms) != 1:
         raise SexprError(f"expected exactly one form, found {len(forms)}", 1, 1)
     return forms[0]
+
+
+def read_sources(paths: Iterable | None, text: str | None = None) -> list:
+    """(name, content) for an inline *text* (named ``<string>``) followed
+    by every file in *paths*, read as UTF-8."""
+    sources = [] if text is None else [("<string>", text)]
+    for p in paths or ():
+        sources.append((str(p), Path(p).read_text(encoding="utf-8")))
+    return sources

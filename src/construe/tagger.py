@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
+from functools import cached_property
 from typing import Iterable
 
 from . import sexpr
@@ -26,7 +26,7 @@ _MAX_SEGMENT_LEN = 64
 @dataclass(frozen=True)
 class Token:
     surface: str
-    start: int                       # character offsets into the原 text
+    start: int                       # character offsets into the text
     end: int
     parent: "Token | None" = None    # set on sub-word tokens
 
@@ -45,13 +45,18 @@ class TagSpan:
 class TagChart:
     text: str
     tokens: list
-    spans: list
+    spans: list                      # not changed once the chart is built
+
+    @cached_property
+    def by_span(self) -> dict:
+        """(start, end) -> concepts of the first span there."""
+        index: dict = {}
+        for span in self.spans:
+            index.setdefault((span.start, span.end), span.concepts)
+        return index
 
     def concepts_at(self, start: int, end: int) -> tuple:
-        for span in self.spans:
-            if span.start == start and span.end == end:
-                return span.concepts
-        return ()
+        return self.by_span.get((start, end), ())
 
     def token_concepts(self, i: int) -> tuple:
         return self.concepts_at(i, i + 1)
@@ -115,13 +120,7 @@ def load_lexicon_lenient(paths: Iterable | None = None, *,
 
     lex = Lexicon()
     findings: list = []
-    sources = []
-    if text is not None:
-        sources.append(("<string>", text))
-    for p in paths or ():
-        p = Path(p)
-        sources.append((str(p), p.read_text(encoding="utf-8")))
-    for name, content in sources:
+    for name, content in sexpr.read_sources(paths, text):
         try:
             forms = sexpr.parse_all(content, name)
         except sexpr.SexprError as err:

@@ -6,6 +6,8 @@ the ground evaluator models truth over a tiny explicit universe.
 """
 
 import random
+import re
+from fractions import Fraction
 
 from construe.constructions import Literal, load_constructions
 from construe.interpreter import (EngineConfig, ParseGraph, apply_construction,
@@ -13,6 +15,7 @@ from construe.interpreter import (EngineConfig, ParseGraph, apply_construction,
 from construe.kb import UnknownTermError, load_kb
 from construe.logic import (And, App, Constant, EQUALS, Not, QueryVar,
                             free_query_vars, print_expr)
+from construe.sexpr import SexprError, SexprList, Symbol
 from construe.tagger import TagChart, Token
 
 
@@ -94,6 +97,130 @@ def graph_outcome(graph):
               print_expr(e.output_type) if e.output_type is not None else None,
               e.output_var, e.kind, e.children) for e in graph.edges]
     return edges, list(graph.trace), list(graph.pattern_counts.items())
+
+
+# ---------------------------------------------------------------------------
+# Character-at-a-time tokenizer and recursive reader (s-expression oracle)
+
+_NUMBER_RE = re.compile(r"^[+-]?\d+(/\d+)?$|^[+-]?\d+\.\d+$")
+_DELIMS = set('()";')
+
+
+def _reference_tokenize(text):
+    line, col = 1, 0
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 0
+            i += 1
+            continue
+        col += 1
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch in "()":
+            yield (ch, None, line, col)
+            i += 1
+            continue
+        if ch == "¬":
+            yield ("neg", None, line, col)
+            i += 1
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            i += 1
+            buf = []
+            while i < n and text[i] != '"':
+                c = text[i]
+                if c == "\\" and i + 1 < n:
+                    i += 1
+                    c = {"n": "\n", "t": "\t"}.get(text[i], text[i])
+                if c == "\n":
+                    line += 1
+                    col = 0
+                buf.append(c)
+                i += 1
+                col += 1
+            if i >= n:
+                raise SexprError("unterminated string", start_line, start_col)
+            i += 1
+            col += 1
+            yield ("str", "".join(buf), start_line, start_col)
+            continue
+        start_line, start_col = line, col
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in _DELIMS \
+                and text[j] != "¬":
+            j += 1
+        tok = text[i:j]
+        col += len(tok) - 1
+        i = j
+        yield ("atom", tok, start_line, start_col)
+
+
+def _positioned(node, line, col):
+    node.line, node.col = line, col
+    return node
+
+
+class _ReferenceReader:
+    def __init__(self, text):
+        self.tokens = list(_reference_tokenize(text))
+        self.pos = 0
+
+    def _peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def read(self):
+        tok = self._peek()
+        if tok is None:
+            return None
+        kind, value, line, col = tok
+        self.pos += 1
+        if kind == "atom":
+            if _NUMBER_RE.match(value):
+                return Fraction(value)
+            return _positioned(Symbol(value), line, col)
+        if kind == "str":
+            return value
+        if kind == "neg":
+            inner = self.read()
+            if inner is None:
+                raise SexprError("dangling negation sign", line, col)
+            return _positioned(
+                SexprList([_positioned(Symbol("not"), line, col), inner]),
+                line, col)
+        if kind == "(":
+            items = _positioned(SexprList(), line, col)
+            while True:
+                nxt = self._peek()
+                if nxt is None:
+                    raise SexprError("unbalanced parenthesis", line, col)
+                if nxt[0] == ")":
+                    self.pos += 1
+                    return items
+                items.append(self.read())
+        raise SexprError("unexpected ')'", line, col)
+
+
+def reference_parse_all(text):
+    """The reader ``sexpr.parse_all`` replaced: tokenize the whole text a
+    character at a time, then read forms recursively.  Its columns drift
+    after a string with escapes or line breaks, which the generated texts
+    avoid."""
+    reader = _ReferenceReader(text)
+    forms = []
+    while True:
+        form = reader.read()
+        if form is None:
+            return forms
+        forms.append(form)
 
 
 # ---------------------------------------------------------------------------

@@ -127,28 +127,83 @@ def test_limit_below_one_is_usage_error(capsys, flag, value):
     assert len(err.splitlines()) == 1
 
 
-def _non_utf8_args(tmp_path, flag):
-    bad = tmp_path / "latin1.txt"
-    bad.write_bytes("(lex \"caf\u00e9\" Cafe)\n".encode("latin-1"))
+def _demo_args_with(flag, path):
+    """demo_args() with the last file given to *flag* replaced by *path*."""
     files = {"--kb": [str(p) for p in DEMO_KB_FILES],
              "--lexicon": [str(DEMO_LEX_FILES[0])],
              "--constructions": [str(DEMO_CG_FILES[0])]}
-    files[flag] = files[flag][:-1] + [str(bad)]
-    args = []
-    for f, paths in files.items():
-        for p in paths:
-            args += [f, p]
-    return args, bad
+    files[flag] = files[flag][:-1] + [str(path)]
+    return [a for f, paths in files.items() for p in paths for a in (f, p)]
+
+
+def _assert_one_line_resource_error(capsys, rc, out, *needles):
+    assert rc == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    for needle in needles:
+        assert needle in err
 
 
 @pytest.mark.parametrize("flag", ["--kb", "--lexicon", "--constructions"])
 def test_non_utf8_resource_is_resource_error(tmp_path, capsys, flag):
-    args, bad = _non_utf8_args(tmp_path, flag)
-    rc, out = run_cli(["interpret", *args, "big blue building"])
-    assert rc == 2 and out == ""
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and flag in err and str(bad) in err
-    assert len(err.splitlines()) == 1
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("(lex \"caf\u00e9\" Cafe)\n".encode("latin-1"))
+    rc, out = run_cli(["interpret", *_demo_args_with(flag, bad),
+                       "big blue building"])
+    _assert_one_line_resource_error(capsys, rc, out, flag, str(bad))
+
+
+def test_non_utf8_input_file_is_resource_error(tmp_path, capsys):
+    bad = tmp_path / "input.txt"
+    bad.write_bytes("caf\u00e9 building\n".encode("latin-1"))
+    rc, out = run_cli(["interpret", *demo_args(), "--file", str(bad)])
+    _assert_one_line_resource_error(capsys, rc, out, "input", str(bad))
+
+
+def test_non_utf8_captions_file_is_resource_error(tmp_path, capsys):
+    bad = tmp_path / "captions.tsv"
+    bad.write_bytes("e1\tcaf\u00e9 building\n".encode("latin-1"))
+    rc, out = run_cli(["eval", *demo_args(), str(bad)])
+    _assert_one_line_resource_error(capsys, rc, out, "captions", str(bad))
+
+
+def test_missing_captions_file_is_resource_error(tmp_path, capsys):
+    missing = tmp_path / "nope.tsv"
+    rc, out = run_cli(["eval", *demo_args(), str(missing)])
+    _assert_one_line_resource_error(capsys, rc, out, "captions", str(missing))
+
+
+def test_non_utf8_verdicts_file_is_resource_error(tmp_path, capsys):
+    bad = tmp_path / "verdicts.txt"
+    bad.write_bytes("e1 i0 correct ; caf\u00e9\n".encode("latin-1"))
+    rc, out = run_cli(["eval", *demo_args(), str(_write_captions(tmp_path)),
+                       "--verdicts", str(bad)])
+    _assert_one_line_resource_error(capsys, rc, out, "verdicts", str(bad))
+
+
+_DEPTH = 3000
+_DEEP_FORMS = {
+    "bare": "(" * _DEPTH + ")" * _DEPTH,
+    "negations": "\u00ac" * _DEPTH + "x",
+    "term": "(F " * _DEPTH + "A" + ")" * _DEPTH,
+}
+_TERM_PLACES = {"--kb": "(isa {} Thing)", "--lexicon": '(lex "x" {})',
+                "--constructions": '(construction :id c :nl "a" :logic {})'}
+
+
+@pytest.mark.parametrize("shape", ["bare", "negations", "term"])
+@pytest.mark.parametrize("flag", ["--kb", "--lexicon", "--constructions"])
+def test_deeply_nested_resource_is_resource_error(tmp_path, capsys, flag,
+                                                  shape):
+    deep = tmp_path / "deep.txt"
+    form = _DEEP_FORMS[shape]
+    if shape == "term":
+        form = _TERM_PLACES[flag].format(form)
+    deep.write_text(form + "\n", encoding="utf-8")
+    rc, out = run_cli(["interpret", *_demo_args_with(flag, deep),
+                       "big blue building"])
+    _assert_one_line_resource_error(capsys, rc, out)
 
 
 # ---------------------------------------------------------------------------

@@ -165,3 +165,15 @@ def test_tag_deterministic(demo_lexicon):
     b = tag("the song has 6 notes", demo_lexicon)
     assert a.spans == b.spans
     assert [t.surface for t in a.tokens] == [t.surface for t in b.tokens]
+
+
+def test_concepts_at_equals_a_scan_of_the_spans(demo_lexicon):
+    chart = tag("Barack Obama eats a sandwich near the big blue building "
+                "and 2 sandwiches", demo_lexicon)
+    n = len(chart.tokens)
+    assert any(s.end - s.start > 1 for s in chart.spans)
+    for start in range(n):
+        for end in range(start + 1, n + 1):
+            scanned = next((s.concepts for s in chart.spans
+                            if (s.start, s.end) == (start, end)), ())
+            assert chart.concepts_at(start, end) == scanned
