@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import constructions as cons
 from . import kb as kbmod
-from . import tagger
+from . import sexpr, tagger
 from .interpreter import (Edge, EngineConfig, Interpretation, ParseGraph,
                           finalize, interpret)
 from .kb import ContextStack, KnowledgeBase
@@ -49,12 +49,12 @@ class Resources:
     repo: cons.Repository
 
 
-def _check_paths(paths, what: str):
-    if not paths:
-        raise UsageError(f"at least one {what} file is required")
-    for p in paths:
-        if not Path(p).exists():
-            raise ResourceError(f"{what} file not found: {p}")
+def _check_paths(manifest: RunManifest):
+    for paths, flag in ((manifest.kb_files, "--kb"),
+                        (manifest.lexicon_files, "--lexicon"),
+                        (manifest.construction_files, "--constructions")):
+        if not paths:
+            raise UsageError(f"at least one {flag} file is required")
 
 
 def _read_text(path, what: str) -> str:
@@ -66,34 +66,22 @@ def _read_text(path, what: str) -> str:
         raise ResourceError(f"{what} file {path} cannot be read: {err}") from err
 
 
-def _read_with(loader, paths, what: str):
-    """Run *loader* on *paths*; a file that cannot be read as UTF-8 text
-    becomes a ResourceError naming it, and so does nesting too deep for
-    the (recursive) checks that follow reading."""
+def _load(loader, paths, flag: str):
+    """*loader* run on *paths*; a resource that does not load is a
+    ResourceError naming *flag*."""
     try:
         return loader(paths)
-    except (OSError, UnicodeDecodeError) as err:
-        for p in paths:     # a decode error does not say which file it was
-            _read_text(p, what)
-        raise ResourceError(f"{what} files cannot be read: {err}") from err
-    except RecursionError as err:
-        raise ResourceError(f"{what} files nest too deeply to load") from err
+    except sexpr.LoadError as err:
+        raise ResourceError(f"{flag}: {err}") from err
 
 
 def load_resources(manifest: RunManifest) -> Resources:
-    _check_paths(manifest.kb_files, "--kb")
-    _check_paths(manifest.lexicon_files, "--lexicon")
-    _check_paths(manifest.construction_files, "--constructions")
-    try:
-        kb = _read_with(kbmod.load_kb, manifest.kb_files, "--kb")
-        lexicon = _read_with(tagger.load_lexicon, manifest.lexicon_files,
-                             "--lexicon")
-        repo = _read_with(cons.load_constructions, manifest.construction_files,
-                          "--constructions")
-    except (kbmod.KbLoadError, tagger.LexiconLoadError,
-            cons.ConstructionLoadError) as err:
-        raise ResourceError(str(err)) from err
-    return Resources(kb, lexicon, repo)
+    _check_paths(manifest)
+    return Resources(
+        _load(kbmod.load_kb, manifest.kb_files, "--kb"),
+        _load(tagger.load_lexicon, manifest.lexicon_files, "--lexicon"),
+        _load(cons.load_constructions, manifest.construction_files,
+              "--constructions"))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +331,12 @@ def cmd_eval(resources: Resources, config: EngineConfig, captions_path: str,
 # Lint
 
 def run_lint(manifest: RunManifest) -> list:
-    _check_paths(manifest.kb_files, "--kb")
-    _check_paths(manifest.lexicon_files, "--lexicon")
-    _check_paths(manifest.construction_files, "--constructions")
-    kb, findings = _read_with(kbmod.load_kb_lenient, manifest.kb_files, "--kb")
-    lexicon, lex_findings = _read_with(tagger.load_lexicon_lenient,
-                                       manifest.lexicon_files, "--lexicon")
-    repo, cons_findings = _read_with(cons.load_constructions_lenient,
-                                     manifest.construction_files,
-                                     "--constructions")
+    _check_paths(manifest)
+    kb, findings = _load(kbmod.load_kb_lenient, manifest.kb_files, "--kb")
+    lexicon, lex_findings = _load(tagger.load_lexicon_lenient,
+                                  manifest.lexicon_files, "--lexicon")
+    repo, cons_findings = _load(cons.load_constructions_lenient,
+                                manifest.construction_files, "--constructions")
     findings = list(findings) + list(lex_findings) + list(cons_findings)
     findings.extend(kbmod.lint_kb(kb))
     findings.extend(cons.lint_constructions(repo, kb))
@@ -465,8 +450,6 @@ def main(argv=None, out=None) -> int:
         resources = load_resources(manifest)
         if args.command == "interpret":
             if args.file is not None:
-                if not Path(args.file).exists():
-                    raise ResourceError(f"input file not found: {args.file}")
                 text = _read_text(args.file, "input")
             elif args.text is not None:
                 text = args.text

@@ -28,18 +28,16 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
 from . import sexpr, tagger
-from .kb import Finding, KnowledgeBase
+from .kb import KnowledgeBase
 from .logic import Constant, Expr, QueryVar, TypedVar, free_vars, from_sexpr
+from .sexpr import Finding, LoadError
 
-
-class ConstructionLoadError(Exception):
-    def __init__(self, findings):
-        super().__init__("; ".join(f"{f.code}: {f.message}" for f in findings))
-        self.findings = findings
+ConstructionLoadError = LoadError
 
 
 @dataclass(frozen=True)
@@ -355,21 +353,13 @@ def _parse_form(form, sink: list) -> Construction | None:
                 return None
         elif k == ":logic":
             logic_count += 1
-            try:
-                logic_template = from_sexpr(value)
-            except Exception as lerr:
-                err("cons-syntax", f"{cid or '?'}: bad logic template: {lerr}")
-                return None
+            logic_template = from_sexpr(value)
         elif k == ":anaphoric":
             if not isinstance(value, sexpr.SexprList):
                 err("cons-form", ":anaphoric takes a list of typed variables")
                 return None
             for item in value:
-                try:
-                    v = from_sexpr(item)
-                except Exception as aerr:
-                    err("cons-syntax", f"{cid or '?'}: {aerr}")
-                    return None
+                v = from_sexpr(item)
                 if not isinstance(v, TypedVar):
                     err("cons-form", f"{cid or '?'}: anaphoric entries must be "
                                      "typed variables")
@@ -384,11 +374,12 @@ def _parse_form(form, sink: list) -> Construction | None:
         elif k == ":output-type":
             if isinstance(value, sexpr.SexprList):
                 if (len(value) == 2 and str(value[0]) == "slot"
-                        and not isinstance(value[1], sexpr.Symbol)):
+                        and isinstance(value[1], Fraction)
+                        and value[1].denominator == 1):
                     output_type = ("slot", int(value[1]))
                 else:
                     err("cons-form", f"{cid or '?'}: :output-type takes a term "
-                                     "or (slot k)")
+                                     "or (slot k) with an integer k")
                     return None
             elif isinstance(value, sexpr.Symbol):
                 output_type = str(value)
@@ -396,11 +387,7 @@ def _parse_form(form, sink: list) -> Construction | None:
                 err("cons-form", f"{cid or '?'}: bad :output-type")
                 return None
         elif k in (":test+", ":test-"):
-            try:
-                t = from_sexpr(value)
-            except Exception as terr:
-                err("cons-syntax", f"{cid or '?'}: bad {k}: {terr}")
-                return None
+            t = from_sexpr(value)
             (tests_pos if k == ":test+" else tests_neg).append(t)
         else:
             err("cons-form", f"unknown key {k}")
@@ -428,15 +415,16 @@ def _parse_form(form, sink: list) -> Construction | None:
 
 def parse_construction(dsl_text: str) -> Construction:
     """Parse one (construction ...) form, enforcing every invariant."""
-    sink: list = []
-    try:
-        form = sexpr.parse_one(dsl_text)
-    except sexpr.SexprError as err:
-        raise ConstructionLoadError([Finding("cons-syntax", str(err))]) from err
-    c = _parse_form(form, sink)
-    if c is None:
-        raise ConstructionLoadError(sink)
-    return c
+    parsed: list = []
+    findings = sexpr.load_forms(
+        None, dsl_text, "cons",
+        lambda form, found: parsed.append(_parse_form(form, found)))
+    if not findings and len(parsed) != 1:
+        findings = [Finding("cons-syntax",
+                            f"expected exactly one form, found {len(parsed)}")]
+    if findings:
+        raise ConstructionLoadError(findings)
+    return parsed[0]
 
 
 class Repository:
@@ -446,9 +434,8 @@ class Repository:
     def __init__(self):
         self.constructions: dict[str, Construction] = {}
         self.variants: list[TemplateVariant] = []
-        self._lexical: dict = {}
-        self._skeleton: dict = {}
-        self._typed: dict = {}
+        self._tiers: dict[str, dict] = {"lexical": {}, "skeleton": {},
+                                        "typed": {}}
         self._skeleton_prefixes: dict[str, set] = {}
         self._used_types: set = set()
         self.has_anaphora = False       # any construction with :anaphoric slots
@@ -468,18 +455,16 @@ class Repository:
         for v in c.variants:
             self.variants.append(v)
             skeleton, lexical = derive_keys(v)
-            self._lexical.setdefault((v.language, lexical), []).append(v)
-            self._skeleton.setdefault((v.language, skeleton), []).append(v)
-            self._typed.setdefault((v.language, typed_key(v)), []).append(v)
+            for tier, key in (("lexical", lexical), ("skeleton", skeleton),
+                              ("typed", typed_key(v))):
+                self._tiers[tier].setdefault((v.language, key), []).append(v)
             prefixes = self._skeleton_prefixes.setdefault(v.language, set())
             prefixes.update(skeleton[:i] for i in range(len(skeleton) + 1))
 
     def lookup(self, tier: str, key: tuple, language: str = "en") -> frozenset:
         """Exact-match retrieval on one tier; empty set when nothing
         matches."""
-        index = {"lexical": self._lexical, "skeleton": self._skeleton,
-                 "typed": self._typed}[tier]
-        return frozenset(index.get((language, tuple(key)), ()))
+        return frozenset(self._tiers[tier].get((language, tuple(key)), ()))
 
     def skeleton_prefixes(self, language: str = "en") -> set:
         """Every prefix of every stored skeleton key of *language*, the
@@ -488,25 +473,23 @@ class Repository:
         return self._skeleton_prefixes.get(language, set())
 
 
+def _add_form(repo: Repository, form, findings: list):
+    c = _parse_form(form, findings)
+    if c is None:
+        return
+    try:
+        repo.add(c)
+    except ConstructionLoadError as err:
+        findings.extend(err.findings)
+
+
 def load_constructions_lenient(paths: Iterable | None = None, *,
                                text: str | None = None) -> tuple:
+    """Load and return (repository, findings); only an unreadable file
+    raises."""
     repo = Repository()
-    findings: list = []
-    for name, content in sexpr.read_sources(paths, text):
-        try:
-            forms = sexpr.parse_all(content, name)
-        except sexpr.SexprError as err:
-            findings.append(Finding("cons-syntax", f"{name}: {err}"))
-            continue
-        for form in forms:
-            c = _parse_form(form, findings)
-            if c is None:
-                continue
-            try:
-                repo.add(c)
-            except ConstructionLoadError as err:
-                findings.extend(err.findings)
-    return repo, findings
+    return repo, sexpr.load_forms(
+        paths, text, "cons", lambda form, found: _add_form(repo, form, found))
 
 
 def load_constructions(paths: Iterable | None = None, *,

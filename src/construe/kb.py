@@ -30,6 +30,7 @@ from . import sexpr
 from .logic import (App, And, Constant, Exists, Expr, Kappa, Nat, Not,
                     Numeral, Text, TheSetOf, TypedVar, QueryVar, free_vars,
                     from_sexpr, print_expr)
+from .sexpr import Finding, LoadError
 
 TermLike = (Constant, Nat)
 
@@ -42,18 +43,7 @@ class UntypedTermError(Exception):
     pass
 
 
-class KbLoadError(Exception):
-    def __init__(self, findings):
-        super().__init__("; ".join(f"{f.code}: {f.message}" for f in findings))
-        self.findings = findings
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One diagnostic from loading or linting."""
-
-    code: str
-    message: str
+KbLoadError = LoadError
 
 
 @dataclass(frozen=True)
@@ -138,9 +128,6 @@ class KnowledgeBase:
     @property
     def disjoint_pairs(self) -> frozenset:
         return frozenset(self._disjoint)
-
-    def signature(self, functor: str) -> FunctionSignature | None:
-        return self._signatures.get(functor)
 
     def known(self, t: Expr) -> bool:
         if isinstance(t, Constant):
@@ -521,6 +508,9 @@ class KnowledgeBase:
 # Loading
 
 class _Loader:
+    """Builds a KnowledgeBase one top-level form at a time (the handler
+    given to ``sexpr.load_forms``), then ``validate`` checks it whole."""
+
     def __init__(self):
         self.kb = KnowledgeBase()
         self.findings: list[Finding] = []
@@ -551,11 +541,7 @@ class _Loader:
                 self.register(child)
 
     def _term_from(self, node, what: str) -> Expr | None:
-        try:
-            e = from_sexpr(node)
-        except Exception as err:
-            self.error("kb-syntax", f"{what}: {err}")
-            return None
+        e = from_sexpr(node)
         if not _is_term(e):
             self.error("kb-form", f"{what} must be a term, got {print_expr(e)}")
             return None
@@ -584,7 +570,8 @@ class _Loader:
             self.register(g, "collection")
             kb._genls.setdefault(s, []).append(g)
 
-    def load_form(self, form):
+    def load_form(self, form, findings: list):
+        self.findings = findings        # the list load_forms collects
         if not isinstance(form, sexpr.SexprList) or not form:
             self.error("kb-form", f"stray atom {form!r} at top level")
             return
@@ -596,11 +583,7 @@ class _Loader:
             if len(form) != 3 or not isinstance(form[1], sexpr.Symbol):
                 self.error("kb-form", "(fact CTX (pred args...)) expected")
                 return
-            try:
-                atom = from_sexpr(form[2])
-            except Exception as err:
-                self.error("kb-syntax", f"fact: {err}")
-                return
+            atom = from_sexpr(form[2])
             if not isinstance(atom, App):
                 self.error("kb-form",
                            f"fact body must be a predicate application, got "
@@ -737,42 +720,39 @@ class _Loader:
 
 
 def _find_cycles(graph: dict) -> list:
-    """Cycles in a successor map, each reported once as a node path."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict = {}
+    """Cycles in a successor map, each reported once as a node path.  A
+    depth-first walk on an explicit stack, so a long chain cannot exhaust
+    the interpreter's recursion limit."""
+    done: set = set()
     cycles = []
-
-    def visit(node, stack):
-        color[node] = GREY
-        stack.append(node)
-        for succ in graph.get(node, ()):
-            c = color.get(succ, WHITE)
-            if c == GREY:
-                idx = stack.index(succ)
-                cycles.append(tuple(stack[idx:]) + (succ,))
-            elif c == WHITE:
-                visit(succ, stack)
-        stack.pop()
-        color[node] = BLACK
-
-    for node in list(graph):
-        if color.get(node, WHITE) == WHITE:
-            visit(node, [])
+    for root in graph:
+        if root in done:
+            continue
+        path = [root]                       # the grey nodes, root first
+        on_path = {root}
+        pending = [iter(graph[root])]       # successors left, per path node
+        while pending:
+            for succ in pending[-1]:
+                if succ in on_path:
+                    cycles.append(tuple(path[path.index(succ):]) + (succ,))
+                elif succ not in done:
+                    path.append(succ)
+                    on_path.add(succ)
+                    pending.append(iter(graph.get(succ, ())))
+                    break
+            else:
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
+                pending.pop()
     return cycles
 
 
 def load_kb_lenient(paths: Iterable | None = None, *,
                     text: str | None = None) -> tuple:
-    """Load and return (kb, findings) without raising on bad input."""
+    """Load and return (kb, findings); only an unreadable file raises."""
     loader = _Loader()
-    for name, content in sexpr.read_sources(paths, text):
-        try:
-            forms = sexpr.parse_all(content, name)
-        except sexpr.SexprError as err:
-            loader.error("kb-syntax", f"{name}: {err}")
-            continue
-        for form in forms:
-            loader.load_form(form)
+    loader.findings = sexpr.load_forms(paths, text, "kb", loader.load_form)
     loader.validate()
     return loader.kb, loader.findings
 

@@ -21,12 +21,9 @@ from . import sexpr
 from .sexpr import SexprError, SexprList, Symbol
 
 
-class ExprSyntaxError(Exception):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        super().__init__(f"{message} (line {line}, column {col})")
-        self.message = message
-        self.line = line
-        self.col = col
+class ExprSyntaxError(SexprError):
+    """Text that is not a logic expression.  A ``SexprError``, so that
+    ``sexpr.load_forms`` reports it as a syntax finding of its form."""
 
 
 @dataclass(frozen=True)
@@ -207,13 +204,10 @@ def from_sexpr(node) -> Expr:
 
 def parse_expr(text: str) -> Expr:
     try:
-        return _convert(sexpr.parse_one(text))
+        node = sexpr.parse_one(text)
     except SexprError as err:
         raise ExprSyntaxError(err.message, err.line, err.col) from err
-
-
-def parse_exprs(text: str, source: str = "<string>") -> list:
-    return [_convert(node) for node in sexpr.parse_all(text, source)]
+    return _convert(node)
 
 
 def print_expr(e: Expr) -> str:

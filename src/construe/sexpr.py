@@ -16,14 +16,36 @@ this one replaced got both wrong).  Errors are ``SexprError``: an
 unterminated string (reported first if the text has one), an unbalanced
 parenthesis, an unexpected ``)``, a dangling ``¬``, or a ratio with a
 zero denominator.
+
+``load_forms`` is the one way a resource file is read: it reads every
+source as UTF-8, parses it, hands each top-level form to a per-form
+handler and collects the ``Finding``s; ``LoadError`` carries them when a
+resource does not load.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One diagnostic from loading or linting."""
+
+    code: str
+    message: str
+
+
+class LoadError(Exception):
+    """A resource that did not load; *findings* say why."""
+
+    def __init__(self, findings):
+        super().__init__("; ".join(f"{f.code}: {f.message}" for f in findings))
+        self.findings = findings
 
 
 class SexprError(Exception):
@@ -167,10 +189,41 @@ def parse_one(text: str, source: str = "<string>"):
     return forms[0]
 
 
-def read_sources(paths: Iterable | None, text: str | None = None) -> list:
-    """(name, content) for an inline *text* (named ``<string>``) followed
-    by every file in *paths*, read as UTF-8."""
+def load_forms(paths: Iterable | None, text: str | None, prefix: str,
+               load_form: Callable) -> list:
+    """Call ``load_form(form, findings)`` on every top-level form of an
+    inline *text* (named ``<string>``) and then of every file in *paths*,
+    and return *findings*.
+
+    A file that cannot be read as UTF-8 raises ``LoadError`` naming it
+    before any form is loaded.  A source that does not parse, and a form
+    whose handler raises ``SexprError`` (``ExprSyntaxError`` is one) or
+    ``RecursionError`` (a form nested too deeply for the recursive logic
+    layer), each add one ``{prefix}-syntax`` finding naming the source and
+    position; loading goes on with the next source or form."""
     sources = [] if text is None else [("<string>", text)]
     for p in paths or ():
-        sources.append((str(p), Path(p).read_text(encoding="utf-8")))
-    return sources
+        try:
+            sources.append((str(p), Path(p).read_text(encoding="utf-8")))
+        except (OSError, UnicodeDecodeError) as err:
+            reason = getattr(err, "strerror", None) or err
+            raise LoadError([Finding(f"{prefix}-read",
+                                     f"cannot read {p}: {reason}")]) from err
+    findings: list = []
+    for name, content in sources:
+        try:
+            forms = parse_all(content, name)
+        except SexprError as err:
+            findings.append(Finding(f"{prefix}-syntax", f"{name}: {err}"))
+            continue
+        for form in forms:
+            try:
+                load_form(form, findings)
+            except (SexprError, RecursionError) as err:
+                reason = ("nested too deeply to load"
+                          if isinstance(err, RecursionError) else err)
+                findings.append(Finding(
+                    f"{prefix}-syntax",
+                    f"{name}: form at line {getattr(form, 'line', 0)}, "
+                    f"column {getattr(form, 'col', 0)}: {reason}"))
+    return findings

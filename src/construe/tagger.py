@@ -108,66 +108,59 @@ class Lexicon:
         return tuple(sorted(self._multiword_lens))
 
 
-class LexiconLoadError(Exception):
-    def __init__(self, findings):
-        super().__init__("; ".join(f.message for f in findings))
-        self.findings = findings
+LexiconLoadError = sexpr.LoadError
+
+
+def _is_surface(item) -> bool:
+    """A non-empty quoted string."""
+    return isinstance(item, str) and not isinstance(item, sexpr.Symbol) \
+        and item != ""
+
+
+def _load_entry(lex: Lexicon, form, findings: list):
+    """Add one (lex ...) or (lex-nat ...) form to *lex*."""
+    def bad(message):
+        findings.append(sexpr.Finding("lex-form", message))
+
+    if not isinstance(form, sexpr.SexprList) or not form:
+        bad(f"stray atom {form!r}")
+        return
+    head = str(form[0]) if isinstance(form[0], sexpr.Symbol) else None
+    if head == "lex":
+        if len(form) < 3 or not _is_surface(form[1]):
+            bad('(lex "surface" Term ...) expected')
+            return
+        exact = False
+        symbols = []
+        for item in form[2:]:
+            if isinstance(item, sexpr.Symbol) and str(item) == ":exact-case":
+                exact = True
+            elif isinstance(item, sexpr.Symbol):
+                symbols.append(Constant(str(item)))
+            else:
+                bad(f"bad reading {item!r} for {form[1]!r}")
+        if symbols:
+            lex.add(form[1], symbols, exact_case=exact)
+    elif head == "lex-nat":
+        if len(form) != 3 or not _is_surface(form[1]):
+            bad('(lex-nat "surface" EXPR) expected')
+            return
+        reading = from_sexpr(form[2])
+        if not isinstance(reading, Nat):
+            bad(f"lex-nat reading must be a function term: "
+                f"{print_expr(reading)}")
+            return
+        lex.add(form[1], (reading,))
+    else:
+        bad(f"unknown form ({head} ...)")
 
 
 def load_lexicon_lenient(paths: Iterable | None = None, *,
                          text: str | None = None) -> tuple:
-    from .kb import Finding  # shared diagnostic record
-
+    """Load and return (lexicon, findings); only an unreadable file raises."""
     lex = Lexicon()
-    findings: list = []
-    for name, content in sexpr.read_sources(paths, text):
-        try:
-            forms = sexpr.parse_all(content, name)
-        except sexpr.SexprError as err:
-            findings.append(Finding("lex-syntax", f"{name}: {err}"))
-            continue
-        for form in forms:
-            if not isinstance(form, sexpr.SexprList) or not form:
-                findings.append(Finding("lex-form", f"stray atom {form!r}"))
-                continue
-            head = str(form[0]) if isinstance(form[0], sexpr.Symbol) else None
-            if head == "lex":
-                if len(form) < 3 or not isinstance(form[1], str) or isinstance(form[1], sexpr.Symbol):
-                    findings.append(Finding("lex-form",
-                                            '(lex "surface" Term ...) expected'))
-                    continue
-                exact = False
-                symbols = []
-                for item in form[2:]:
-                    if isinstance(item, sexpr.Symbol) and str(item) == ":exact-case":
-                        exact = True
-                    elif isinstance(item, sexpr.Symbol):
-                        symbols.append(Constant(str(item)))
-                    else:
-                        findings.append(Finding("lex-form",
-                                                f"bad reading {item!r} for "
-                                                f"{form[1]!r}"))
-                if symbols:
-                    lex.add(form[1], symbols, exact_case=exact)
-            elif head == "lex-nat":
-                if len(form) != 3 or not isinstance(form[1], str) or isinstance(form[1], sexpr.Symbol):
-                    findings.append(Finding("lex-form",
-                                            '(lex-nat "surface" EXPR) expected'))
-                    continue
-                try:
-                    reading = from_sexpr(form[2])
-                except Exception as err:
-                    findings.append(Finding("lex-syntax", f"lex-nat: {err}"))
-                    continue
-                if not isinstance(reading, Nat):
-                    findings.append(Finding("lex-form",
-                                            f"lex-nat reading must be a function "
-                                            f"term: {print_expr(reading)}"))
-                    continue
-                lex.add(form[1], (reading,))
-            else:
-                findings.append(Finding("lex-form", f"unknown form ({head} ...)"))
-    return lex, findings
+    return lex, sexpr.load_forms(paths, text, "lex",
+                                 lambda form, found: _load_entry(lex, form, found))
 
 
 def load_lexicon(paths: Iterable | None = None, *, text: str | None = None) -> Lexicon:
@@ -205,43 +198,29 @@ def _is_digits(s: str) -> bool:
 
 
 def segment(surface: str, lexicon: Lexicon) -> list:
-    """Decompositions of *surface* into consecutive segments where every
-    segment is a lexicon hit or a maximal digit run.  Longest matches are
-    preferred; decompositions with fewer pieces come first.  The trivial
-    one-piece decomposition is never returned."""
+    """The preferred decomposition of *surface* into two or more
+    consecutive segments, each a lexicon hit or a maximal digit run:
+    fewest segments, then longer segments first, left to right.  Returns
+    ``[segments]``, or ``[]`` when there is no such decomposition."""
     n = len(surface)
     if n < 2 or n > _MAX_SEGMENT_LEN:
         return []
-
-    results: list = []
-
-    def options(pos: int) -> list:
-        opts = []
-        if _is_digits(surface[pos]):
-            j = pos
-            while j < n and _is_digits(surface[j]):
-                j += 1
-            opts.append(surface[pos:j])
-        for j in range(n, pos, -1):  # longest lexicon match first
-            piece = surface[pos:j]
-            if piece not in opts and lexicon.lookup(piece):
-                opts.append(piece)
-        opts.sort(key=len, reverse=True)
-        return opts
-
-    def rec(pos: int, acc: list):
-        if pos == n:
-            if len(acc) >= 2:
-                results.append(list(acc))
-            return
-        for piece in options(pos):
-            acc.append(piece)
-            rec(pos + len(piece), acc)
-            acc.pop()
-
-    rec(0, [])
-    results.sort(key=len)
-    return results
+    # best[i]: the preferred decomposition of surface[i:], None if none
+    best: list = [None] * n + [()]
+    for i in range(n - 1, -1, -1):
+        digits_end = i
+        while digits_end < n and _is_digits(surface[digits_end]):
+            digits_end += 1
+        # longest first, so the first with the fewest segments is preferred;
+        # at 0 the whole surface is not a decomposition
+        for j in range(n if i else n - 1, i, -1):
+            rest = best[j]
+            if rest is None or (best[i] is not None
+                                and len(rest) + 1 >= len(best[i])):
+                continue
+            if j == digits_end or lexicon.lookup(surface[i:j]):
+                best[i] = (surface[i:j],) + rest
+    return [] if best[0] is None else [list(best[0])]
 
 
 def _readings(token: Token, lexicon: Lexicon) -> tuple:
@@ -288,16 +267,11 @@ def _split_unknown(tokens: list, lexicon: Lexicon) -> list:
             out.append(tok)
             continue
         decompositions = segment(tok.surface, lexicon)
-        usable = None
-        for pieces in decompositions:
-            if all(lexicon.lookup(p) or _is_digits(p) for p in pieces):
-                usable = pieces
-                break
-        if usable is None:
+        if not decompositions:
             out.append(tok)
             continue
         offset = tok.start
-        for piece in usable:
+        for piece in decompositions[0]:
             out.append(Token(piece, offset, offset + len(piece), parent=tok))
             offset += len(piece)
     return out

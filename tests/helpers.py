@@ -224,6 +224,49 @@ def reference_parse_all(text):
 
 
 # ---------------------------------------------------------------------------
+# Sub-word segmentation (segmentation oracle)
+
+def reference_segmentations(surface, lexicon):
+    """The enumerator ``tagger.segment`` replaced: every decomposition of
+    *surface* into two or more lexicon hits or maximal digit runs, fewest
+    pieces first and, among equals, longer pieces first, left to right.
+    Exponential in the length of *surface*."""
+    def is_digits(s):
+        return s.isascii() and s.isdigit()
+
+    n = len(surface)
+    results = []
+
+    def options(pos):
+        opts = []
+        if is_digits(surface[pos]):
+            j = pos
+            while j < n and is_digits(surface[j]):
+                j += 1
+            opts.append(surface[pos:j])
+        for j in range(n, pos, -1):
+            piece = surface[pos:j]
+            if piece not in opts and lexicon.lookup(piece):
+                opts.append(piece)
+        opts.sort(key=len, reverse=True)
+        return opts
+
+    def rec(pos, acc):
+        if pos == n:
+            if len(acc) >= 2:
+                results.append(list(acc))
+            return
+        for piece in options(pos):
+            acc.append(piece)
+            rec(pos + len(piece), acc)
+            acc.pop()
+
+    rec(0, [])
+    results.sort(key=len)
+    return results
+
+
+# ---------------------------------------------------------------------------
 # Random (repository, window) instances
 
 _VOCAB = ["the", "red", "of", "on", "vast", "near"]

@@ -9,7 +9,10 @@ import pytest
 from conftest import (BIO_CG_FILES, BIO_KB_FILES, BIO_LEX_FILES,
                       DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES)
 from construe.cli import main
+from construe.constructions import load_constructions_lenient
+from construe.kb import load_kb_lenient
 from construe.logic import expr_from_json, print_expr
+from construe.tagger import load_lexicon_lenient
 
 
 def demo_args():
@@ -204,6 +207,76 @@ def test_deeply_nested_resource_is_resource_error(tmp_path, capsys, flag,
     rc, out = run_cli(["interpret", *_demo_args_with(flag, deep),
                        "big blue building"])
     _assert_one_line_resource_error(capsys, rc, out)
+
+
+_LENIENT = {"--kb": load_kb_lenient, "--lexicon": load_lexicon_lenient,
+            "--constructions": load_constructions_lenient}
+_PREFIX = {"--kb": "kb", "--lexicon": "lex", "--constructions": "cons"}
+
+
+@pytest.mark.parametrize("shape", ["bare", "negations", "term"])
+@pytest.mark.parametrize("flag", ["--kb", "--lexicon", "--constructions"])
+def test_deeply_nested_form_is_one_located_finding(tmp_path, flag, shape):
+    deep = tmp_path / "deep.txt"
+    form = _DEEP_FORMS[shape]
+    if shape == "term":
+        form = _TERM_PLACES[flag].format(form)
+    deep.write_text("; a comment line\n  " + form + "\n", encoding="utf-8")
+    _, findings = _LENIENT[flag]([deep])
+    codes = [f.code for f in findings if not f.code.endswith("-unknown-type")]
+    if shape == "term":
+        assert codes == [f"{_PREFIX[flag]}-syntax"]
+        assert findings[0].message.startswith(
+            f"{deep}: form at line 2, column 3: ")
+    else:
+        assert codes == [f"{_PREFIX[flag]}-form"]
+
+
+@pytest.mark.parametrize("flag", ["--kb", "--lexicon", "--constructions"])
+def test_lint_reports_deep_form_as_finding(tmp_path, flag):
+    deep = tmp_path / "deep.txt"
+    deep.write_text(_TERM_PLACES[flag].format(_DEEP_FORMS["term"]) + "\n",
+                    encoding="utf-8")
+    rc, out = run_cli(["lint", *_demo_args_with(flag, deep)])
+    assert rc == 3
+    assert f"{_PREFIX[flag]}-syntax\t{deep}: form at line 1, column 1: " in out
+
+
+@pytest.mark.parametrize("command", ["interpret", "lint"])
+@pytest.mark.parametrize("flag", ["--kb", "--lexicon", "--constructions"])
+def test_missing_resource_names_flag_and_path(tmp_path, capsys, command,
+                                              flag):
+    missing = tmp_path / "nope.txt"
+    rc, out = run_cli([command, *_demo_args_with(flag, missing),
+                       *(["x"] if command == "interpret" else [])])
+    _assert_one_line_resource_error(capsys, rc, out, f"error: {flag}: ",
+                                    str(missing))
+
+
+def test_long_genls_chain_interprets(tmp_path):
+    chain = tmp_path / "chain.kb"
+    chain.write_text("".join(f"(genls C{i} C{i + 1})\n" for i in range(3000)),
+                     encoding="utf-8")
+    rc, out = run_cli(["interpret", "--kb", str(chain), *demo_args(),
+                       "big blue building"])
+    assert rc == 0 and out.startswith("[0:3] (LargeFn")
+
+
+@pytest.mark.parametrize("keyword, value, code", [
+    (":output-var", "(and)", "cons-syntax"),
+    (":output-type", '(slot "x")', "cons-form"),
+    (":output-type", "(slot 1/2)", "cons-form")])
+def test_bad_construction_keyword_value_is_resource_error(tmp_path, capsys,
+                                                          keyword, value,
+                                                          code):
+    bad = tmp_path / "bad.cg"
+    bad.write_text(f'(construction :id c :nl "$Thing#1 a" '
+                   f':logic (p $Thing#1) {keyword} {value})\n',
+                   encoding="utf-8")
+    rc, out = run_cli(["interpret", *_demo_args_with("--constructions", bad),
+                       "a"])
+    _assert_one_line_resource_error(capsys, rc, out,
+                                    f"error: --constructions: {code}: ")
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,16 @@ def test_nested_alternation_rejected():
                            ':logic (p a) :output-type Thing)')
 
 
+@pytest.mark.parametrize("text", ["", COLOR_THING + SEASON_END,
+                                  COLOR_THING.replace("mainColorOfObject",
+                                                      "(and)"),
+                                  "(construction :id x"])
+def test_parse_construction_syntax_errors(text):
+    with pytest.raises(ConstructionLoadError) as exc:
+        parse_construction(text)
+    assert [f.code for f in exc.value.findings] == ["cons-syntax"]
+
+
 def test_output_var_must_be_free_in_logic():
     with pytest.raises(ConstructionLoadError) as exc:
         parse_construction('(construction :id x :lang en :nl "$Color#0" '

@@ -307,6 +307,32 @@ def test_lenient_load_collects_findings():
     assert "kb-self-link" in codes
 
 
+def _genls_chain(links, closed=False):
+    text = "".join(f"(genls C{i} C{i + 1})\n" for i in range(links))
+    return text + (f"(genls C{links} C0)\n" if closed else "")
+
+
+def test_long_genls_chain_loads():
+    kb, findings = load_kb_lenient(text=_genls_chain(3000))
+    assert findings == []
+    assert kb.subsumes(Constant("C3000"), Constant("C0"), "genls")
+
+
+def test_long_genls_loop_is_one_cycle():
+    _, findings = load_kb_lenient(text=_genls_chain(3000, closed=True))
+    assert [f.code for f in findings] == ["kb-genls-cycle"]
+    assert findings[0].message.startswith("genls cycle: C0 -> C1 -> C2 ")
+    assert findings[0].message.endswith(" -> C2999 -> C3000 -> C0")
+
+
+def test_cycles_found_off_the_first_path():
+    _, findings = load_kb_lenient(
+        text="(genls A B)\n(genls B C)\n(genls B D)\n(genls D B)\n"
+             "(genls E D)\n(genls C A)\n(genls F G)\n(genls F H)\n(genls H G)")
+    assert sorted(f.message for f in findings) == [
+        "genls cycle: A -> B -> C -> A", "genls cycle: B -> D -> B"]
+
+
 def test_disjointness_is_symmetric(demo_kb):
     a, b = Constant("Bank-Topographical"), Constant("Business")
     assert demo_kb.disjoint_known(a, b)

@@ -11,14 +11,15 @@ from construe.logic import (And, App, Constant, Exists, ExprSyntaxError,
                             Kappa, Nat, Not, Numeral, QueryVar, Text, TheSetOf,
                             TypedVar, canonical_form, equal_modulo_renaming,
                             expr_from_json, expr_to_json, free_query_vars,
-                            free_vars, parse_expr, parse_exprs, print_expr,
+                            free_vars, from_sexpr, parse_expr, print_expr,
                             quantify_existential, rename_query_vars, simplify,
                             substitute)
+from construe.sexpr import parse_all
 
 
 def corpus():
     text = (DATA_DIR / "expressions.sexp").read_text(encoding="utf-8")
-    return parse_exprs(text), text
+    return [from_sexpr(node) for node in parse_all(text)], text
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RESOURCE_DIR
-from construe.sexpr import (SexprError, SexprList, Symbol, parse_all,
-                            parse_one)
+from construe.logic import from_sexpr
+from construe.sexpr import (Finding, LoadError, SexprError, SexprList, Symbol,
+                            load_forms, parse_all, parse_one)
 from helpers import reference_parse_all
 
 
@@ -185,3 +186,45 @@ def test_deep_nesting_reads_without_recursion():
         assert negated[0] == "not"
         negated = negated[1]
     assert negated == "y"
+
+
+def _converting(form, findings):
+    """A load_forms handler that converts each form to logic and records
+    its head."""
+    findings.append(Finding("ok", str(from_sexpr(form).predicate.name)))
+
+
+def test_load_forms_reports_each_bad_form_and_goes_on(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("(p A)\n  (q $x)\n(r " + "(F " * 3000 + "A" + ")" * 3000
+                    + ")\n(s B)\n", encoding="utf-8")
+    broken = tmp_path / "broken.txt"
+    broken.write_text("(t A)\n(u", encoding="utf-8")
+    findings = load_forms([broken, good], "(v A)", "x", _converting)
+    assert [(f.code, f.message) for f in findings] == [
+        ("ok", "v"),
+        ("x-syntax", f"{broken}: unbalanced parenthesis (line 2, column 1)"),
+        ("ok", "p"),
+        ("x-syntax", f"{good}: form at line 2, column 3: unknown sigil in "
+                     "'$x' (typed variables are written $Type#k) "
+                     "(line 2, column 6)"),
+        ("x-syntax", f"{good}: form at line 3, column 1: nested too deeply "
+                     "to load"),
+        ("ok", "s"),
+    ]
+
+
+def test_load_forms_names_an_unreadable_file_before_loading(tmp_path):
+    good = tmp_path / "good.txt"
+    good.write_text("(p A)\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("(p caf\u00e9)\n".encode("latin-1"))
+    loaded = []
+    for bad in (latin1, tmp_path / "missing.txt"):
+        with pytest.raises(LoadError) as exc:
+            load_forms([good, bad], None, "x",
+                       lambda form, findings: loaded.append(form))
+        [finding] = exc.value.findings
+        assert finding.code == "x-read" and str(bad) in finding.message
+        assert str(exc.value).startswith(f"x-read: cannot read {bad}: ")
+    assert loaded == []

@@ -1,10 +1,15 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BIO_LEX_FILES
 from construe.logic import Constant, Numeral, print_expr
-from construe.tagger import (Lexicon, load_lexicon, segment, tag, tokenize)
+from construe.tagger import (Lexicon, load_lexicon, load_lexicon_lenient,
+                             segment, tag, tokenize)
+from helpers import reference_segmentations
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +63,47 @@ def test_segment_requires_readings_for_every_piece(bio_lex):
 
 def test_segment_short_token_none(bio_lex):
     assert segment("G", bio_lex) == []
+
+
+def _lexicon_of(surfaces):
+    lex = Lexicon()
+    for surface in surfaces:
+        lex.add(surface, [Constant(f"C-{surface}")])
+    return lex
+
+
+_PIECES = ["a", "b", "A", "aa", "ab", "ba", "bb", "aaa", "aab", "bab", "a1",
+           "1a", "12"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(st.sampled_from(_PIECES), min_size=1),
+       st.text(alphabet="abA12", min_size=0, max_size=11))
+def test_segment_is_the_first_enumerated_decomposition(surfaces, token):
+    lex = _lexicon_of(sorted(surfaces))
+    assert segment(token, lex) == reference_segmentations(token, lex)[:1]
+
+
+def test_segment_bio_tokens_match_the_enumerator(bio_lex):
+    for token in ("G12V", "G12D", "V600E", "K12Q", "GV", "G12X", "T790M"):
+        assert segment(token, bio_lex) == \
+            reference_segmentations(token, bio_lex)[:1]
+
+
+def test_segment_long_ambiguous_token_is_fast():
+    # the enumerator finds 35,890 decompositions of 18 a's and triples its
+    # work every two characters; the cap is 64
+    lex = _lexicon_of(["a", "aa", "aaa"])
+    started = time.perf_counter()
+    assert segment("a" * 64, lex) == [["aaa"] * 21 + ["a"]]
+    assert time.perf_counter() - started < 2.0
+
+
+def test_lexicon_empty_surface_is_a_finding():
+    lex, findings = load_lexicon_lenient(
+        text='(lex "" A)\n(lex-nat "" (F A))\n(lex "x" X)')
+    assert [f.code for f in findings] == ["lex-form", "lex-form"]
+    assert lex.lookup("x") == (Constant("X"),)
 
 
 def test_known_whole_word_not_decomposed(bio_lex):
