@@ -7,13 +7,20 @@ coverage/precision/length metrics from human verdicts) and ``lint``
 
 Exit codes: 0 success (an empty interpretation list is success), 1 usage
 error, 2 resource or load error, 3 lint findings.
+
+``interpret``, ``tag`` and ``eval`` keep each clean load of their
+resources in an on-disk cache (see ``load_resources``); ``lint`` and the
+library loaders never use it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,13 +82,123 @@ def _load(loader, paths, flag: str):
         raise ResourceError(f"{flag}: {err}") from err
 
 
+# Bumped whenever the layout of a cache entry changes.
+CACHE_FORMAT = 1
+
+
+def _cache_key(paths: tuple) -> tuple:
+    """What a cache entry must have been written under: the entry format,
+    the Python version, the absolute resource *paths*, and the size and
+    modification time of every engine module, so that an entry never
+    outlives the code that pickled it."""
+    code = os.path.dirname(os.path.abspath(__file__))
+    modules = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
+                     for e in os.scandir(code) if e.name.endswith(".py"))
+    return (CACHE_FORMAT, sys.version_info[:2], paths, tuple(modules))
+
+
+def _read_sources(paths: tuple) -> tuple | None:
+    """The bytes of every resource file, per path list, or None if one
+    cannot be read (the loaders then report it)."""
+    try:
+        return tuple(tuple(Path(p).read_bytes() for p in group)
+                     for group in paths)
+    except OSError:
+        return None
+
+
+def _cache_file(paths: tuple) -> Path:
+    """The one entry of a set of absolute resource *paths*: it is named by
+    the paths alone, so an entry written under another engine or Python
+    is overwritten, not left behind."""
+    root = (os.environ.get("XDG_CACHE_HOME")
+            or os.path.join(os.path.expanduser("~"), ".cache"))
+    return Path(root, "construe",
+                f"{zlib.crc32(repr(paths).encode()):08x}.pickle")
+
+
+def _cache_get(path: Path, key: tuple, sources: tuple) -> Resources | None:
+    """The resources of the entry at *path*, if the current user owns it,
+    no one else may write it, and it was written under *key* from exactly
+    *sources*; otherwise None."""
+    try:
+        with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            if (not stat.S_ISREG(st.st_mode) or st.st_uid != os.getuid()
+                    or st.st_mode & 0o022):
+                return None
+            data = f.read()
+    except OSError:
+        return None
+    import pickle       # here, so that lint, --help and usage errors skip it
+    try:
+        stored_key, stored_sources, resources = pickle.loads(data)
+    except Exception:       # a truncated or corrupt entry is only a miss
+        return None
+    if stored_key != key or stored_sources != sources:
+        return None
+    return resources
+
+
+def _cache_put(path: Path, entry: tuple):
+    """Write *entry* to *path* through a private temporary file; an entry
+    that cannot be pickled (a term nested a few hundred levels deep loads
+    but exceeds the pickler's recursion limit) or written is skipped."""
+    import pickle
+    try:
+        data = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, RecursionError):
+        return
+    tmp = path.with_name(f"{path.name}.tmp")
+    try:
+        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        except FileExistsError:
+            # left by a writer that was killed, or one still writing: the
+            # next miss writes the entry
+            os.unlink(tmp)
+            return
+        try:
+            with open(fd, "wb") as f:
+                f.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError:
+        pass
+
+
 def load_resources(manifest: RunManifest) -> Resources:
+    """Load the manifest's resources, through the on-disk cache.
+
+    An entry holds the resources of one clean load together with the bytes
+    of every file they came from.  It is used only if those bytes equal
+    the files' bytes now and its key (``_cache_key``) matches; anything
+    else, a missing, corrupt or untrusted entry included, is a miss that
+    loads the files as if there were no cache.  A load with findings
+    raises before anything is written."""
     _check_paths(manifest)
-    return Resources(
+    paths = tuple(tuple(os.path.abspath(p) for p in group)
+                  for group in (manifest.kb_files, manifest.lexicon_files,
+                                manifest.construction_files))
+    key = _cache_key(paths)
+    sources = _read_sources(paths)
+    path = _cache_file(paths)
+    if sources is not None:
+        cached = _cache_get(path, key, sources)
+        if cached is not None:
+            return cached
+    resources = Resources(
         _load(kbmod.load_kb, manifest.kb_files, "--kb"),
         _load(tagger.load_lexicon, manifest.lexicon_files, "--lexicon"),
         _load(cons.load_constructions, manifest.construction_files,
               "--constructions"))
+    # a file that changed while it was loading is not cached
+    if sources is not None and _read_sources(paths) == sources:
+        _cache_put(path, (key, sources, resources))
+    return resources
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +492,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_resource_args(p):
+def _resource_args() -> argparse.ArgumentParser:
+    """The resource and engine flags every subcommand shares."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--kb", action="append", default=[], metavar="FILE",
                    help="KB file (repeatable)")
     p.add_argument("--lexicon", action="append", default=[], metavar="FILE",
@@ -392,6 +511,7 @@ def _add_resource_args(p):
                    help="application context overlaying the base context")
     p.add_argument("--max-edges", type=_positive_int, default=50_000,
                    help="edge safety cap (default 50000)")
+    return p
 
 
 def build_parser() -> _Parser:
@@ -399,21 +519,20 @@ def build_parser() -> _Parser:
                      description="Translate text into logic by matching typed "
                                  "constructions against concept-tagged input.")
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = [_resource_args()]
 
-    p = sub.add_parser("interpret", help="interpret text")
-    _add_resource_args(p)
+    p = sub.add_parser("interpret", help="interpret text", parents=shared)
     p.add_argument("text", nargs="?", help="text to interpret")
     p.add_argument("--file", help="read the text from a file instead")
     p.add_argument("--format", choices=["cycl", "json", "trace"],
                    default="cycl")
 
-    p = sub.add_parser("tag", help="show the concept-tag table")
-    _add_resource_args(p)
+    p = sub.add_parser("tag", help="show the concept-tag table", parents=shared)
     p.add_argument("text", help="text to tag")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("eval", help="evaluation worksheet and metrics")
-    _add_resource_args(p)
+    p = sub.add_parser("eval", help="evaluation worksheet and metrics",
+                       parents=shared)
     p.add_argument("captions", help="captions file: 'id<TAB>text' lines")
     p.add_argument("--verdicts", help="verdict file: "
                                       "'caption-id interp-id correct|incorrect'")
@@ -421,8 +540,7 @@ def build_parser() -> _Parser:
                    default="tokens")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("lint", help="check the loaded resources")
-    _add_resource_args(p)
+    p = sub.add_parser("lint", help="check the loaded resources", parents=shared)
     p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 

@@ -102,6 +102,12 @@ def _is_term(e: Expr) -> bool:
     return isinstance(e, TermLike)
 
 
+def _is_integer(item) -> bool:
+    """An integer numeral: a ratio such as 3/2 is not an arity or a
+    position."""
+    return isinstance(item, Fraction) and item.denominator == 1
+
+
 class KnowledgeBase:
     def __init__(self):
         self._declared: dict[str, str] = {}
@@ -597,7 +603,7 @@ class _Loader:
             kb._facts.setdefault(key, []).append((str(form[1]), atom.args))
         elif head == "fn":
             if (len(form) != 4 or not isinstance(form[1], sexpr.Symbol)
-                    or not isinstance(form[2], Fraction)
+                    or not _is_integer(form[2])
                     or not isinstance(form[3], sexpr.SexprList)):
                 self.error("kb-form", "(fn Functor ARITY (RULE ...)) expected")
                 return
@@ -613,7 +619,7 @@ class _Loader:
                 return
             rk = str(rule[0])
             if rk == "resultGenlsArg":
-                if not isinstance(rule[1], Fraction):
+                if not _is_integer(rule[1]):
                     self.error("kb-form", f"fn {name}: resultGenlsArg needs an index")
                     return
                 rv: object = int(rule[1])
@@ -633,7 +639,7 @@ class _Loader:
             kb._signatures[name] = FunctionSignature(name, arity, rk, rv)
         elif head in ("argIsa", "argGenls"):
             if (len(form) != 4 or not isinstance(form[1], sexpr.Symbol)
-                    or not isinstance(form[2], Fraction)
+                    or not _is_integer(form[2])
                     or not isinstance(form[3], sexpr.Symbol)):
                 self.error("kb-form", f"({head} pred N C) expected")
                 return
@@ -647,8 +653,8 @@ class _Loader:
                 ArgConstraint(owner, pos, head, req))
         elif head == "interArgGenls":
             if (len(form) != 6 or not isinstance(form[1], sexpr.Symbol)
-                    or not isinstance(form[2], Fraction)
-                    or not isinstance(form[4], Fraction)):
+                    or not _is_integer(form[2])
+                    or not _is_integer(form[4])):
                 self.error("kb-form", "(interArgGenls pred N1 C1 N2 C2) expected")
                 return
             owner = str(form[1])

@@ -196,11 +196,14 @@ def load_forms(paths: Iterable | None, text: str | None, prefix: str,
     and return *findings*.
 
     A file that cannot be read as UTF-8 raises ``LoadError`` naming it
-    before any form is loaded.  A source that does not parse, and a form
-    whose handler raises ``SexprError`` (``ExprSyntaxError`` is one) or
+    before any form is loaded.  A source that does not parse adds one
+    ``{prefix}-syntax`` finding naming it and the position.  A form whose
+    handler raises ``SexprError`` (``ExprSyntaxError`` is one) or
     ``RecursionError`` (a form nested too deeply for the recursive logic
-    layer), each add one ``{prefix}-syntax`` finding naming the source and
-    position; loading goes on with the next source or form."""
+    layer) adds one ``{prefix}-syntax`` finding; that one and every finding
+    the handler added are prefixed with the source and the form's line and
+    column (only the source for a number or string, which have no
+    position).  Loading goes on with the next source or form."""
     sources = [] if text is None else [("<string>", text)]
     for p in paths or ():
         try:
@@ -217,13 +220,19 @@ def load_forms(paths: Iterable | None, text: str | None, prefix: str,
             findings.append(Finding(f"{prefix}-syntax", f"{name}: {err}"))
             continue
         for form in forms:
+            before = len(findings)
             try:
                 load_form(form, findings)
-            except (SexprError, RecursionError) as err:
-                reason = ("nested too deeply to load"
-                          if isinstance(err, RecursionError) else err)
-                findings.append(Finding(
-                    f"{prefix}-syntax",
-                    f"{name}: form at line {getattr(form, 'line', 0)}, "
-                    f"column {getattr(form, 'col', 0)}: {reason}"))
+            except RecursionError:
+                findings.append(Finding(f"{prefix}-syntax",
+                                        "nested too deeply to load"))
+            except SexprError as err:
+                findings.append(Finding(f"{prefix}-syntax", str(err)))
+            if len(findings) > before:
+                # a number or string atom carries no position
+                line = getattr(form, "line", 0)
+                where = (f"{name}: form at line {line}, column {form.col}: "
+                         if line else f"{name}: ")
+                findings[before:] = [Finding(f.code, where + f.message)
+                                     for f in findings[before:]]
     return findings

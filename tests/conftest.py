@@ -18,6 +18,15 @@ BIO_LEX_FILES = [RESOURCE_DIR / "bio.lex"]
 BIO_CG_FILES = [RESOURCE_DIR / "bio.cg"]
 
 
+@pytest.fixture(autouse=True)
+def private_resource_cache(tmp_path, monkeypatch):
+    """Each test gets an empty CLI resource cache of its own, so no test
+    reads another's entries or touches the user's cache."""
+    cache_home = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+    return cache_home / "construe"
+
+
 @pytest.fixture(scope="session")
 def demo_kb():
     return load_kb(DEMO_KB_FILES)

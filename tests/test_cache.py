@@ -1,0 +1,274 @@
+"""The CLI's on-disk resource cache: a hit gives the output a fresh load
+gives, and anything that could make an entry stale or untrusted is a miss.
+``conftest.private_resource_cache`` gives every test an empty cache."""
+
+import io
+import os
+import pickle
+import shutil
+import subprocess
+import sys
+from contextlib import redirect_stderr
+from pathlib import Path
+
+import pytest
+
+import construe
+from conftest import RESOURCE_DIR
+from construe import cli
+from construe import constructions as cons
+from construe import kb as kbmod
+from construe import tagger
+
+DEMO_PHRASES = ["big blue building", "2 sandwiches",
+                "Barack Obama eats a sandwich", "blowing out candles",
+                "blowing out tires", "white house dancing",
+                "a bank is a kind of company", "the song has 6 notes",
+                "wimbledon , the end of the 2015 season"]
+BIO_PHRASES = ["intracellular accumulation", "electron transport",
+               "G12V-K-Ras", "V12G-K-Ras"]
+
+
+def resource_args(kb_files, lex, cg):
+    return ([a for p in kb_files for a in ("--kb", str(p))]
+            + ["--lexicon", str(lex), "--constructions", str(cg)])
+
+
+def demo_args(root=RESOURCE_DIR):
+    return resource_args([root / "core.kb", root / "demo.kb"],
+                         root / "demo.lex", root / "demo.cg")
+
+
+def bio_args():
+    return resource_args([RESOURCE_DIR / "core.kb", RESOURCE_DIR / "bio.kb"],
+                         RESOURCE_DIR / "bio.lex", RESOURCE_DIR / "bio.cg")
+
+
+def call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stderr(err):
+        rc = cli.main(argv, out=out)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def entries(cache_dir):
+    return sorted(cache_dir.glob("*.pickle")) if cache_dir.exists() else []
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """Counts the library loader calls the CLI makes."""
+    counts = {"kb": 0, "lexicon": 0, "constructions": 0}
+    for owner, attr, name in ((kbmod, "load_kb", "kb"),
+                              (tagger, "load_lexicon", "lexicon"),
+                              (cons, "load_constructions", "constructions")):
+        def counted(paths, fn=getattr(owner, attr), name=name):
+            counts[name] += 1
+            return fn(paths)
+        monkeypatch.setattr(owner, attr, counted)
+    return counts
+
+
+@pytest.fixture
+def demo_copy(tmp_path):
+    """A private copy of the demo resources that a test may rewrite."""
+    root = tmp_path / "res"
+    root.mkdir()
+    for name in ("core.kb", "demo.kb", "demo.lex", "demo.cg"):
+        shutil.copy(RESOURCE_DIR / name, root / name)
+    return root
+
+
+@pytest.mark.parametrize("fmt", ["cycl", "json", "trace"])
+@pytest.mark.parametrize("text, args", [(t, demo_args()) for t in DEMO_PHRASES]
+                         + [(t, bio_args()) for t in BIO_PHRASES])
+def test_warm_output_equals_cold(private_resource_cache, loads, text, args,
+                                 fmt):
+    argv = ["interpret", *args, "--format", fmt, text]
+    cold = call(argv)
+    assert cold[0] == 0 and len(entries(private_resource_cache)) == 1
+    assert call(argv) == cold
+    assert loads == {"kb": 1, "lexicon": 1, "constructions": 1}
+
+
+def test_hit_calls_no_loader(tmp_path, loads):
+    captions = tmp_path / "captions.tsv"
+    captions.write_text("c1\tbig blue building\n", encoding="utf-8")
+    for argv in (["interpret", *demo_args(), "big blue building"],
+                 ["tag", *demo_args(), "big blue building"],
+                 ["eval", *demo_args(), str(captions)]):
+        first = call(argv)
+        assert first[0] == 0 and call(argv) == first
+    assert loads == {"kb": 1, "lexicon": 1, "constructions": 1}
+
+
+def test_rewritten_resource_is_a_miss(demo_copy, loads, tmp_path,
+                                      monkeypatch):
+    argv = ["interpret", *demo_args(demo_copy), "big blue building"]
+    before = call(argv)
+    lex = demo_copy / "demo.lex"
+    st = lex.stat()
+    # same size and modification time: only the bytes tell
+    lex.write_text(lex.read_text(encoding="utf-8").replace('"blue"', '"bleu"'),
+                   encoding="utf-8")
+    os.utime(lex, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert lex.stat().st_size == st.st_size
+    after = call(argv)
+    assert loads["lexicon"] == 2 and after != before
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "fresh"))
+    assert call(argv) == after
+
+
+def test_each_path_set_has_its_own_entry(demo_copy, private_resource_cache,
+                                         loads):
+    here = ["interpret", *demo_args(), "big blue building"]
+    there = ["interpret", *demo_args(demo_copy), "big blue building"]
+    assert call(here) == call(there) == call(here) == call(there)
+    assert len(entries(private_resource_cache)) == 2 and loads["kb"] == 2
+
+
+def _run_module(pythonpath, argv, env_extra=None):
+    env = dict(os.environ, PYTHONPATH=str(pythonpath), **(env_extra or {}))
+    proc = subprocess.run([sys.executable, "-m", "construe", *argv],
+                          capture_output=True, env=env, check=True)
+    return proc.stdout
+
+
+def _identity(path):
+    st = path.stat()
+    return st.st_ino, st.st_mtime_ns
+
+
+def test_changed_engine_module_is_a_miss(tmp_path, private_resource_cache):
+    pkg = tmp_path / "pkg"
+    shutil.copytree(Path(construe.__file__).parent, pkg / "construe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    argv = ["interpret", *demo_args(), "big blue building"]
+    cold = _run_module(pkg, argv)
+    [entry] = entries(private_resource_cache)
+    written = _identity(entry)
+    assert _run_module(pkg, argv) == cold and _identity(entry) == written
+    module = pkg / "construe" / "tagger.py"
+    st = module.stat()
+    os.utime(module, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    assert _run_module(pkg, argv) == cold
+    # the miss overwrites the one entry of these paths: no orphan is left
+    assert entries(private_resource_cache) == [entry]
+    assert _identity(entry) != written
+    assert sorted(private_resource_cache.iterdir()) == [entry]
+
+
+def test_stale_temporary_file_is_cleared(private_resource_cache, loads):
+    argv = ["interpret", *demo_args(), "big blue building"]
+    cold = call(argv)
+    [entry] = entries(private_resource_cache)
+    entry.unlink()
+    stale = entry.with_name(entry.name + ".tmp")
+    stale.write_bytes(b"half an entry")     # as a killed writer leaves it
+    assert call(argv) == cold and not stale.exists()
+    assert entries(private_resource_cache) == []
+    assert call(argv) == cold and entries(private_resource_cache) == [entry]
+    assert call(argv) == cold and loads["kb"] == 3
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:len(data) // 2],
+    lambda data: b"not a pickle",
+    lambda data: b"",
+    lambda data: pickle.dumps(("just", "a", "tuple"))],
+    ids=["truncated", "garbage", "empty", "other-pickle"])
+def test_corrupt_entry_is_a_miss_and_rewritten(private_resource_cache, loads,
+                                               damage):
+    argv = ["interpret", *demo_args(), "--format", "json", "2 sandwiches"]
+    cold = call(argv)
+    [entry] = entries(private_resource_cache)
+    entry.write_bytes(damage(entry.read_bytes()))
+    assert call(argv) == cold and loads["kb"] == 2
+    assert call(argv) == cold and loads["kb"] == 2
+
+
+@pytest.mark.parametrize("mode", [0o620, 0o602],
+                         ids=["group-writable", "other-writable"])
+def test_writable_by_others_entry_is_ignored(private_resource_cache, loads,
+                                             mode):
+    argv = ["interpret", *demo_args(), "big blue building"]
+    cold = call(argv)
+    [entry] = entries(private_resource_cache)
+    entry.chmod(mode)
+    assert call(argv) == cold and loads["kb"] == 2
+    assert entry.stat().st_mode & 0o777 == 0o600
+
+
+def test_foreign_entry_is_ignored(private_resource_cache, loads, monkeypatch):
+    argv = ["interpret", *demo_args(), "big blue building"]
+    cold = call(argv)
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert call(argv) == cold and loads["kb"] == 2
+
+
+def test_unwritable_cache_still_succeeds(tmp_path, monkeypatch, loads):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+    argv = ["interpret", *demo_args(), "big blue building"]
+    first = call(argv)
+    assert first[0] == 0 and first[2] == ""
+    assert call(argv) == first and loads["kb"] == 2
+
+
+def test_failing_load_is_never_cached(tmp_path, private_resource_cache):
+    bad = tmp_path / "bad.cg"
+    bad.write_text('(construction :id c :nl "a" :bogus 1)\n', encoding="utf-8")
+    argv = ["interpret", "--kb", str(RESOURCE_DIR / "core.kb"),
+            "--lexicon", str(RESOURCE_DIR / "demo.lex"),
+            "--constructions", str(bad), "a"]
+    first = call(argv)
+    assert first[0] == 2 and len(first[2].splitlines()) == 1
+    assert call(argv) == first
+    assert entries(private_resource_cache) == []
+
+
+def test_resource_changed_while_loading_is_not_cached(
+        demo_copy, private_resource_cache, monkeypatch):
+    lex = demo_copy / "demo.lex"
+    load_lexicon = tagger.load_lexicon
+
+    def load_then_edit(paths):
+        loaded = load_lexicon(paths)
+        lex.write_text(lex.read_text(encoding="utf-8") + "; edited\n",
+                       encoding="utf-8")
+        return loaded
+
+    monkeypatch.setattr(tagger, "load_lexicon", load_then_edit)
+    assert call(["interpret", *demo_args(demo_copy), "big blue building"])[0] == 0
+    assert entries(private_resource_cache) == []
+
+
+def test_resources_too_deep_to_pickle_still_interpret(
+        tmp_path, private_resource_cache):
+    depth = 400                     # loads, but is too deep for the pickler
+    deep = tmp_path / "deep.kb"
+    deep.write_text("(fn F 1 (resultIsa Thing))\n(fact base (p "
+                    + "(F " * depth + "A" + ")" * depth + "))\n",
+                    encoding="utf-8")
+    argv = ["interpret", *demo_args(), "--kb", str(deep), "big blue building"]
+    rc, out, err = call(argv)
+    assert rc == 0 and out and err == ""
+    assert entries(private_resource_cache) == []
+
+
+def test_entry_reads_the_same_under_another_hash_seed(
+        private_resource_cache, tmp_path):
+    src = Path(construe.__file__).parent.parent
+    argv = ["interpret", *demo_args(), "--format", "json",
+            "wimbledon , the end of the 2015 season"]
+    written = _run_module(src, argv, {"PYTHONHASHSEED": "0"})
+    [entry] = entries(private_resource_cache)
+    identity = _identity(entry)
+    read = _run_module(src, argv, {"PYTHONHASHSEED": "1"})
+    assert _identity(entry) == identity
+    fresh = _run_module(src, argv, {"PYTHONHASHSEED": "1",
+                                    "XDG_CACHE_HOME": str(tmp_path / "fresh")})
+    assert written == read == fresh

@@ -275,8 +275,9 @@ def test_bad_construction_keyword_value_is_resource_error(tmp_path, capsys,
                    encoding="utf-8")
     rc, out = run_cli(["interpret", *_demo_args_with("--constructions", bad),
                        "a"])
-    _assert_one_line_resource_error(capsys, rc, out,
-                                    f"error: --constructions: {code}: ")
+    _assert_one_line_resource_error(
+        capsys, rc, out,
+        f"error: --constructions: {code}: {bad}: form at line 1, column 1: ")
 
 
 # ---------------------------------------------------------------------------

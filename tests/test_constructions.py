@@ -3,6 +3,7 @@ import pytest
 from construe.constructions import (ConstructionLoadError,
                                     Repository, TypedSlot, derive_keys,
                                     expand_variants, load_constructions,
+                                    load_constructions_lenient,
                                     lint_constructions, parse_construction,
                                     typed_key)
 from construe.kb import load_kb
@@ -255,3 +256,15 @@ def test_lint_reports_unresolvable_slot_types():
     kb = load_kb(text="(collection Thing)")
     findings = lint_constructions(repo, kb)
     assert any(f.code == "cons-unknown-type" for f in findings)
+
+
+def test_construction_findings_name_file_and_form(tmp_path):
+    path = tmp_path / "bad.cg"
+    good = '(construction :id c :nl "$Thing#1 a" :logic (p $Thing#1))\n'
+    path.write_text(good + "(construction :id d :nl \"a\" :bogus 1)\n" + good,
+                    encoding="utf-8")
+    _, findings = load_constructions_lenient([path])
+    assert [(f.code, f.message) for f in findings] == [
+        ("cons-form", f"{path}: form at line 2, column 1: unknown key :bogus"),
+        ("cons-duplicate-id",
+         f"{path}: form at line 3, column 1: construction c defined twice")]

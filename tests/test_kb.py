@@ -352,3 +352,36 @@ def test_lint_flags_disjoint_with_generalization():
 def test_bundled_kbs_lint_clean(demo_kb, bio_kb):
     assert lint_kb(demo_kb) == []
     assert lint_kb(bio_kb) == []
+
+
+@pytest.mark.parametrize("form", [
+    "(fn F 3/2 (resultIsa C))",
+    "(fn F 2 (resultGenlsArg 3/2))",
+    "(argIsa p 5/2 C)",
+    "(argGenls p 5/2 C)",
+    "(interArgGenls p 3/2 C 2 D)",
+    "(interArgGenls p 1 C 5/2 D)"])
+def test_ratio_where_an_integer_is_needed_is_a_finding(form):
+    kb, findings = load_kb_lenient(text=form)
+    assert [f.code for f in findings] == ["kb-form"]
+    assert kb._signatures == {} and kb._arg_constraints == {}
+    assert kb._inter_arg == {}
+
+
+def test_handler_findings_name_file_and_form(tmp_path):
+    path = tmp_path / "bad.kb"
+    path.write_text("(isa A B)\n\n  (argIsa p 0 C)\n(genls C D)\n(genls D C)\n",
+                    encoding="utf-8")
+    _, findings = load_kb_lenient([path])
+    assert [(f.code, f.message) for f in findings] == [
+        ("kb-form", f"{path}: form at line 3, column 3: argIsa p: position "
+                    "must be positive"),
+        ("kb-genls-cycle", "genls cycle: C -> D -> C")]
+
+
+def test_finding_about_a_top_level_atom_names_only_the_file(tmp_path):
+    path = tmp_path / "stray.kb"
+    path.write_text("(isa A B)\n5\n", encoding="utf-8")
+    _, findings = load_kb_lenient([path])
+    assert [(f.code, f.message) for f in findings] == [
+        ("kb-form", f"{path}: stray atom Fraction(5, 1) at top level")]

@@ -202,15 +202,15 @@ def test_load_forms_reports_each_bad_form_and_goes_on(tmp_path):
     broken.write_text("(t A)\n(u", encoding="utf-8")
     findings = load_forms([broken, good], "(v A)", "x", _converting)
     assert [(f.code, f.message) for f in findings] == [
-        ("ok", "v"),
+        ("ok", "<string>: form at line 1, column 1: v"),
         ("x-syntax", f"{broken}: unbalanced parenthesis (line 2, column 1)"),
-        ("ok", "p"),
+        ("ok", f"{good}: form at line 1, column 1: p"),
         ("x-syntax", f"{good}: form at line 2, column 3: unknown sigil in "
                      "'$x' (typed variables are written $Type#k) "
                      "(line 2, column 6)"),
         ("x-syntax", f"{good}: form at line 3, column 1: nested too deeply "
                      "to load"),
-        ("ok", "s"),
+        ("ok", f"{good}: form at line 4, column 1: s"),
     ]
 
 

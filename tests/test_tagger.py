@@ -223,3 +223,14 @@ def test_concepts_at_equals_a_scan_of_the_spans(demo_lexicon):
             scanned = next((s.concepts for s in chart.spans
                             if (s.start, s.end) == (start, end)), ())
             assert chart.concepts_at(start, end) == scanned
+
+
+def test_lexicon_findings_name_file_and_form(tmp_path):
+    path = tmp_path / "bad.lex"
+    path.write_text('(lex "x" X)\n (lex "" A)\n(lex-nat "y" Y)\n',
+                    encoding="utf-8")
+    _, findings = load_lexicon_lenient([path])
+    assert [f.message.split(": ")[:2] for f in findings] == [
+        [str(path), "form at line 2, column 2"],
+        [str(path), "form at line 3, column 1"]]
+    assert [f.code for f in findings] == ["lex-form", "lex-form"]
