@@ -20,6 +20,7 @@ import json
 import os
 import stat
 import sys
+import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,8 @@ from . import sexpr, tagger
 from .interpreter import (Edge, EngineConfig, Interpretation, ParseGraph,
                           finalize, interpret)
 from .kb import ContextStack, KnowledgeBase
-from .logic import expr_to_json, print_expr
+from .logic import (PLAIN_NAMES, Names, SharedNames, expr_to_json,
+                    print_expr)
 
 
 class UsageError(Exception):
@@ -73,17 +75,19 @@ def _read_text(path, what: str) -> str:
         raise ResourceError(f"{what} file {path} cannot be read: {err}") from err
 
 
-def _load(loader, paths, flag: str):
-    """*loader* run on *paths*; a resource that does not load is a
-    ResourceError naming *flag*."""
+def _load(loader, paths, flag: str, names: Names = PLAIN_NAMES):
+    """*loader* run on *paths* with the load's *names*; a resource that does
+    not load is a ResourceError naming *flag*."""
     try:
-        return loader(paths)
+        return loader(paths, names=names)
     except sexpr.LoadError as err:
         raise ResourceError(f"{flag}: {err}") from err
 
 
 # Bumped whenever the layout of a cache entry changes.
 CACHE_FORMAT = 1
+# A write removes the other entries not written for this long.
+CACHE_MAX_AGE_S = 30 * 24 * 3600
 
 
 def _cache_key(paths: tuple) -> tuple:
@@ -141,9 +145,10 @@ def _cache_get(path: Path, key: tuple, sources: tuple) -> Resources | None:
 
 
 def _cache_put(path: Path, entry: tuple):
-    """Write *entry* to *path* through a private temporary file; an entry
-    that cannot be pickled (a term nested a few hundred levels deep loads
-    but exceeds the pickler's recursion limit) or written is skipped."""
+    """Write *entry* to *path* through a private temporary file, then evict
+    stale entries; an entry that cannot be pickled (a term nested a few
+    hundred levels deep loads but exceeds the pickler's recursion limit)
+    or written is skipped."""
     import pickle
     try:
         data = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
@@ -166,6 +171,26 @@ def _cache_put(path: Path, entry: tuple):
         except BaseException:
             os.unlink(tmp)
             raise
+    except OSError:
+        return
+    _evict_stale(path.parent)
+
+
+def _evict_stale(directory: Path):
+    """Delete the entries in *directory* that the current user owns and
+    that were last written more than ``CACHE_MAX_AGE_S`` ago: those of
+    deleted checkouts or resource copies.  An entry still in use is at
+    worst written again by its next call."""
+    cutoff = time.time() - CACHE_MAX_AGE_S
+    try:
+        with os.scandir(directory) as scan:
+            for e in scan:
+                if not e.name.endswith(".pickle"):
+                    continue
+                st = e.stat(follow_symlinks=False)
+                if (stat.S_ISREG(st.st_mode) and st.st_uid == os.getuid()
+                        and st.st_mtime < cutoff):
+                    os.unlink(e.path)
     except OSError:
         pass
 
@@ -190,11 +215,14 @@ def load_resources(manifest: RunManifest) -> Resources:
         cached = _cache_get(path, key, sources)
         if cached is not None:
             return cached
+    # one table for the three loaders: the resources, and so the entry,
+    # hold each name and atom once
+    names = SharedNames()
     resources = Resources(
-        _load(kbmod.load_kb, manifest.kb_files, "--kb"),
-        _load(tagger.load_lexicon, manifest.lexicon_files, "--lexicon"),
+        _load(kbmod.load_kb, manifest.kb_files, "--kb", names),
+        _load(tagger.load_lexicon, manifest.lexicon_files, "--lexicon", names),
         _load(cons.load_constructions, manifest.construction_files,
-              "--constructions"))
+              "--constructions", names))
     # a file that changed while it was loading is not cached
     if sources is not None and _read_sources(paths) == sources:
         _cache_put(path, (key, sources, resources))
@@ -203,6 +231,12 @@ def load_resources(manifest: RunManifest) -> Resources:
 
 # ---------------------------------------------------------------------------
 # Rendering
+
+def _write_json(out, doc, ensure_ascii: bool = False):
+    """*doc* as one line of JSON.  ``json.dumps`` encodes in C;
+    ``json.dump`` always takes the pure-Python encoder."""
+    out.write(json.dumps(doc, ensure_ascii=ensure_ascii) + "\n")
+
 
 def _interpretation_line(it: Interpretation) -> str:
     return f"[{it.start}:{it.end}] {print_expr(it.logic)}"
@@ -257,8 +291,7 @@ def cmd_interpret(resources: Resources, config: EngineConfig, text: str,
         print("warning: edge limit reached, interpretations may be incomplete",
               file=sys.stderr)
     if fmt == "json":
-        json.dump(_graph_json(graph, interpretations), out, ensure_ascii=False)
-        out.write("\n")
+        _write_json(out, _graph_json(graph, interpretations))
         return 0
     for it in interpretations:
         out.write(_interpretation_line(it) + "\n")
@@ -285,8 +318,7 @@ def cmd_tag(resources: Resources, text: str, fmt: str, out) -> int:
                        "concepts": [expr_to_json(c) for c in s.concepts]}
                       for s in chart.spans],
         }
-        json.dump(doc, out, ensure_ascii=False)
-        out.write("\n")
+        _write_json(out, doc)
         return 0
     by_span = chart.by_span
     for i, tok in enumerate(chart.tokens):
@@ -433,8 +465,7 @@ def cmd_eval(resources: Resources, config: EngineConfig, captions_path: str,
     verdicts = read_verdicts(verdicts_path, records)
     metrics = evaluate(records, verdicts, unit)
     if fmt == "json":
-        json.dump(metrics, out, ensure_ascii=False)
-        out.write("\n")
+        _write_json(out, metrics)
         return 0
     out.write(f"captions {metrics['captions']}\n")
     out.write(f"coverage {metrics['coverage']:.9f}\n")
@@ -463,8 +494,8 @@ def run_lint(manifest: RunManifest) -> list:
 def cmd_lint(manifest: RunManifest, fmt: str, out) -> int:
     findings = run_lint(manifest)
     if fmt == "json":
-        json.dump([{"code": f.code, "message": f.message} for f in findings], out)
-        out.write("\n")
+        _write_json(out, [{"code": f.code, "message": f.message}
+                          for f in findings], ensure_ascii=True)
         return 3 if findings else 0
     if not findings:
         out.write("no findings\n")

@@ -34,7 +34,8 @@ from typing import Iterable
 
 from . import sexpr, tagger
 from .kb import KnowledgeBase
-from .logic import Constant, Expr, QueryVar, TypedVar, free_vars, from_sexpr
+from .logic import (PLAIN_NAMES, Constant, Expr, Names, QueryVar, TypedVar,
+                    free_vars, from_sexpr)
 from .sexpr import Finding, LoadError
 
 ConstructionLoadError = LoadError
@@ -83,19 +84,19 @@ class TemplateVariant:
 SKELETON_SLOT = None  # placeholder marking a collapsed typed variable
 
 
-def derive_keys(variant: TemplateVariant) -> tuple:
+def derive_keys(variant: TemplateVariant, name=str) -> tuple:
     """(skeleton key, lexical key) for a variant.  Typed variables collapse
     to untyped placeholders in the skeleton and disappear from the lexical
-    key; literals are case-folded."""
-    skeleton = tuple(SKELETON_SLOT if isinstance(e, TypedSlot) else e.folded
-                     for e in variant.elements)
-    lexical = tuple(e.folded for e in variant.elements if isinstance(e, Literal))
+    key; literals are case-folded, each through *name*."""
+    skeleton = tuple(SKELETON_SLOT if isinstance(e, TypedSlot)
+                     else name(e.folded) for e in variant.elements)
+    lexical = tuple(f for f in skeleton if f is not SKELETON_SLOT)
     return skeleton, lexical
 
 
-def typed_key(variant: TemplateVariant) -> tuple:
-    return tuple(("type", e.type) if isinstance(e, TypedSlot) else ("lit", e.folded)
-                 for e in variant.elements)
+def typed_key(variant: TemplateVariant, name=str) -> tuple:
+    return tuple(("type", e.type) if isinstance(e, TypedSlot)
+                 else ("lit", name(e.folded)) for e in variant.elements)
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def _split_chunks(s: str) -> list:
     return chunks
 
 
-def _parse_plain(piece: str) -> list:
+def _parse_plain(piece: str, names: Names) -> list:
     """Elements of bracket-free template text: typed slots and literal
     tokens, segmented exactly like input text."""
     elements: list = []
@@ -176,11 +177,12 @@ def _parse_plain(piece: str) -> list:
     def literal_run(text):
         if "$" in text:
             raise _TemplateError(f"unreadable typed variable in {piece!r}")
-        return [Literal(t.surface) for t in tagger.tokenize(text)]
+        return [Literal(names.name(t.surface))
+                for t in tagger.tokenize(text)]
 
     for m in _SLOT_RE.finditer(piece):
         elements.extend(literal_run(piece[pos:m.start()]))
-        elements.append(TypedSlot(m.group(1), int(m.group(2))))
+        elements.append(TypedSlot(names.name(m.group(1)), int(m.group(2))))
         pos = m.end()
     elements.extend(literal_run(piece[pos:]))
     return elements
@@ -216,14 +218,16 @@ def _chunk_alternative_strings(chunk: str) -> list | None:
     return ["".join(combo) for combo in itertools.product(*parts)]
 
 
-def parse_template(text: str, language: str) -> NlTemplate:
+def parse_template(text: str, language: str,
+                   names: Names = PLAIN_NAMES) -> NlTemplate:
     elements: list = []
     for chunk in _split_chunks(text):
         alt_strings = _chunk_alternative_strings(chunk)
         if alt_strings is None:
-            elements.extend(_parse_plain(chunk))
+            elements.extend(_parse_plain(chunk, names))
         else:
-            alternatives = tuple(tuple(_parse_plain(a)) for a in alt_strings)
+            alternatives = tuple(tuple(_parse_plain(a, names))
+                                 for a in alt_strings)
             elements.append(Alternation(alternatives))
     if not elements:
         raise _TemplateError("empty template")
@@ -307,7 +311,7 @@ def _validate(c: Construction, sink: list) -> bool:
     return ok
 
 
-def _parse_form(form, sink: list) -> Construction | None:
+def _parse_form(form, sink: list, names: Names) -> Construction | None:
     def err(code, msg):
         sink.append(Finding(code, msg))
 
@@ -339,34 +343,34 @@ def _parse_form(form, sink: list) -> Construction | None:
         i += 2
         k = str(key)
         if k == ":id":
-            cid = str(value)
+            cid = names.name(value)
         elif k == ":lang":
-            lang = str(value)
+            lang = names.name(value)
         elif k == ":nl":
             if isinstance(value, sexpr.Symbol) or not isinstance(value, str):
                 err("cons-form", ":nl takes a quoted template string")
                 return None
             try:
-                templates.append(parse_template(value, lang))
+                templates.append(parse_template(value, lang, names))
             except _TemplateError as terr:
                 err("cons-template", f"{cid or '?'}: {terr}")
                 return None
         elif k == ":logic":
             logic_count += 1
-            logic_template = from_sexpr(value)
+            logic_template = from_sexpr(value, names)
         elif k == ":anaphoric":
             if not isinstance(value, sexpr.SexprList):
                 err("cons-form", ":anaphoric takes a list of typed variables")
                 return None
             for item in value:
-                v = from_sexpr(item)
+                v = from_sexpr(item, names)
                 if not isinstance(v, TypedVar):
                     err("cons-form", f"{cid or '?'}: anaphoric entries must be "
                                      "typed variables")
                     return None
                 anaphoric.append(TypedSlot(v.type, v.index))
         elif k == ":output-var":
-            v = from_sexpr(value)
+            v = from_sexpr(value, names)
             if not isinstance(v, QueryVar):
                 err("cons-form", f"{cid or '?'}: :output-var takes a query variable")
                 return None
@@ -382,12 +386,12 @@ def _parse_form(form, sink: list) -> Construction | None:
                                      "or (slot k) with an integer k")
                     return None
             elif isinstance(value, sexpr.Symbol):
-                output_type = str(value)
+                output_type = names.name(value)
             else:
                 err("cons-form", f"{cid or '?'}: bad :output-type")
                 return None
         elif k in (":test+", ":test-"):
-            t = from_sexpr(value)
+            t = from_sexpr(value, names)
             (tests_pos if k == ":test+" else tests_neg).append(t)
         else:
             err("cons-form", f"unknown key {k}")
@@ -418,7 +422,8 @@ def parse_construction(dsl_text: str) -> Construction:
     parsed: list = []
     findings = sexpr.load_forms(
         None, dsl_text, "cons",
-        lambda form, found: parsed.append(_parse_form(form, found)))
+        lambda form, found: parsed.append(
+            _parse_form(form, found, PLAIN_NAMES)))
     if not findings and len(parsed) != 1:
         findings = [Finding("cons-syntax",
                             f"expected exactly one form, found {len(parsed)}")]
@@ -429,7 +434,8 @@ def parse_construction(dsl_text: str) -> Construction:
 
 class Repository:
     """Constructions plus the lexical / skeleton / typed lookup tiers.
-    Immutable once loaded; lookups are safe for concurrent use."""
+    Observably immutable once loaded (a variant's ``slots`` is computed
+    once, on first use); lookups are safe for concurrent use."""
 
     def __init__(self):
         self.constructions: dict[str, Construction] = {}
@@ -444,7 +450,8 @@ class Repository:
     def used_types(self) -> frozenset:
         return frozenset(self._used_types)
 
-    def add(self, c: Construction):
+    def add(self, c: Construction, names: Names = PLAIN_NAMES):
+        """Store *c*; its variants' key strings are made by *names*."""
         if c.id in self.constructions:
             raise ConstructionLoadError(
                 [Finding("cons-duplicate-id", f"construction {c.id} defined twice")])
@@ -454,9 +461,9 @@ class Repository:
             self._used_types.add(s.type)
         for v in c.variants:
             self.variants.append(v)
-            skeleton, lexical = derive_keys(v)
+            skeleton, lexical = derive_keys(v, names.name)
             for tier, key in (("lexical", lexical), ("skeleton", skeleton),
-                              ("typed", typed_key(v))):
+                              ("typed", typed_key(v, names.name))):
                 self._tiers[tier].setdefault((v.language, key), []).append(v)
             prefixes = self._skeleton_prefixes.setdefault(v.language, set())
             prefixes.update(skeleton[:i] for i in range(len(skeleton) + 1))
@@ -473,28 +480,32 @@ class Repository:
         return self._skeleton_prefixes.get(language, set())
 
 
-def _add_form(repo: Repository, form, findings: list):
-    c = _parse_form(form, findings)
+def _add_form(repo: Repository, names: Names, form, findings: list):
+    c = _parse_form(form, findings, names)
     if c is None:
         return
     try:
-        repo.add(c)
+        repo.add(c, names)
     except ConstructionLoadError as err:
         findings.extend(err.findings)
 
 
 def load_constructions_lenient(paths: Iterable | None = None, *,
-                               text: str | None = None) -> tuple:
+                               text: str | None = None,
+                               names: Names = PLAIN_NAMES) -> tuple:
     """Load and return (repository, findings); only an unreadable file
-    raises."""
+    raises.  *names* makes the names and atoms read (see
+    ``logic.SharedNames``)."""
     repo = Repository()
     return repo, sexpr.load_forms(
-        paths, text, "cons", lambda form, found: _add_form(repo, form, found))
+        paths, text, "cons",
+        lambda form, found: _add_form(repo, names, form, found))
 
 
 def load_constructions(paths: Iterable | None = None, *,
-                       text: str | None = None) -> Repository:
-    repo, findings = load_constructions_lenient(paths, text=text)
+                       text: str | None = None,
+                       names: Names = PLAIN_NAMES) -> Repository:
+    repo, findings = load_constructions_lenient(paths, text=text, names=names)
     if findings:
         raise ConstructionLoadError(findings)
     return repo

@@ -16,8 +16,9 @@ The KB file format is an s-expression file.  Top-level forms:
     (individual t)
     (collection t)
 
-Comments start with ';'.  A KB is immutable once loaded; every query is
-safe for concurrent use.
+Comments start with ';'.  A KB is observably immutable once loaded:
+``genls_closure`` and ``match_types`` fill idempotent memos, which no
+query's result depends on, so every query is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Iterable
 
 from . import sexpr
 from .logic import (App, And, Constant, Exists, Expr, Kappa, Nat, Not,
-                    Numeral, Text, TheSetOf, TypedVar, QueryVar, free_vars,
-                    from_sexpr, print_expr)
+                    PLAIN_NAMES, Names, Numeral, Text, TheSetOf, TypedVar,
+                    QueryVar, free_vars, from_sexpr, print_expr)
 from .sexpr import Finding, LoadError
 
 TermLike = (Constant, Nat)
@@ -515,9 +516,11 @@ class KnowledgeBase:
 
 class _Loader:
     """Builds a KnowledgeBase one top-level form at a time (the handler
-    given to ``sexpr.load_forms``), then ``validate`` checks it whole."""
+    given to ``sexpr.load_forms``), then ``validate`` checks it whole.
+    Its names and atoms are made by *names*."""
 
-    def __init__(self):
+    def __init__(self, names: Names):
+        self.names = names
         self.kb = KnowledgeBase()
         self.findings: list[Finding] = []
 
@@ -547,7 +550,7 @@ class _Loader:
                 self.register(child)
 
     def _term_from(self, node, what: str) -> Expr | None:
-        e = from_sexpr(node)
+        e = from_sexpr(node, self.names)
         if not _is_term(e):
             self.error("kb-form", f"{what} must be a term, got {print_expr(e)}")
             return None
@@ -581,15 +584,15 @@ class _Loader:
         if not isinstance(form, sexpr.SexprList) or not form:
             self.error("kb-form", f"stray atom {form!r} at top level")
             return
-        head = str(form[0]) if isinstance(form[0], sexpr.Symbol) else None
-        kb = self.kb
+        kb, names = self.kb, self.names
+        head = names.name(form[0]) if isinstance(form[0], sexpr.Symbol) else None
         if head in ("isa", "genls"):
             self._load_link(form, head)
         elif head == "fact":
             if len(form) != 3 or not isinstance(form[1], sexpr.Symbol):
                 self.error("kb-form", "(fact CTX (pred args...)) expected")
                 return
-            atom = from_sexpr(form[2])
+            atom = from_sexpr(form[2], names)
             if not isinstance(atom, App):
                 self.error("kb-form",
                            f"fact body must be a predicate application, got "
@@ -600,14 +603,14 @@ class _Loader:
                 return
             self.register(atom)
             key = print_expr(atom.predicate)
-            kb._facts.setdefault(key, []).append((str(form[1]), atom.args))
+            kb._facts.setdefault(key, []).append((names.name(form[1]), atom.args))
         elif head == "fn":
             if (len(form) != 4 or not isinstance(form[1], sexpr.Symbol)
                     or not _is_integer(form[2])
                     or not isinstance(form[3], sexpr.SexprList)):
                 self.error("kb-form", "(fn Functor ARITY (RULE ...)) expected")
                 return
-            name = str(form[1])
+            name = names.name(form[1])
             arity = int(form[2])
             rule = form[3]
             if arity < 1:
@@ -617,7 +620,7 @@ class _Loader:
             if (len(rule) != 2 or str(rule[0]) not in kinds):
                 self.error("kb-form", f"fn {name}: bad result rule")
                 return
-            rk = str(rule[0])
+            rk = names.name(rule[0])
             if rk == "resultGenlsArg":
                 if not _is_integer(rule[1]):
                     self.error("kb-form", f"fn {name}: resultGenlsArg needs an index")
@@ -629,13 +632,13 @@ class _Loader:
                                f"arity {arity}")
                     return
             else:
-                rv = str(rule[1])
-                self.register(Constant(rv), "collection")
+                rv = names.name(rule[1])
+                self.register(names.constant(rv), "collection")
             if name in kb._signatures and kb._signatures[name] != FunctionSignature(name, arity, rk, rv):
                 self.error("kb-conflict", f"fn {name} declared twice with "
                                           "different signatures")
                 return
-            self.register(Constant(name))
+            self.register(names.constant(name))
             kb._signatures[name] = FunctionSignature(name, arity, rk, rv)
         elif head in ("argIsa", "argGenls"):
             if (len(form) != 4 or not isinstance(form[1], sexpr.Symbol)
@@ -643,12 +646,12 @@ class _Loader:
                     or not isinstance(form[3], sexpr.Symbol)):
                 self.error("kb-form", f"({head} pred N C) expected")
                 return
-            owner, pos, req = str(form[1]), int(form[2]), str(form[3])
+            owner, pos, req = names.name(form[1]), int(form[2]), names.name(form[3])
             if pos < 1:
                 self.error("kb-form", f"{head} {owner}: position must be positive")
                 return
-            self.register(Constant(owner))
-            self.register(Constant(req), "collection")
+            self.register(names.constant(owner))
+            self.register(names.constant(req), "collection")
             kb._arg_constraints.setdefault(owner, []).append(
                 ArgConstraint(owner, pos, head, req))
         elif head == "interArgGenls":
@@ -657,16 +660,16 @@ class _Loader:
                     or not _is_integer(form[4])):
                 self.error("kb-form", "(interArgGenls pred N1 C1 N2 C2) expected")
                 return
-            owner = str(form[1])
-            p1, c1 = int(form[2]), str(form[3])
-            p2, c2 = int(form[4]), str(form[5])
+            owner = names.name(form[1])
+            p1, c1 = int(form[2]), names.name(form[3])
+            p2, c2 = int(form[4]), names.name(form[5])
             if p1 == p2:
                 self.error("kb-form",
                            f"interArgGenls {owner}: positions must be distinct")
                 return
-            self.register(Constant(owner))
-            self.register(Constant(c1), "collection")
-            self.register(Constant(c2), "collection")
+            self.register(names.constant(owner))
+            self.register(names.constant(c1), "collection")
+            self.register(names.constant(c2), "collection")
             kb._inter_arg.setdefault(owner, []).append(
                 InterArgConstraint(owner, p1, c1, p2, c2))
         elif head == "disjoint":
@@ -687,13 +690,13 @@ class _Loader:
             if len(form) != 2 or not isinstance(form[1], sexpr.Symbol):
                 self.error("kb-form", f"({head} Term) expected")
                 return
-            name = str(form[1])
+            name = names.name(form[1])
             prior = kb._declared.get(name)
             if prior is not None and prior != head:
                 self.error("kb-conflict",
                            f"{name} declared both individual and collection")
                 return
-            self.register(Constant(name))
+            self.register(names.constant(name))
             kb._declared[name] = head
         else:
             self.error("kb-form", f"unknown form ({head} ...)")
@@ -754,18 +757,20 @@ def _find_cycles(graph: dict) -> list:
     return cycles
 
 
-def load_kb_lenient(paths: Iterable | None = None, *,
-                    text: str | None = None) -> tuple:
-    """Load and return (kb, findings); only an unreadable file raises."""
-    loader = _Loader()
+def load_kb_lenient(paths: Iterable | None = None, *, text: str | None = None,
+                    names: Names = PLAIN_NAMES) -> tuple:
+    """Load and return (kb, findings); only an unreadable file raises.
+    *names* makes the names and atoms read (see ``logic.SharedNames``)."""
+    loader = _Loader(names)
     loader.findings = sexpr.load_forms(paths, text, "kb", loader.load_form)
     loader.validate()
     return loader.kb, loader.findings
 
 
-def load_kb(paths: Iterable | None = None, *, text: str | None = None) -> KnowledgeBase:
+def load_kb(paths: Iterable | None = None, *, text: str | None = None,
+            names: Names = PLAIN_NAMES) -> KnowledgeBase:
     """Load a KB, rejecting any malformed input or genls cycle."""
-    kb, findings = load_kb_lenient(paths, text=text)
+    kb, findings = load_kb_lenient(paths, text=text, names=names)
     if findings:
         raise KbLoadError(findings)
     return kb

@@ -112,13 +112,13 @@ def is_sentence(e: Expr) -> bool:
     return isinstance(e, (App, And, Not, Exists))
 
 
-def _binder_vars(node, what: str) -> tuple:
+def _binder_vars(node, what: str, names: Names) -> tuple:
     if not isinstance(node, SexprList):
         raise ExprSyntaxError(f"{what} needs a variable list",
                               getattr(node, "line", 0), getattr(node, "col", 0))
     out = []
     for item in node:
-        v = _convert(item)
+        v = _convert(item, names)
         if not isinstance(v, QueryVar):
             raise ExprSyntaxError(f"{what} binds query variables only",
                                   node.line, node.col)
@@ -126,26 +126,78 @@ def _binder_vars(node, what: str) -> tuple:
     return tuple(out)
 
 
-def _convert(node) -> Expr:
+class Names:
+    """How a loader makes the names and atoms it reads from symbols: each
+    one a new object.  ``SharedNames`` makes equal ones one object."""
+
+    __slots__ = ()
+    name = str              # the name string of a symbol
+    constant = Constant     # the Constant of a name
+
+    def atom(self, node: Symbol) -> Expr:
+        """The constant or variable that *node* denotes."""
+        return _symbol_atom(node, self)
+
+
+PLAIN_NAMES = Names()
+
+
+class SharedNames(Names):
+    """The table of one load: every name it gives is one string per value,
+    and every constant, query variable and typed variable one object per
+    value, so the loaded resources hold each once (and a pickled copy
+    stores each once).  The table lives only as long as this object: make
+    one per load and drop it after."""
+
+    __slots__ = ("_names", "_constants", "_atoms")
+
+    def __init__(self):
+        self._names: dict = {}
+        self._constants: dict = {}
+        self._atoms: dict = {}
+
+    def name(self, text) -> str:
+        text = str(text)
+        return self._names.setdefault(text, text)
+
+    def constant(self, name) -> Constant:
+        name = self.name(name)
+        c = self._constants.get(name)
+        if c is None:
+            c = self._constants[name] = Constant(name)
+        return c
+
+    def atom(self, node: Symbol) -> Expr:
+        a = self._atoms.get(node)
+        if a is None:
+            a = self._atoms[str(node)] = _symbol_atom(node, self)
+        return a
+
+
+def _symbol_atom(node: Symbol, names: Names) -> Expr:
+    name = str(node)
+    if name.startswith("#$"):
+        name = name[2:]
+        if not name:
+            raise ExprSyntaxError("empty constant after #$", node.line, node.col)
+        return names.constant(name)
+    if name.startswith("?"):
+        if len(name) < 2:
+            raise ExprSyntaxError("empty query-variable name", node.line, node.col)
+        return QueryVar(names.name(name[1:]))
+    if name.startswith("$"):
+        m = _TYPED_VAR_RE.match(name)
+        if not m:
+            raise ExprSyntaxError(f"unknown sigil in {name!r} "
+                                  "(typed variables are written $Type#k)",
+                                  node.line, node.col)
+        return TypedVar(names.name(m.group(1)), int(m.group(2)))
+    return names.constant(name)
+
+
+def _convert(node, names: Names) -> Expr:
     if isinstance(node, Symbol):
-        name = str(node)
-        if name.startswith("#$"):
-            name = name[2:]
-            if not name:
-                raise ExprSyntaxError("empty constant after #$", node.line, node.col)
-            return Constant(name)
-        if name.startswith("?"):
-            if len(name) < 2:
-                raise ExprSyntaxError("empty query-variable name", node.line, node.col)
-            return QueryVar(name[1:])
-        if name.startswith("$"):
-            m = _TYPED_VAR_RE.match(name)
-            if not m:
-                raise ExprSyntaxError(f"unknown sigil in {name!r} "
-                                      "(typed variables are written $Type#k)",
-                                      node.line, node.col)
-            return TypedVar(m.group(1), int(m.group(2)))
-        return Constant(name)
+        return names.atom(node)
     if isinstance(node, Fraction):
         return Numeral(node)
     if isinstance(node, str):
@@ -160,33 +212,35 @@ def _convert(node) -> Expr:
                 if len(node) < 2:
                     raise ExprSyntaxError("and needs at least one conjunct",
                                           node.line, node.col)
-                return And(tuple(_convert(x) for x in node[1:]))
+                return And(tuple(_convert(x, names) for x in node[1:]))
             if h == "not":
                 if len(node) != 2:
                     raise ExprSyntaxError("not takes exactly one argument",
                                           node.line, node.col)
-                return Not(_convert(node[1]))
+                return Not(_convert(node[1], names))
             if h == "exists":
                 if len(node) != 3:
                     raise ExprSyntaxError("exists takes a variable list and a body",
                                           node.line, node.col)
-                return Exists(_binder_vars(node[1], "exists"), _convert(node[2]))
+                return Exists(_binder_vars(node[1], "exists", names),
+                              _convert(node[2], names))
             if h == "Kappa":
                 if len(node) != 3:
                     raise ExprSyntaxError("Kappa takes a variable list and a body",
                                           node.line, node.col)
-                return Kappa(_binder_vars(node[1], "Kappa"), _convert(node[2]))
+                return Kappa(_binder_vars(node[1], "Kappa", names),
+                             _convert(node[2], names))
             if h == "TheSetOf":
                 if len(node) != 3:
                     raise ExprSyntaxError("TheSetOf takes one variable and a body",
                                           node.line, node.col)
-                var = _convert(node[1])
+                var = _convert(node[1], names)
                 if not isinstance(var, QueryVar):
                     raise ExprSyntaxError("TheSetOf binds a query variable",
                                           node.line, node.col)
-                return TheSetOf(var, _convert(node[2]))
-        head_expr = _convert(head)
-        args = tuple(_convert(x) for x in node[1:])
+                return TheSetOf(var, _convert(node[2], names))
+        head_expr = _convert(head, names)
+        args = tuple(_convert(x, names) for x in node[1:])
         if isinstance(head_expr, Constant):
             if head_expr.name[0].isupper():
                 return Nat(head_expr, args)
@@ -198,8 +252,10 @@ def _convert(node) -> Expr:
     raise ExprSyntaxError(f"cannot interpret {node!r}")
 
 
-def from_sexpr(node) -> Expr:
-    return _convert(node)
+def from_sexpr(node, names: Names = PLAIN_NAMES) -> Expr:
+    """The expression that the read form *node* denotes, its names and
+    atoms made by *names*."""
+    return _convert(node, names)
 
 
 def parse_expr(text: str) -> Expr:
@@ -207,7 +263,7 @@ def parse_expr(text: str) -> Expr:
         node = sexpr.parse_one(text)
     except SexprError as err:
         raise ExprSyntaxError(err.message, err.line, err.col) from err
-    return _convert(node)
+    return _convert(node, PLAIN_NAMES)
 
 
 def print_expr(e: Expr) -> str:

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import sexpr
-from .logic import Constant, Expr, Nat, Numeral, from_sexpr, print_expr
+from .logic import PLAIN_NAMES, Expr, Names, Nat, Numeral, from_sexpr, print_expr
 
 _BOUNDARY_CHARS = set("-()[]{}.,;:!?")
 _MAX_SEGMENT_LEN = 64
@@ -117,8 +117,9 @@ def _is_surface(item) -> bool:
         and item != ""
 
 
-def _load_entry(lex: Lexicon, form, findings: list):
-    """Add one (lex ...) or (lex-nat ...) form to *lex*."""
+def _load_entry(lex: Lexicon, names: Names, form, findings: list):
+    """Add one (lex ...) or (lex-nat ...) form to *lex*, its names and
+    atoms made by *names*."""
     def bad(message):
         findings.append(sexpr.Finding("lex-form", message))
 
@@ -136,7 +137,7 @@ def _load_entry(lex: Lexicon, form, findings: list):
             if isinstance(item, sexpr.Symbol) and str(item) == ":exact-case":
                 exact = True
             elif isinstance(item, sexpr.Symbol):
-                symbols.append(Constant(str(item)))
+                symbols.append(names.constant(str(item)))
             else:
                 bad(f"bad reading {item!r} for {form[1]!r}")
         if symbols:
@@ -145,7 +146,7 @@ def _load_entry(lex: Lexicon, form, findings: list):
         if len(form) != 3 or not _is_surface(form[1]):
             bad('(lex-nat "surface" EXPR) expected')
             return
-        reading = from_sexpr(form[2])
+        reading = from_sexpr(form[2], names)
         if not isinstance(reading, Nat):
             bad(f"lex-nat reading must be a function term: "
                 f"{print_expr(reading)}")
@@ -156,15 +157,19 @@ def _load_entry(lex: Lexicon, form, findings: list):
 
 
 def load_lexicon_lenient(paths: Iterable | None = None, *,
-                         text: str | None = None) -> tuple:
-    """Load and return (lexicon, findings); only an unreadable file raises."""
+                         text: str | None = None,
+                         names: Names = PLAIN_NAMES) -> tuple:
+    """Load and return (lexicon, findings); only an unreadable file raises.
+    *names* makes the names and atoms read (see ``logic.SharedNames``)."""
     lex = Lexicon()
-    return lex, sexpr.load_forms(paths, text, "lex",
-                                 lambda form, found: _load_entry(lex, form, found))
+    return lex, sexpr.load_forms(
+        paths, text, "lex",
+        lambda form, found: _load_entry(lex, names, form, found))
 
 
-def load_lexicon(paths: Iterable | None = None, *, text: str | None = None) -> Lexicon:
-    lex, findings = load_lexicon_lenient(paths, text=text)
+def load_lexicon(paths: Iterable | None = None, *, text: str | None = None,
+                 names: Names = PLAIN_NAMES) -> Lexicon:
+    lex, findings = load_lexicon_lenient(paths, text=text, names=names)
     if findings:
         raise LexiconLoadError(findings)
     return lex

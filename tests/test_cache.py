@@ -2,12 +2,14 @@
 gives, and anything that could make an entry stale or untrusted is a miss.
 ``conftest.private_resource_cache`` gives every test an empty cache."""
 
+import gc
 import io
 import os
 import pickle
 import shutil
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from construe import cli
 from construe import constructions as cons
 from construe import kb as kbmod
 from construe import tagger
+from construe.logic import Constant, QueryVar, TypedVar
 
 DEMO_PHRASES = ["big blue building", "2 sandwiches",
                 "Barack Obama eats a sandwich", "blowing out candles",
@@ -63,9 +66,9 @@ def loads(monkeypatch):
     for owner, attr, name in ((kbmod, "load_kb", "kb"),
                               (tagger, "load_lexicon", "lexicon"),
                               (cons, "load_constructions", "constructions")):
-        def counted(paths, fn=getattr(owner, attr), name=name):
+        def counted(paths, fn=getattr(owner, attr), name=name, **kw):
             counts[name] += 1
-            return fn(paths)
+            return fn(paths, **kw)
         monkeypatch.setattr(owner, attr, counted)
     return counts
 
@@ -230,13 +233,72 @@ def test_failing_load_is_never_cached(tmp_path, private_resource_cache):
     assert entries(private_resource_cache) == []
 
 
+def test_miss_evicts_entries_unwritten_for_30_days(private_resource_cache,
+                                                   monkeypatch):
+    private_resource_cache.mkdir(parents=True)
+    old, fresh = (private_resource_cache / f"{name}.pickle"
+                  for name in ("old", "fresh"))
+    other = private_resource_cache / "old.notes"
+    for path in (old, fresh, other):
+        path.write_bytes(b"an entry of another checkout")
+    month_ago = time.time() - 31 * 24 * 3600
+    for path in (old, other):
+        os.utime(path, (month_ago, month_ago))
+    argv = ["interpret", *demo_args(), "big blue building"]
+    assert call(argv)[0] == 0
+    assert not old.exists() and fresh.exists() and other.exists()
+    [entry] = set(entries(private_resource_cache)) - {fresh}
+    # a hit writes nothing, so it evicts nothing
+    os.utime(fresh, (month_ago, month_ago))
+    assert call(argv)[0] == 0 and fresh.exists()
+    # nor does a miss that writes no entry (a writer's temporary is there)
+    entry.unlink()
+    entry.with_name(entry.name + ".tmp").write_bytes(b"")
+    assert call(argv)[0] == 0 and fresh.exists() and not entry.exists()
+    # nor is an entry of another user evicted
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert call(argv)[0] == 0 and fresh.exists() and entry.exists()
+
+
+def _reachable_atoms(root) -> dict:
+    """(type, value) -> object for every name string and atomic expression
+    reachable from *root*; fails if two equal ones are distinct objects."""
+    atoms, seen, stack = {}, set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if type(obj) in (str, Constant, QueryVar, TypedVar):
+            assert atoms.setdefault((type(obj), obj), obj) is obj, obj
+        if not isinstance(obj, (str, int, type)):
+            stack.extend(gc.get_referents(obj))
+    return atoms
+
+
+def test_entry_holds_each_name_and_atom_once(private_resource_cache):
+    assert call(["interpret", *demo_args(), "2 sandwiches"])[0] == 0
+    [entry] = entries(private_resource_cache)
+    assert entry.stat().st_size <= 32 * 1024
+    _, _, resources = pickle.loads(entry.read_bytes())
+    everything = _reachable_atoms(resources)
+    kb, lexicon, repo = (_reachable_atoms(part) for part in
+                         (resources.kb, resources.lexicon, resources.repo))
+    for name, parts in (("Sandwich", (kb, lexicon)),
+                        ("DyingEvent", (kb, repo))):
+        key = (Constant, Constant(name))
+        assert all(part[key] is everything[key] for part in parts)
+    assert len(kb.keys() & repo.keys()) > 50
+
+
 def test_resource_changed_while_loading_is_not_cached(
         demo_copy, private_resource_cache, monkeypatch):
     lex = demo_copy / "demo.lex"
     load_lexicon = tagger.load_lexicon
 
-    def load_then_edit(paths):
-        loaded = load_lexicon(paths)
+    def load_then_edit(paths, **kw):
+        loaded = load_lexicon(paths, **kw)
         lex.write_text(lex.read_text(encoding="utf-8") + "; edited\n",
                        encoding="utf-8")
         return loaded

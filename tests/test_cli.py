@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (BIO_CG_FILES, BIO_KB_FILES, BIO_LEX_FILES,
                       DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES)
+from construe import cli
 from construe.cli import main
 from construe.constructions import load_constructions_lenient
 from construe.kb import load_kb_lenient
@@ -102,6 +103,17 @@ def test_question_mode_flag():
 def test_usage_error_exit_code():
     rc, _ = run_cli(["interpret", "big blue building"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("ensure_ascii", [False, True])
+def test_json_writer_matches_json_dump(ensure_ascii):
+    doc = {"text": "café ☕", "coverage": 2 / 3, "spans": [[0, 1], None],
+           "ok": True, "nested": {"b": 1, "a": [1.5e-7, -0.0]}}
+    expected = io.StringIO()
+    json.dump(doc, expected, ensure_ascii=ensure_ascii)
+    got = io.StringIO()
+    cli._write_json(got, doc, ensure_ascii=ensure_ascii)
+    assert got.getvalue() == expected.getvalue() + "\n"
 
 
 def test_missing_resource_exit_code():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR
 from helpers import random_facts, random_sentence, satisfying_projection
+from construe import logic
 from construe.logic import (And, App, Constant, Exists, ExprSyntaxError,
-                            Kappa, Nat, Not, Numeral, QueryVar, Text, TheSetOf,
-                            TypedVar, canonical_form, equal_modulo_renaming,
+                            Kappa, Nat, Not, Numeral, QueryVar, SharedNames,
+                            Text, TheSetOf, TypedVar, canonical_form,
+                            equal_modulo_renaming,
                             expr_from_json, expr_to_json, free_query_vars,
                             free_vars, from_sexpr, parse_expr, print_expr,
                             quantify_existential, rename_query_vars, simplify,
@@ -20,6 +23,32 @@ from construe.sexpr import parse_all
 def corpus():
     text = (DATA_DIR / "expressions.sexp").read_text(encoding="utf-8")
     return [from_sexpr(node) for node in parse_all(text)], text
+
+
+def test_shared_names_share_within_one_table_only():
+    def read(text, names=logic.PLAIN_NAMES):
+        return from_sexpr(parse_all(text)[0], names).args
+
+    one, other = SharedNames(), SharedNames()
+    first, again = read("(p Foo ?x $T#1)", one), read("(q #$Foo ?x $T#1)", one)
+    assert all(a is b for a, b in zip(first, again))
+    elsewhere = read("(p Foo ?x $T#1)", other)
+    assert elsewhere == first
+    assert not any(a is b for a, b in zip(first, elsewhere))
+    plain = read("(p Foo ?x $T#1)"), read("(p Foo ?x $T#1)")
+    assert plain[0] == first and not any(a is b for a, b in zip(*plain))
+
+
+def test_reading_keeps_no_atom_alive():
+    """A long-lived caller may read any number of distinct names; no atom
+    read outlives the expressions it was read into."""
+    for i in range(100):
+        parse_expr(f'(and (leakp{i} ?leakv{i} $LeakT{i}#1) (not (#$LeakC{i} "s")))')
+        from_sexpr(parse_all(f"(leakq{i} LeakD{i} ?leakw{i})")[0], SharedNames())
+    gc.collect()
+    assert [o for o in gc.get_objects()
+            if isinstance(o, (Constant, QueryVar, TypedVar))
+            and "leak" in repr(o).casefold()] == []
 
 
 # ---------------------------------------------------------------------------
