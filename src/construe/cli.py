@@ -286,10 +286,10 @@ def cmd_interpret(resources: Resources, config: EngineConfig, text: str,
                   fmt: str, out) -> int:
     graph = interpret(text, resources.kb, resources.repo, resources.lexicon,
                       config)
-    interpretations = finalize(graph, config)
+    interpretations = finalize(graph)
     if graph.truncated:
-        print("warning: edge limit reached, interpretations may be incomplete",
-              file=sys.stderr)
+        print(f"warning: {graph.truncated_by} reached, interpretations may be "
+              "incomplete", file=sys.stderr)
     if fmt == "json":
         _write_json(out, _graph_json(graph, interpretations))
         return 0
@@ -354,7 +354,7 @@ def build_eval_records(resources: Resources, config: EngineConfig,
     for caption_id, text in captions:
         graph = interpret(text, resources.kb, resources.repo,
                           resources.lexicon, config)
-        interpretations = finalize(graph, config, maximal_only=False)
+        interpretations = finalize(graph, maximal_only=False)
         records.append(EvalRecord(caption_id, text, interpretations,
                                   len(graph.tokens)))
     return records

@@ -26,7 +26,6 @@ retrieval can drop a partial tiling as soon as no stored key extends it.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -34,29 +33,19 @@ from typing import Iterable
 
 from . import sexpr, tagger
 from .kb import KnowledgeBase
-from .logic import (PLAIN_NAMES, Constant, Expr, Names, QueryVar, TypedVar,
-                    free_vars, from_sexpr)
+from .logic import (PLAIN_NAMES, TYPED_VAR_RE, Constant, Expr, Names,
+                    QueryVar, TypedVar, free_vars, from_sexpr, print_expr)
 from .sexpr import Finding, LoadError
 
 ConstructionLoadError = LoadError
+# A template slot is the logic template's typed variable itself.
+TypedSlot = TypedVar
 
 
 @dataclass(frozen=True)
 class Literal:
     text: str
-
-    @property
-    def folded(self) -> str:
-        return self.text.casefold()
-
-
-@dataclass(frozen=True)
-class TypedSlot:
-    type: str
-    index: int
-
-    def __str__(self):
-        return f"${self.type}#{self.index}"
+    folded: str                      # the case-folded key, made at load
 
 
 @dataclass(frozen=True)
@@ -74,29 +63,29 @@ class NlTemplate:
 class TemplateVariant:
     construction_id: str
     language: str
-    elements: tuple  # Literal | TypedSlot only
+    elements: tuple  # Literal | TypedVar only
 
     @cached_property
     def slots(self) -> tuple:
-        return tuple(e for e in self.elements if isinstance(e, TypedSlot))
+        return tuple(e for e in self.elements if isinstance(e, TypedVar))
 
 
 SKELETON_SLOT = None  # placeholder marking a collapsed typed variable
 
 
-def derive_keys(variant: TemplateVariant, name=str) -> tuple:
+def derive_keys(variant: TemplateVariant) -> tuple:
     """(skeleton key, lexical key) for a variant.  Typed variables collapse
     to untyped placeholders in the skeleton and disappear from the lexical
-    key; literals are case-folded, each through *name*."""
-    skeleton = tuple(SKELETON_SLOT if isinstance(e, TypedSlot)
-                     else name(e.folded) for e in variant.elements)
+    key; literals are case-folded."""
+    skeleton = tuple(SKELETON_SLOT if isinstance(e, TypedVar) else e.folded
+                     for e in variant.elements)
     lexical = tuple(f for f in skeleton if f is not SKELETON_SLOT)
     return skeleton, lexical
 
 
-def typed_key(variant: TemplateVariant, name=str) -> tuple:
-    return tuple(("type", e.type) if isinstance(e, TypedSlot)
-                 else ("lit", name(e.folded)) for e in variant.elements)
+def typed_key(variant: TemplateVariant) -> tuple:
+    return tuple(("type", e.type) if isinstance(e, TypedVar)
+                 else ("lit", e.folded) for e in variant.elements)
 
 
 @dataclass(frozen=True)
@@ -111,19 +100,7 @@ class Construction:
     tests_negative: tuple = ()
 
     def nl_slots(self) -> set:
-        found: set = set()
-
-        def walk(elements):
-            for e in elements:
-                if isinstance(e, TypedSlot):
-                    found.add(e)
-                elif isinstance(e, Alternation):
-                    for alt in e.alternatives:
-                        walk(alt)
-
-        for t in self.nl_templates:
-            walk(t.elements)
-        return found
+        return set().union(*(v.slots for v in self.variants))
 
     def all_slots(self) -> set:
         return self.nl_slots() | set(self.anaphoric_refs)
@@ -136,9 +113,6 @@ class Construction:
 
 # ---------------------------------------------------------------------------
 # Template string parsing
-
-_SLOT_RE = re.compile(r"\$([A-Za-z][A-Za-z0-9_'-]*)#(\d+)")
-
 
 class _TemplateError(Exception):
     pass
@@ -169,7 +143,7 @@ def _split_chunks(s: str) -> list:
 
 
 def _parse_plain(piece: str, names: Names) -> list:
-    """Elements of bracket-free template text: typed slots and literal
+    """Elements of bracket-free template text: typed variables and literal
     tokens, segmented exactly like input text."""
     elements: list = []
     pos = 0
@@ -177,12 +151,12 @@ def _parse_plain(piece: str, names: Names) -> list:
     def literal_run(text):
         if "$" in text:
             raise _TemplateError(f"unreadable typed variable in {piece!r}")
-        return [Literal(names.name(t.surface))
+        return [Literal(names.name(t.surface), names.name(t.surface.casefold()))
                 for t in tagger.tokenize(text)]
 
-    for m in _SLOT_RE.finditer(piece):
+    for m in TYPED_VAR_RE.finditer(piece):
         elements.extend(literal_run(piece[pos:m.start()]))
-        elements.append(TypedSlot(names.name(m.group(1)), int(m.group(2))))
+        elements.append(names.atom(sexpr.Symbol(m.group())))
         pos = m.end()
     elements.extend(literal_run(piece[pos:]))
     return elements
@@ -255,8 +229,7 @@ def expand_variants(c: Construction) -> list:
 # DSL loading
 
 def _slot_occurrences(e: Expr) -> set:
-    return {TypedSlot(v.type, v.index) for v in free_vars(e)
-            if isinstance(v, TypedVar)}
+    return {v for v in free_vars(e) if isinstance(v, TypedVar)}
 
 
 def _validate(c: Construction, sink: list) -> bool:
@@ -273,24 +246,23 @@ def _validate(c: Construction, sink: list) -> bool:
     logic_slots = _slot_occurrences(c.logic_template)
     # one unifying integer names one slot
     by_index: dict = {}
-    for s in bound | logic_slots:
+    for s in sorted(bound | logic_slots, key=print_expr):
         prior = by_index.setdefault(s.index, s)
         if prior != s:
             err("cons-slot-index",
-                f"unifying integer {s.index} names both {prior} and {s}")
+                f"unifying integer {s.index} names both {print_expr(prior)} "
+                f"and {print_expr(s)}")
     if anaphoric & nl:
-        overlap = ", ".join(str(s) for s in sorted(anaphoric & nl, key=str))
+        overlap = ", ".join(sorted(map(print_expr, anaphoric & nl)))
         err("cons-anaphoric", f"anaphoric slots also occur in a template: {overlap}")
-    for s in sorted(logic_slots, key=str):
-        if s not in bound:
-            err("cons-unbound-slot",
-                f"{s} in the logic template is neither a template slot nor "
-                "an anaphoric reference")
+    for s in sorted(map(print_expr, logic_slots - bound)):
+        err("cons-unbound-slot",
+            f"{s} in the logic template is neither a template slot nor "
+            "an anaphoric reference")
     for label, tests in (("test+", c.tests_positive), ("test-", c.tests_negative)):
         for t in tests:
-            for s in sorted(_slot_occurrences(t), key=str):
-                if s not in bound:
-                    err("cons-unbound-slot", f"{s} in a {label} is unbound")
+            for s in sorted(map(print_expr, _slot_occurrences(t) - bound)):
+                err("cons-unbound-slot", f"{s} in a {label} is unbound")
     if c.output_var is not None:
         if c.output_var not in free_vars(c.logic_template):
             err("cons-output-var",
@@ -304,8 +276,7 @@ def _validate(c: Construction, sink: list) -> bool:
         if not v.elements:
             err("cons-empty-variant", "an alternation choice leaves a variant empty")
             break
-        slots = [e for e in v.elements if isinstance(e, TypedSlot)]
-        if len(slots) != len(set(slots)):
+        if len(v.slots) != len(set(v.slots)):
             err("cons-duplicate-slot", "a variant uses the same slot twice")
             break
     return ok
@@ -368,7 +339,7 @@ def _parse_form(form, sink: list, names: Names) -> Construction | None:
                     err("cons-form", f"{cid or '?'}: anaphoric entries must be "
                                      "typed variables")
                     return None
-                anaphoric.append(TypedSlot(v.type, v.index))
+                anaphoric.append(v)
         elif k == ":output-var":
             v = from_sexpr(value, names)
             if not isinstance(v, QueryVar):
@@ -434,8 +405,7 @@ def parse_construction(dsl_text: str) -> Construction:
 
 class Repository:
     """Constructions plus the lexical / skeleton / typed lookup tiers.
-    Observably immutable once loaded (a variant's ``slots`` is computed
-    once, on first use); lookups are safe for concurrent use."""
+    Immutable once loaded; lookups are safe for concurrent use."""
 
     def __init__(self):
         self.constructions: dict[str, Construction] = {}
@@ -450,8 +420,8 @@ class Repository:
     def used_types(self) -> frozenset:
         return frozenset(self._used_types)
 
-    def add(self, c: Construction, names: Names = PLAIN_NAMES):
-        """Store *c*; its variants' key strings are made by *names*."""
+    def add(self, c: Construction):
+        """Store *c* and index its variants on the three tiers."""
         if c.id in self.constructions:
             raise ConstructionLoadError(
                 [Finding("cons-duplicate-id", f"construction {c.id} defined twice")])
@@ -461,9 +431,9 @@ class Repository:
             self._used_types.add(s.type)
         for v in c.variants:
             self.variants.append(v)
-            skeleton, lexical = derive_keys(v, names.name)
+            skeleton, lexical = derive_keys(v)
             for tier, key in (("lexical", lexical), ("skeleton", skeleton),
-                              ("typed", typed_key(v, names.name))):
+                              ("typed", typed_key(v))):
                 self._tiers[tier].setdefault((v.language, key), []).append(v)
             prefixes = self._skeleton_prefixes.setdefault(v.language, set())
             prefixes.update(skeleton[:i] for i in range(len(skeleton) + 1))
@@ -485,7 +455,7 @@ def _add_form(repo: Repository, names: Names, form, findings: list):
     if c is None:
         return
     try:
-        repo.add(c, names)
+        repo.add(c)
     except ConstructionLoadError as err:
         findings.extend(err.findings)
 
@@ -517,7 +487,7 @@ def lint_constructions(repo: Repository, kb: KnowledgeBase) -> list:
     findings = []
     for cid in sorted(repo.constructions):
         c = repo.constructions[cid]
-        for s in sorted(c.all_slots(), key=str):
+        for s in sorted(c.all_slots(), key=print_expr):
             if not kb.known(Constant(s.type)):
                 findings.append(Finding(
                     "cons-unknown-type",

@@ -25,8 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .constructions import (Construction, Repository, TypedSlot,
-                            SKELETON_SLOT)
+from .constructions import Construction, Repository, SKELETON_SLOT
 from .kb import (ContextStack, DEFAULT_CONTEXT, KnowledgeBase,
                  UnknownTermError)
 from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
@@ -42,13 +41,18 @@ class CompositionError(Exception):
 
 
 _POLICIES = ("statement", "question", "check")
+# Antecedent candidates kept per anaphoric slot, nearest first.
+MAX_ANAPHOR_CANDIDATES = 5
+# How deep an edge's children may nest.  Deeper logic would take the
+# recursive term walks near Python's stack limit; a fixed constant stops
+# every Python version at the same edge.
+MAX_NESTING = 32
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     max_window: int = 12
     language: str = "en"
-    max_anaphor_candidates: int = 5
     outermost_policy: str = "statement"
     max_edges: int = 50_000
     context: ContextStack = DEFAULT_CONTEXT
@@ -73,6 +77,7 @@ class Edge:
     output_type: Expr | None
     kind: str                        # instance | collection | sentential
     children: tuple = ()             # (slot index, child edge id) pairs
+    nesting: int = 0                 # 0 without children, else 1 + deepest child's
 
     @property
     def span(self) -> tuple:
@@ -114,12 +119,16 @@ class ParseGraph:
         self._by_span: dict[tuple, list] = {}
         self._fillers: dict[int, dict] = {}   # start -> end -> slot type -> edges
         self._dedup: dict[tuple, Edge] = {}
-        self._tried: set = set()
-        self._applied: dict[tuple, Edge] = {}
+        # application signature -> the edge it added, or None
+        self._tried: dict[tuple, Edge | None] = {}
         self.trace: list[TraceEvent] = []
         self.pattern_counts: dict[tuple, int] = {}
-        self.truncated = False
+        self.truncated_by = ""           # the cap that cut the run short
         self._fresh = itertools.count(1)
+
+    @property
+    def truncated(self) -> bool:
+        return bool(self.truncated_by)
 
     def fresh(self) -> int:
         return next(self._fresh)
@@ -140,11 +149,16 @@ class ParseGraph:
         existing = self._dedup.get(key)
         if existing is not None:
             return existing, False
-        if len(self.edges) >= self.config.max_edges:
-            self.truncated = True
+        nesting = 1 + max(self.edges[i].nesting for _, i in children) \
+            if children else 0
+        cap = ("edge limit" if len(self.edges) >= self.config.max_edges else
+               f"nesting limit ({MAX_NESTING} levels)"
+               if nesting > MAX_NESTING else "")
+        if cap:
+            self.truncated_by = self.truncated_by or cap
             return None, False
         edge = Edge(len(self.edges), span[0], span[1], source, logic,
-                    output_var, output_type, kind, children)
+                    output_var, output_type, kind, children, nesting)
         self.edges.append(edge)
         self._by_span.setdefault(span, []).append(edge)
         self._dedup[key] = edge
@@ -262,11 +276,11 @@ def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
 # ---------------------------------------------------------------------------
 # Application
 
-def resolve_anaphora(graph: ParseGraph, slot: TypedSlot, window_start: int) -> list:
+def resolve_anaphora(graph: ParseGraph, slot: TypedVar, window_start: int) -> list:
     """Antecedent candidates for an anaphoric slot: edges entirely left of
-    the window whose type satisfies the slot, nearest first, capped at the
-    configured maximum."""
-    kb, config = graph.kb, graph.config
+    the window whose type satisfies the slot, nearest first, at most
+    ``MAX_ANAPHOR_CANDIDATES``."""
+    kb = graph.kb
     slot_type = Constant(slot.type)
     candidates: list = []
     pool = [e for e in graph.edges
@@ -278,7 +292,7 @@ def resolve_anaphora(graph: ParseGraph, slot: TypedSlot, window_start: int) -> l
                 candidates.append(edge)
         except UnknownTermError:
             continue
-        if len(candidates) >= config.max_anaphor_candidates:
+        if len(candidates) >= MAX_ANAPHOR_CANDIDATES:
             break
     return candidates
 
@@ -302,21 +316,20 @@ def compose(matrix: Construction, binding: dict, fresh) -> tuple:
     collected: list = []
     for slot in sorted(binding, key=lambda s: s.index):
         edge = binding[slot]
-        hole = TypedVar(slot.type, slot.index)
         if edge.kind == "sentential":
             if edge.output_var is None:
                 raise CompositionError(
-                    f"sentential edge without an output variable cannot fill {slot}")
+                    "sentential edge without an output variable cannot fill "
+                    f"{print_expr(slot)}")
             n = fresh()
             collected.append(rename_query_vars(edge.logic, n))
-            subst_map[hole] = QueryVar(f"{edge.output_var.name}_{n}")
+            subst_map[slot] = QueryVar(f"{edge.output_var.name}_{n}")
         else:
-            subst_map[hole] = edge.logic
-    needed = {TypedSlot(v.type, v.index)
-              for v in free_vars(matrix.logic_template) if isinstance(v, TypedVar)}
-    missing = needed - set(binding)
+            subst_map[slot] = edge.logic
+    missing = {v for v in free_vars(matrix.logic_template)
+               if isinstance(v, TypedVar)} - set(binding)
     if missing:
-        names = ", ".join(str(s) for s in sorted(missing, key=str))
+        names = ", ".join(sorted(map(print_expr, missing)))
         raise CompositionError(f"unfilled logic-template slots: {names}")
     result = substitute(matrix.logic_template, subst_map)
     output_var = matrix.output_var
@@ -354,9 +367,9 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
         if not candidates:
             key = (c.id, span, "anaphora", slot.index)
             if key not in graph._tried:
-                graph._tried.add(key)
+                graph._tried[key] = None
                 graph.trace_discard("anaphora", c.id, span,
-                                    f"no antecedent for {slot}")
+                                    f"no antecedent for {print_expr(slot)}")
             return []
         bindings = [{**b, slot: cand}
                     for b in bindings for cand in candidates]
@@ -366,16 +379,16 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
         sig = (c.id, span, tuple(sorted((s.index, e.id) for s, e in b.items())))
         if sig in graph._tried:
             # a previously surviving binding still counts as an application
-            prior = graph._applied.get(sig)
+            prior = graph._tried[sig]
             if prior is not None:
                 out.append(prior)
             continue
-        graph._tried.add(sig)
+        graph._tried[sig] = None
         test_sub = {}
         for s, e in b.items():
             value = _test_value(e)
             if value is not None:
-                test_sub[TypedVar(s.type, s.index)] = value
+                test_sub[s] = value
         discarded = False
         for idx, t in enumerate(c.tests_positive, 1):
             atom = substitute(t, test_sub)
@@ -411,7 +424,7 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
                                  else "sentential", children)
         if edge is not None:
             out.append(edge)
-            graph._applied[sig] = edge
+            graph._tried[sig] = edge
     return out
 
 
@@ -497,13 +510,12 @@ def _span_text(graph: ParseGraph, start: int, end: int) -> str:
     return graph.text[graph.tokens[start].start:graph.tokens[end - 1].end]
 
 
-def finalize(graph: ParseGraph, config: EngineConfig | None = None,
-             maximal_only: bool = True) -> list:
+def finalize(graph: ParseGraph, maximal_only: bool = True) -> list:
     """Ranked interpretations: construction edges, largest span first,
     then fewer conjuncts, then lexicographic logic text.  Statement and
-    check modes close free query variables existentially; question mode
-    leaves them free."""
-    config = config or graph.config
+    check modes (of ``graph.config``) close free query variables
+    existentially; question mode leaves them free."""
+    policy = graph.config.outermost_policy
     edges = [e for e in graph.edges if e.source != "lex"]
     if maximal_only:
         spans = {(e.start, e.end) for e in edges}
@@ -514,7 +526,7 @@ def finalize(graph: ParseGraph, config: EngineConfig | None = None,
     out = []
     for e in edges:
         logic = e.logic
-        if config.outermost_policy in ("statement", "check"):
+        if policy in ("statement", "check"):
             logic = quantify_existential(logic)
         out.append(Interpretation(e.id, e.start, e.end, logic, e.output_type,
                                   e.source, _span_text(graph, e.start, e.end)))

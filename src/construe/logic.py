@@ -103,7 +103,9 @@ class Exists(Expr):
     body: Expr
 
 
-_TYPED_VAR_RE = re.compile(r"^\$([A-Za-z][A-Za-z0-9_'-]*)#(\d+)$")
+# ``$Type#k``: the one spelling of a typed variable, in logic text and in
+# construction templates alike
+TYPED_VAR_RE = re.compile(r"\$([A-Za-z][A-Za-z0-9_'-]*)#(\d+)")
 
 EQUALS = Constant("equals")
 
@@ -186,7 +188,7 @@ def _symbol_atom(node: Symbol, names: Names) -> Expr:
             raise ExprSyntaxError("empty query-variable name", node.line, node.col)
         return QueryVar(names.name(name[1:]))
     if name.startswith("$"):
-        m = _TYPED_VAR_RE.match(name)
+        m = TYPED_VAR_RE.fullmatch(name)
         if not m:
             raise ExprSyntaxError(f"unknown sigil in {name!r} "
                                   "(typed variables are written $Type#k)",
@@ -591,7 +593,7 @@ def expr_from_json(obj) -> Expr:
         if obj.startswith("?"):
             return QueryVar(obj[1:])
         if obj.startswith("$"):
-            m = _TYPED_VAR_RE.match(obj)
+            m = TYPED_VAR_RE.fullmatch(obj)
             if not m:
                 raise ExprSyntaxError(f"unknown sigil in {obj!r}")
             return TypedVar(m.group(1), int(m.group(2)))

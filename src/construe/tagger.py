@@ -62,13 +62,6 @@ class TagChart:
         return self.concepts_at(i, i + 1)
 
 
-@dataclass(frozen=True)
-class _Entry:
-    surface: str
-    exact_case: bool
-    readings: tuple
-
-
 class Lexicon:
     """Surface-form to concept map.  Single-character entries only match
     with their exact case; longer entries are case-insensitive unless

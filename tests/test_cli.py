@@ -11,6 +11,7 @@ from conftest import (BIO_CG_FILES, BIO_KB_FILES, BIO_LEX_FILES,
 from construe import cli
 from construe.cli import main
 from construe.constructions import load_constructions_lenient
+from construe.interpreter import MAX_NESTING
 from construe.kb import load_kb_lenient
 from construe.logic import expr_from_json, print_expr
 from construe.tagger import load_lexicon_lenient
@@ -290,6 +291,24 @@ def test_bad_construction_keyword_value_is_resource_error(tmp_path, capsys,
     _assert_one_line_resource_error(
         capsys, rc, out,
         f"error: --constructions: {code}: {bad}: form at line 1, column 1: ")
+
+
+@pytest.mark.parametrize("limit", [[], ["--max-edges", "300"]])
+def test_self_feeding_construction_stops_at_the_nesting_cap(tmp_path, capsys,
+                                                            limit):
+    # each wrap edge fills the slot of the next one on the same span
+    wrap = tmp_path / "wrap.cg"
+    wrap.write_text('(construction :id wrap :nl "$Building#0" '
+                    ':logic (LargeFn $Building#0) :output-type Building)\n',
+                    encoding="utf-8")
+    rc, out = run_cli(["interpret", *_demo_args_with("--constructions", wrap),
+                       *limit, "--format", "json", "building"])
+    doc = json.loads(out)
+    assert rc == 0 and doc["truncated"] is True
+    assert len(doc["interpretations"]) == MAX_NESTING
+    assert capsys.readouterr().err == (
+        f"warning: nesting limit ({MAX_NESTING} levels) reached, "
+        "interpretations may be incomplete\n")
 
 
 # ---------------------------------------------------------------------------

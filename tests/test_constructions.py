@@ -7,6 +7,7 @@ from construe.constructions import (ConstructionLoadError,
                                     lint_constructions, parse_construction,
                                     typed_key)
 from construe.kb import load_kb
+from construe.logic import SharedNames, free_vars
 
 
 COLOR_THING = """
@@ -84,6 +85,24 @@ def test_duplicate_unifying_integer_is_error():
                            ':nl "$Color#0 $Food#0" :logic (p $Color#0) '
                            ':output-type Thing)')
     assert any(f.code == "cons-slot-index" for f in exc.value.findings)
+
+
+def test_clashing_unifying_integers_are_reported_in_slot_order():
+    # not in set order, which changes with the hash seed
+    with pytest.raises(ConstructionLoadError) as exc:
+        parse_construction('(construction :id x :nl "$F#0 $D#0 $B#0 $E#0 $C#0" '
+                           ':logic (p $A#0))')
+    assert [f.message.rpartition(": ")[2] for f in exc.value.findings
+            if f.code == "cons-slot-index"] == [
+        f"unifying integer 0 names both $A#0 and ${t}#0" for t in "BCDEF"]
+
+
+def test_template_slots_are_the_logic_template_variables():
+    repo = load_constructions(text=SEASON_END, names=SharedNames())
+    c = repo.constructions["season-end"]
+    logic_vars = {v: v for v in free_vars(c.logic_template)}
+    slots = [s for v in c.variants for s in v.slots] + list(c.anaphoric_refs)
+    assert len(slots) == 3 and all(s is logic_vars[s] for s in slots)
 
 
 def test_logic_slot_missing_from_templates_is_error():

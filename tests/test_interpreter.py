@@ -7,9 +7,9 @@ from helpers import (brute_force_matches, full_sweep_window_loop,
                      graph_outcome, random_instance, retrieval_signatures)
 from construe import interpreter
 from construe.constructions import TypedSlot, load_constructions
-from construe.interpreter import (EngineConfig, ParseGraph, compose, finalize,
-                                  interpret, resolve_anaphora, retrieve,
-                                  window_loop)
+from construe.interpreter import (MAX_NESTING, EngineConfig, ParseGraph,
+                                  compose, finalize, interpret,
+                                  resolve_anaphora, retrieve, window_loop)
 from construe.kb import ContextStack, load_kb
 from construe.logic import (Constant, QueryVar, equal_modulo_renaming,
                             free_query_vars, parse_expr, print_expr)
@@ -104,7 +104,20 @@ def test_type_soundness_of_bindings(run, demo_kb):
 
 def test_truncation_reported(run):
     graph = run("big blue building", max_edges=2)
+    assert graph.truncated and graph.truncated_by == "edge limit"
+
+
+def test_nesting_cap_stops_a_construction_feeding_its_own_slot(demo_kb,
+                                                              demo_lexicon):
+    repo = load_constructions(text='(construction :id wrap :nl "$Building#0" '
+                                   ':logic (LargeFn $Building#0) '
+                                   ':output-type Building)')
+    graph = interpret("building", demo_kb, repo, demo_lexicon)
     assert graph.truncated
+    assert graph.truncated_by == f"nesting limit ({MAX_NESTING} levels)"
+    assert [e.nesting for e in graph.edges] == list(range(MAX_NESTING + 1))
+    assert print_expr(graph.edges[-1].logic) == \
+        "(LargeFn " * MAX_NESTING + "Building" + ")" * MAX_NESTING
 
 
 # ---------------------------------------------------------------------------
