@@ -282,14 +282,18 @@ def _graph_json(graph: ParseGraph, interpretations: list) -> dict:
     }
 
 
+def _warn_truncated(cap: str, where: str = ""):
+    print(f"warning: {where}{cap} reached, interpretations may be incomplete",
+          file=sys.stderr)
+
+
 def cmd_interpret(resources: Resources, config: EngineConfig, text: str,
                   fmt: str, out) -> int:
     graph = interpret(text, resources.kb, resources.repo, resources.lexicon,
                       config)
     interpretations = finalize(graph)
     if graph.truncated:
-        print(f"warning: {graph.truncated_by} reached, interpretations may be "
-              "incomplete", file=sys.stderr)
+        _warn_truncated(graph.truncated_by)
     if fmt == "json":
         _write_json(out, _graph_json(graph, interpretations))
         return 0
@@ -343,6 +347,7 @@ class EvalRecord:
     text: str
     interpretations: list          # Interpretation, largest span first
     token_count: int
+    truncated_by: str = ""          # the cap that cut the caption's run short
 
     def interp_id(self, index: int) -> str:
         return f"i{index}"
@@ -356,7 +361,7 @@ def build_eval_records(resources: Resources, config: EngineConfig,
                           resources.lexicon, config)
         interpretations = finalize(graph, maximal_only=False)
         records.append(EvalRecord(caption_id, text, interpretations,
-                                  len(graph.tokens)))
+                                  len(graph.tokens), graph.truncated_by))
     return records
 
 
@@ -453,6 +458,9 @@ def cmd_eval(resources: Resources, config: EngineConfig, captions_path: str,
              verdicts_path: str | None, unit: str, fmt: str, out) -> int:
     captions = read_captions(captions_path)
     records = build_eval_records(resources, config, captions)
+    for rec in records:
+        if rec.truncated_by:
+            _warn_truncated(rec.truncated_by, f"caption {rec.caption_id}: ")
     if verdicts_path is None:
         # scoring worksheet: largest segments first, ready for hand verdicts
         for rec in records:

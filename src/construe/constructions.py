@@ -33,9 +33,10 @@ from typing import Iterable
 
 from . import sexpr, tagger
 from .kb import KnowledgeBase
-from .logic import (PLAIN_NAMES, TYPED_VAR_RE, Constant, Expr, Names,
-                    QueryVar, TypedVar, free_vars, from_sexpr, print_expr)
-from .sexpr import Finding, LoadError
+from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, TYPED_VAR_RE, Constant, Expr,
+                    Names, QueryVar, TypedVar, free_vars, from_sexpr,
+                    print_expr, term_depth)
+from .sexpr import Finding, FormError, LoadError
 
 ConstructionLoadError = LoadError
 # A template slot is the logic template's typed variable itself.
@@ -233,11 +234,11 @@ def _slot_occurrences(e: Expr) -> set:
 
 
 def _validate(c: Construction, sink: list) -> bool:
-    ok = True
+    """Append a finding to *sink* for each invariant *c* breaks; true when
+    it breaks none."""
+    before = len(sink)
 
     def err(code, msg):
-        nonlocal ok
-        ok = False
         sink.append(Finding(code, f"construction {c.id}: {msg}"))
 
     nl = c.nl_slots()
@@ -279,17 +280,24 @@ def _validate(c: Construction, sink: list) -> bool:
         if len(v.slots) != len(set(v.slots)):
             err("cons-duplicate-slot", "a variant uses the same slot twice")
             break
-    return ok
+    return len(sink) == before
 
 
-def _parse_form(form, sink: list, names: Names) -> Construction | None:
-    def err(code, msg):
-        sink.append(Finding(code, msg))
+def _template(value, names: Names, cid, key: str) -> Expr:
+    """The logic of a :logic, :test+ or :test- value."""
+    e = from_sexpr(value, names)
+    if term_depth(e) > MAX_TERM_DEPTH:
+        raise FormError("cons-form", f"{cid or '?'}: {key} nests deeper than "
+                                     f"{MAX_TERM_DEPTH} levels")
+    return e
 
+
+def _parse_form(form, names: Names) -> Construction:
+    """The construction a (construction ...) form defines, before
+    ``_validate``; a malformed form raises ``FormError``."""
     if not isinstance(form, sexpr.SexprList) or not form \
             or not isinstance(form[0], sexpr.Symbol) or form[0] != "construction":
-        err("cons-form", "expected a (construction ...) form")
-        return None
+        raise FormError("cons-form", "expected a (construction ...) form")
     items = list(form[1:])
     cid = None
     lang = "en"
@@ -305,102 +313,87 @@ def _parse_form(form, sink: list, names: Names) -> Construction | None:
     while i < len(items):
         key = items[i]
         if not (isinstance(key, sexpr.Symbol) and str(key).startswith(":")):
-            err("cons-form", f"expected a :keyword, got {key!r}")
-            return None
+            raise FormError("cons-form", f"expected a :keyword, got {key!r}")
         if i + 1 >= len(items):
-            err("cons-form", f"{key} is missing its value")
-            return None
+            raise FormError("cons-form", f"{key} is missing its value")
         value = items[i + 1]
         i += 2
         k = str(key)
+        if k in (":id", ":lang") and not isinstance(value, sexpr.Symbol):
+            raise FormError("cons-form", f"{k} takes a symbol")
         if k == ":id":
             cid = names.name(value)
         elif k == ":lang":
             lang = names.name(value)
         elif k == ":nl":
             if isinstance(value, sexpr.Symbol) or not isinstance(value, str):
-                err("cons-form", ":nl takes a quoted template string")
-                return None
+                raise FormError("cons-form", ":nl takes a quoted template string")
             try:
                 templates.append(parse_template(value, lang, names))
             except _TemplateError as terr:
-                err("cons-template", f"{cid or '?'}: {terr}")
-                return None
+                raise FormError("cons-template", f"{cid or '?'}: {terr}") from None
         elif k == ":logic":
             logic_count += 1
-            logic_template = from_sexpr(value, names)
+            logic_template = _template(value, names, cid, k)
         elif k == ":anaphoric":
             if not isinstance(value, sexpr.SexprList):
-                err("cons-form", ":anaphoric takes a list of typed variables")
-                return None
+                raise FormError("cons-form",
+                                ":anaphoric takes a list of typed variables")
             for item in value:
                 v = from_sexpr(item, names)
                 if not isinstance(v, TypedVar):
-                    err("cons-form", f"{cid or '?'}: anaphoric entries must be "
-                                     "typed variables")
-                    return None
+                    raise FormError("cons-form", f"{cid or '?'}: anaphoric "
+                                    "entries must be typed variables")
                 anaphoric.append(v)
         elif k == ":output-var":
-            v = from_sexpr(value, names)
-            if not isinstance(v, QueryVar):
-                err("cons-form", f"{cid or '?'}: :output-var takes a query variable")
-                return None
-            output_var = v
+            output_var = from_sexpr(value, names)
+            if not isinstance(output_var, QueryVar):
+                raise FormError("cons-form", f"{cid or '?'}: :output-var takes "
+                                "a query variable")
         elif k == ":output-type":
             if isinstance(value, sexpr.SexprList):
-                if (len(value) == 2 and str(value[0]) == "slot"
+                if not (len(value) == 2 and str(value[0]) == "slot"
                         and isinstance(value[1], Fraction)
                         and value[1].denominator == 1):
-                    output_type = ("slot", int(value[1]))
-                else:
-                    err("cons-form", f"{cid or '?'}: :output-type takes a term "
-                                     "or (slot k) with an integer k")
-                    return None
+                    raise FormError("cons-form", f"{cid or '?'}: :output-type "
+                                    "takes a term or (slot k) with an integer k")
+                output_type = ("slot", int(value[1]))
             elif isinstance(value, sexpr.Symbol):
                 output_type = names.name(value)
             else:
-                err("cons-form", f"{cid or '?'}: bad :output-type")
-                return None
+                raise FormError("cons-form", f"{cid or '?'}: bad :output-type")
         elif k in (":test+", ":test-"):
-            t = from_sexpr(value, names)
-            (tests_pos if k == ":test+" else tests_neg).append(t)
+            (tests_pos if k == ":test+" else tests_neg).append(
+                _template(value, names, cid, k))
         else:
-            err("cons-form", f"unknown key {k}")
-            return None
+            raise FormError("cons-form", f"unknown key {k}")
     if cid is None:
-        err("cons-form", "construction without :id")
-        return None
+        raise FormError("cons-form", "construction without :id")
     if not templates:
-        err("cons-form", f"construction {cid}: at least one :nl template required")
-        return None
+        raise FormError("cons-form",
+                        f"construction {cid}: at least one :nl template required")
     if logic_count == 0:
-        err("cons-no-logic", f"construction {cid}: missing logic template")
-        return None
+        raise FormError("cons-no-logic",
+                        f"construction {cid}: missing logic template")
     if logic_count > 1:
-        err("cons-two-logic",
-            f"construction {cid}: exactly one logic template is allowed, "
-            f"found {logic_count}")
-        return None
-    c = Construction(cid, tuple(templates), logic_template, tuple(anaphoric),
-                     output_var, output_type, tuple(tests_pos), tuple(tests_neg))
-    if not _validate(c, sink):
-        return None
-    return c
+        raise FormError("cons-two-logic",
+                        f"construction {cid}: exactly one logic template is "
+                        f"allowed, found {logic_count}")
+    return Construction(cid, tuple(templates), logic_template, tuple(anaphoric),
+                        output_var, output_type, tuple(tests_pos),
+                        tuple(tests_neg))
 
 
 def parse_construction(dsl_text: str) -> Construction:
     """Parse one (construction ...) form, enforcing every invariant."""
-    parsed: list = []
-    findings = sexpr.load_forms(
-        None, dsl_text, "cons",
-        lambda form, found: parsed.append(
-            _parse_form(form, found, PLAIN_NAMES)))
-    if not findings and len(parsed) != 1:
-        findings = [Finding("cons-syntax",
-                            f"expected exactly one form, found {len(parsed)}")]
+    repo, findings = load_constructions_lenient(text=dsl_text)
+    if not findings and len(repo.constructions) != 1:
+        findings = [Finding("cons-syntax", "expected exactly one form, found "
+                                           f"{len(repo.constructions)}")]
     if findings:
         raise ConstructionLoadError(findings)
-    return parsed[0]
+    [c] = repo.constructions.values()
+    return c
 
 
 class Repository:
@@ -421,10 +414,11 @@ class Repository:
         return frozenset(self._used_types)
 
     def add(self, c: Construction):
-        """Store *c* and index its variants on the three tiers."""
+        """Store *c* and index its variants on the three tiers; a second
+        construction with *c*'s id raises ``FormError``."""
         if c.id in self.constructions:
-            raise ConstructionLoadError(
-                [Finding("cons-duplicate-id", f"construction {c.id} defined twice")])
+            raise FormError("cons-duplicate-id",
+                            f"construction {c.id} defined twice")
         self.constructions[c.id] = c
         self.has_anaphora = self.has_anaphora or bool(c.anaphoric_refs)
         for s in c.all_slots():
@@ -451,13 +445,9 @@ class Repository:
 
 
 def _add_form(repo: Repository, names: Names, form, findings: list):
-    c = _parse_form(form, findings, names)
-    if c is None:
-        return
-    try:
+    c = _parse_form(form, names)
+    if _validate(c, findings):
         repo.add(c)
-    except ConstructionLoadError as err:
-        findings.extend(err.findings)
 
 
 def load_constructions_lenient(paths: Iterable | None = None, *,

@@ -30,8 +30,8 @@ from typing import Iterable
 from . import sexpr
 from .logic import (App, And, Constant, Exists, Expr, Kappa, Nat, Not,
                     PLAIN_NAMES, Names, Numeral, Text, TheSetOf, TypedVar,
-                    QueryVar, free_vars, from_sexpr, print_expr)
-from .sexpr import Finding, LoadError
+                    QueryVar, children, free_vars, from_sexpr, print_expr)
+from .sexpr import Finding, FormError, LoadError
 
 TermLike = (Constant, Nat)
 
@@ -101,6 +101,11 @@ class Violation:
 
 def _is_term(e: Expr) -> bool:
     return isinstance(e, TermLike)
+
+
+def _symbols(*items) -> bool:
+    """Every item is a symbol, as every name field must be."""
+    return all(isinstance(i, sexpr.Symbol) for i in items)
 
 
 def _is_integer(item) -> bool:
@@ -202,49 +207,39 @@ class KnowledgeBase:
         out.extend(self._virtual_parents(t, ("resultIsa",)))
         return out
 
-    def genls_closure(self, t: Expr) -> frozenset:
-        """Reflexive-transitive closure over genls links only."""
-        cached = self._genls_memo.get(t)
-        if cached is not None:
-            return cached
+    def _closure(self, t: Expr, parents) -> frozenset:
+        """*t* and every term reached from it by *parents* links."""
         seen: set = set()
         stack = [t]
         while stack:
             x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            stack.extend(p for p in self.genls_parents(x) if p not in seen)
-        result = frozenset(seen)
-        self._genls_memo[t] = result
-        return result
+            if x not in seen:
+                seen.add(x)
+                stack.extend(parents(x))
+        return frozenset(seen)
+
+    def genls_closure(self, t: Expr) -> frozenset:
+        """Reflexive-transitive closure over genls links only."""
+        cached = self._genls_memo.get(t)
+        if cached is None:
+            cached = self._genls_memo[t] = self._closure(t, self.genls_parents)
+        return cached
 
     def generalizations(self, t: Expr) -> frozenset:
         """Reflexive-transitive upward closure over both isa and genls."""
         self._require_known(t)
-        seen: set = set()
-        stack = [t]
-        while stack:
-            x = stack.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            for p in self.genls_parents(x):
-                if p not in seen:
-                    stack.append(p)
-            for p in self.isa_parents(x):
-                if p not in seen:
-                    stack.append(p)
-        return frozenset(seen)
+        return self._closure(
+            t, lambda x: self.genls_parents(x) + self.isa_parents(x))
 
     def subsumes(self, general: Expr, specific: Expr, mode: str = "auto") -> bool:
         """True when *general* covers *specific*.  genls mode asks for a
         specialization; isa mode for an instance (one isa hop, then genls
-        closure); auto picks by what *specific* is declared to be."""
+        closure); auto picks by what *specific* is declared to be, which
+        is ``match_types``."""
         self._require_known(general)
-        self._require_known(specific)
         if mode == "auto":
-            mode = "isa" if self.kindedness(specific) == "individual" else "genls"
+            return general in self.match_types(specific)
+        self._require_known(specific)
         if mode == "genls":
             return general in self.genls_closure(specific)
         if mode == "isa":
@@ -256,18 +251,13 @@ class KnowledgeBase:
         """Exactly the terms g with subsumes(g, t, auto): the candidate
         slot types an interpretation of type *t* can fill."""
         cached = self._match_memo.get(t)
-        if cached is not None:
-            return cached
-        self._require_known(t)
-        if self.kindedness(t) == "collection":
-            result = self.genls_closure(t)
-        else:
-            acc: set = set()
-            for p in self.isa_parents(t):
-                acc |= self.genls_closure(p)
-            result = frozenset(acc)
-        self._match_memo[t] = result
-        return result
+        if cached is None:
+            self._require_known(t)
+            cached = self._match_memo[t] = (
+                self.genls_closure(t) if self.kindedness(t) == "collection"
+                else frozenset().union(*map(self.genls_closure,
+                                            self.isa_parents(t))))
+        return cached
 
     # -- numerals ----------------------------------------------------------
 
@@ -535,19 +525,11 @@ class _Loader:
                 kb._collection_evidence.add(e.name)
             elif evidence == "individual":
                 kb._individual_evidence.add(e.name)
-        elif isinstance(e, Nat):
+            return
+        if isinstance(e, Nat):
             kb._nats_seen.add(e)
-            self.register(e.functor)
-            for a in e.args:
-                self.register(a)
-        elif isinstance(e, App):
-            self.register(e.predicate)
-            for a in e.args:
-                self.register(a)
-        elif isinstance(e, (And, Not, Kappa, TheSetOf, Exists)):
-            for child in ((e.args) if isinstance(e, And)
-                          else (e.arg,) if isinstance(e, Not) else (e.body,)):
-                self.register(child)
+        for child in children(e):
+            self.register(child)
 
     def _term_from(self, node, what: str) -> Expr | None:
         e = from_sexpr(node, self.names)
@@ -558,17 +540,14 @@ class _Loader:
 
     def _load_link(self, form, kind: str):
         if len(form) != 3:
-            self.error("kb-form", f"({kind} ...) takes two terms")
-            return
+            raise FormError("kb-form", f"({kind} ...) takes two terms")
         s = self._term_from(form[1], f"{kind} specific")
         g = self._term_from(form[2], f"{kind} general")
         if s is None or g is None:
             return
         if s == g:
-            self.error("kb-self-link",
-                       f"({kind} {print_expr(s)} {print_expr(g)}) relates a term "
-                       "to itself")
-            return
+            raise FormError("kb-self-link", f"({kind} {print_expr(s)} "
+                            f"{print_expr(g)}) relates a term to itself")
         kb = self.kb
         if kind == "isa":
             self.register(s, "individual" if isinstance(s, Constant) else None)
@@ -582,91 +561,81 @@ class _Loader:
     def load_form(self, form, findings: list):
         self.findings = findings        # the list load_forms collects
         if not isinstance(form, sexpr.SexprList) or not form:
-            self.error("kb-form", f"stray atom {form!r} at top level")
-            return
+            raise FormError("kb-form", f"stray atom {form!r} at top level")
         kb, names = self.kb, self.names
         head = names.name(form[0]) if isinstance(form[0], sexpr.Symbol) else None
         if head in ("isa", "genls"):
             self._load_link(form, head)
         elif head == "fact":
-            if len(form) != 3 or not isinstance(form[1], sexpr.Symbol):
-                self.error("kb-form", "(fact CTX (pred args...)) expected")
-                return
+            if len(form) != 3 or not _symbols(form[1]):
+                raise FormError("kb-form", "(fact CTX (pred args...)) expected")
             atom = from_sexpr(form[2], names)
             if not isinstance(atom, App):
-                self.error("kb-form",
-                           f"fact body must be a predicate application, got "
-                           f"{print_expr(atom)}")
-                return
+                raise FormError("kb-form", "fact body must be a predicate "
+                                f"application, got {print_expr(atom)}")
             if free_vars(atom):
-                self.error("kb-form", f"fact must be ground: {print_expr(atom)}")
-                return
+                raise FormError("kb-form",
+                                f"fact must be ground: {print_expr(atom)}")
             self.register(atom)
             key = print_expr(atom.predicate)
             kb._facts.setdefault(key, []).append((names.name(form[1]), atom.args))
         elif head == "fn":
-            if (len(form) != 4 or not isinstance(form[1], sexpr.Symbol)
+            if (len(form) != 4 or not _symbols(form[1])
                     or not _is_integer(form[2])
                     or not isinstance(form[3], sexpr.SexprList)):
-                self.error("kb-form", "(fn Functor ARITY (RULE ...)) expected")
-                return
+                raise FormError("kb-form", "(fn Functor ARITY (RULE ...)) expected")
             name = names.name(form[1])
             arity = int(form[2])
             rule = form[3]
             if arity < 1:
-                self.error("kb-form", f"fn {name}: arity must be positive")
-                return
-            kinds = {"resultIsa", "resultGenls", "resultGenlsArg"}
-            if (len(rule) != 2 or str(rule[0]) not in kinds):
-                self.error("kb-form", f"fn {name}: bad result rule")
-                return
+                raise FormError("kb-form", f"fn {name}: arity must be positive")
+            if (len(rule) != 2 or not _symbols(rule[0])
+                    or rule[0] not in ("resultIsa", "resultGenls",
+                                       "resultGenlsArg")):
+                raise FormError("kb-form", f"fn {name}: bad result rule")
             rk = names.name(rule[0])
             if rk == "resultGenlsArg":
                 if not _is_integer(rule[1]):
-                    self.error("kb-form", f"fn {name}: resultGenlsArg needs an index")
-                    return
+                    raise FormError("kb-form",
+                                    f"fn {name}: resultGenlsArg needs an index")
                 rv: object = int(rule[1])
                 if not (1 <= rv <= arity):
-                    self.error("kb-form",
-                               f"fn {name}: result argument index {rv} exceeds "
-                               f"arity {arity}")
-                    return
-            else:
+                    raise FormError("kb-form", f"fn {name}: result argument "
+                                    f"index {rv} exceeds arity {arity}")
+            elif _symbols(rule[1]):
                 rv = names.name(rule[1])
                 self.register(names.constant(rv), "collection")
+            else:
+                raise FormError("kb-form", f"fn {name}: {rk} takes a collection")
             if name in kb._signatures and kb._signatures[name] != FunctionSignature(name, arity, rk, rv):
-                self.error("kb-conflict", f"fn {name} declared twice with "
-                                          "different signatures")
-                return
+                raise FormError("kb-conflict", f"fn {name} declared twice with "
+                                               "different signatures")
             self.register(names.constant(name))
             kb._signatures[name] = FunctionSignature(name, arity, rk, rv)
         elif head in ("argIsa", "argGenls"):
-            if (len(form) != 4 or not isinstance(form[1], sexpr.Symbol)
-                    or not _is_integer(form[2])
-                    or not isinstance(form[3], sexpr.Symbol)):
-                self.error("kb-form", f"({head} pred N C) expected")
-                return
+            if (len(form) != 4 or not _symbols(form[1], form[3])
+                    or not _is_integer(form[2])):
+                raise FormError("kb-form", f"({head} pred N C) expected")
             owner, pos, req = names.name(form[1]), int(form[2]), names.name(form[3])
             if pos < 1:
-                self.error("kb-form", f"{head} {owner}: position must be positive")
-                return
+                raise FormError("kb-form",
+                                f"{head} {owner}: position must be positive")
             self.register(names.constant(owner))
             self.register(names.constant(req), "collection")
             kb._arg_constraints.setdefault(owner, []).append(
                 ArgConstraint(owner, pos, head, req))
         elif head == "interArgGenls":
-            if (len(form) != 6 or not isinstance(form[1], sexpr.Symbol)
+            if (len(form) != 6 or not _symbols(form[1], form[3], form[5])
                     or not _is_integer(form[2])
                     or not _is_integer(form[4])):
-                self.error("kb-form", "(interArgGenls pred N1 C1 N2 C2) expected")
-                return
+                raise FormError("kb-form",
+                                "(interArgGenls pred N1 C1 N2 C2) expected")
             owner = names.name(form[1])
             p1, c1 = int(form[2]), names.name(form[3])
             p2, c2 = int(form[4]), names.name(form[5])
             if p1 == p2:
-                self.error("kb-form",
-                           f"interArgGenls {owner}: positions must be distinct")
-                return
+                raise FormError("kb-form", f"interArgGenls {owner}: positions "
+                                "must be distinct")
             self.register(names.constant(owner))
             self.register(names.constant(c1), "collection")
             self.register(names.constant(c2), "collection")
@@ -674,32 +643,29 @@ class _Loader:
                 InterArgConstraint(owner, p1, c1, p2, c2))
         elif head == "disjoint":
             if len(form) != 3:
-                self.error("kb-form", "(disjoint C1 C2) expected")
-                return
+                raise FormError("kb-form", "(disjoint C1 C2) expected")
             a = self._term_from(form[1], "disjoint")
             b = self._term_from(form[2], "disjoint")
             if a is None or b is None:
                 return
             if a == b:
-                self.error("kb-form", "a collection cannot be disjoint with itself")
-                return
+                raise FormError("kb-form",
+                                "a collection cannot be disjoint with itself")
             self.register(a, "collection")
             self.register(b, "collection")
             kb._disjoint.add(frozenset((a, b)))
         elif head in ("individual", "collection"):
-            if len(form) != 2 or not isinstance(form[1], sexpr.Symbol):
-                self.error("kb-form", f"({head} Term) expected")
-                return
+            if len(form) != 2 or not _symbols(form[1]):
+                raise FormError("kb-form", f"({head} Term) expected")
             name = names.name(form[1])
             prior = kb._declared.get(name)
             if prior is not None and prior != head:
-                self.error("kb-conflict",
-                           f"{name} declared both individual and collection")
-                return
+                raise FormError("kb-conflict",
+                                f"{name} declared both individual and collection")
             self.register(names.constant(name))
             kb._declared[name] = head
         else:
-            self.error("kb-form", f"unknown form ({head} ...)")
+            raise FormError("kb-form", f"unknown form ({head} ...)")
 
     def validate(self):
         kb = self.kb

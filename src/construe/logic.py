@@ -298,7 +298,8 @@ def print_expr(e: Expr) -> str:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _children(e: Expr):
+def children(e: Expr) -> tuple:
+    """The immediate parts of *e*: a binder's body, not its variables."""
     if isinstance(e, Nat):
         return (e.functor, *e.args)
     if isinstance(e, App):
@@ -307,7 +308,26 @@ def _children(e: Expr):
         return e.args
     if isinstance(e, Not):
         return (e.arg,)
+    if isinstance(e, (Kappa, TheSetOf, Exists)):
+        return (e.body,)
     return ()
+
+
+# How deeply a construction's logic and tests, and a lexicon reading, may
+# nest.  With interpreter.MAX_NESTING, composed logic then nests at most
+# about 200 levels, inside the stack every supported Python version gives
+# the recursive term walks.  The bundled resources nest at most 5 deep.
+MAX_TERM_DEPTH = 5
+
+
+def term_depth(e: Expr) -> int:
+    """0 for an atom, else 1 + the depth of the deepest part of *e*."""
+    deepest, stack = 0, [(e, 0)]
+    while stack:
+        x, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((p, depth + 1) for p in children(x))
+    return deepest
 
 
 def free_vars(e: Expr, bound: frozenset = frozenset()) -> set:
@@ -324,7 +344,7 @@ def free_vars(e: Expr, bound: frozenset = frozenset()) -> set:
     if isinstance(e, Exists):
         return free_vars(e.body, bound | frozenset(e.vars))
     out: set = set()
-    for child in _children(e):
+    for child in children(e):
         out |= free_vars(child, bound)
     return out
 

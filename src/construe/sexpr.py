@@ -20,7 +20,8 @@ zero denominator.
 ``load_forms`` is the one way a resource file is read: it reads every
 source as UTF-8, parses it, hands each top-level form to a per-form
 handler and collects the ``Finding``s; ``LoadError`` carries them when a
-resource does not load.
+resource does not load.  A handler rejects its form by raising
+``FormError(code, message)``, which becomes one located finding.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ class LoadError(Exception):
     def __init__(self, findings):
         super().__init__("; ".join(f"{f.code}: {f.message}" for f in findings))
         self.findings = findings
+
+
+class FormError(Exception):
+    """A top-level resource form its handler rejects: ``load_forms``
+    records ``Finding(code, message)`` at the form."""
+
+    def __init__(self, code: str, message: str):
+        super().__init__(f"{code}: {message}")
+        self.finding = Finding(code, message)
 
 
 class SexprError(Exception):
@@ -197,13 +207,16 @@ def load_forms(paths: Iterable | None, text: str | None, prefix: str,
 
     A file that cannot be read as UTF-8 raises ``LoadError`` naming it
     before any form is loaded.  A source that does not parse adds one
-    ``{prefix}-syntax`` finding naming it and the position.  A form whose
-    handler raises ``SexprError`` (``ExprSyntaxError`` is one) or
-    ``RecursionError`` (a form nested too deeply for the recursive logic
-    layer) adds one ``{prefix}-syntax`` finding; that one and every finding
-    the handler added are prefixed with the source and the form's line and
-    column (only the source for a number or string, which have no
-    position).  Loading goes on with the next source or form."""
+    ``{prefix}-syntax`` finding naming it and the position.  A handler
+    rejects its form by raising ``FormError``, which adds that one finding;
+    a handler that finds several faults in one form appends them to
+    *findings* itself.  A handler that raises ``SexprError``
+    (``ExprSyntaxError`` is one) or ``RecursionError`` (a form nested too
+    deeply for the recursive logic layer) adds one ``{prefix}-syntax``
+    finding.  Every finding a form gives is prefixed with the source and
+    the form's line and column (only the source for a number or string,
+    which have no position).  Loading goes on with the next source or
+    form."""
     sources = [] if text is None else [("<string>", text)]
     for p in paths or ():
         try:
@@ -223,6 +236,8 @@ def load_forms(paths: Iterable | None, text: str | None, prefix: str,
             before = len(findings)
             try:
                 load_form(form, findings)
+            except FormError as err:
+                findings.append(err.finding)
             except RecursionError:
                 findings.append(Finding(f"{prefix}-syntax",
                                         "nested too deeply to load"))

@@ -17,7 +17,9 @@ from functools import cached_property
 from typing import Iterable
 
 from . import sexpr
-from .logic import PLAIN_NAMES, Expr, Names, Nat, Numeral, from_sexpr, print_expr
+from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, Expr, Names, Nat, Numeral,
+                    from_sexpr, print_expr, term_depth)
+from .sexpr import FormError
 
 _BOUNDARY_CHARS = set("-()[]{}.,;:!?")
 _MAX_SEGMENT_LEN = 64
@@ -113,17 +115,12 @@ def _is_surface(item) -> bool:
 def _load_entry(lex: Lexicon, names: Names, form, findings: list):
     """Add one (lex ...) or (lex-nat ...) form to *lex*, its names and
     atoms made by *names*."""
-    def bad(message):
-        findings.append(sexpr.Finding("lex-form", message))
-
     if not isinstance(form, sexpr.SexprList) or not form:
-        bad(f"stray atom {form!r}")
-        return
+        raise FormError("lex-form", f"stray atom {form!r}")
     head = str(form[0]) if isinstance(form[0], sexpr.Symbol) else None
     if head == "lex":
         if len(form) < 3 or not _is_surface(form[1]):
-            bad('(lex "surface" Term ...) expected')
-            return
+            raise FormError("lex-form", '(lex "surface" Term ...) expected')
         exact = False
         symbols = []
         for item in form[2:]:
@@ -132,21 +129,23 @@ def _load_entry(lex: Lexicon, names: Names, form, findings: list):
             elif isinstance(item, sexpr.Symbol):
                 symbols.append(names.constant(str(item)))
             else:
-                bad(f"bad reading {item!r} for {form[1]!r}")
+                findings.append(sexpr.Finding(
+                    "lex-form", f"bad reading {item!r} for {form[1]!r}"))
         if symbols:
             lex.add(form[1], symbols, exact_case=exact)
     elif head == "lex-nat":
         if len(form) != 3 or not _is_surface(form[1]):
-            bad('(lex-nat "surface" EXPR) expected')
-            return
+            raise FormError("lex-form", '(lex-nat "surface" EXPR) expected')
         reading = from_sexpr(form[2], names)
         if not isinstance(reading, Nat):
-            bad(f"lex-nat reading must be a function term: "
-                f"{print_expr(reading)}")
-            return
+            raise FormError("lex-form", "lex-nat reading must be a function "
+                                        f"term: {print_expr(reading)}")
+        if term_depth(reading) > MAX_TERM_DEPTH:
+            raise FormError("lex-form", "lex-nat reading nests deeper than "
+                                        f"{MAX_TERM_DEPTH} levels")
         lex.add(form[1], (reading,))
     else:
-        bad(f"unknown form ({head} ...)")
+        raise FormError("lex-form", f"unknown form ({head} ...)")
 
 
 def load_lexicon_lenient(paths: Iterable | None = None, *,

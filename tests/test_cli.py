@@ -7,13 +7,14 @@ import sys
 import pytest
 
 from conftest import (BIO_CG_FILES, BIO_KB_FILES, BIO_LEX_FILES,
-                      DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES)
+                      DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES,
+                      RESOURCE_DIR)
 from construe import cli
 from construe.cli import main
 from construe.constructions import load_constructions_lenient
 from construe.interpreter import MAX_NESTING
 from construe.kb import load_kb_lenient
-from construe.logic import expr_from_json, print_expr
+from construe.logic import MAX_TERM_DEPTH, expr_from_json, print_expr
 from construe.tagger import load_lexicon_lenient
 
 
@@ -278,7 +279,9 @@ def test_long_genls_chain_interprets(tmp_path):
 @pytest.mark.parametrize("keyword, value, code", [
     (":output-var", "(and)", "cons-syntax"),
     (":output-type", '(slot "x")', "cons-form"),
-    (":output-type", "(slot 1/2)", "cons-form")])
+    (":output-type", "(slot 1/2)", "cons-form"),
+    (":id", "(a b)", "cons-form"),
+    (":lang", "(en)", "cons-form")])
 def test_bad_construction_keyword_value_is_resource_error(tmp_path, capsys,
                                                           keyword, value,
                                                           code):
@@ -291,6 +294,52 @@ def test_bad_construction_keyword_value_is_resource_error(tmp_path, capsys,
     _assert_one_line_resource_error(
         capsys, rc, out,
         f"error: --constructions: {code}: {bad}: form at line 1, column 1: ")
+
+
+def _wrapped(depth, core):
+    return "(LargeFn " * depth + core + ")" * depth
+
+
+def test_logic_deeper_than_the_cap_is_rejected_at_load(tmp_path, capsys):
+    deep = tmp_path / "deep.cg"
+    deep.write_text('(construction :id deep :nl "$Building#0 x" :logic '
+                    f'{_wrapped(300, "$Building#0")} :output-type Building)\n',
+                    encoding="utf-8")
+    rc, out = run_cli(["interpret", *_demo_args_with("--constructions", deep),
+                       "building x"])
+    _assert_one_line_resource_error(
+        capsys, rc, out,
+        f"error: --constructions: cons-form: {deep}: form at line 1, column "
+        f"1: deep: :logic nests deeper than {MAX_TERM_DEPTH} levels\n")
+    # the deepest logic the cap lets through, fed into itself from the
+    # deepest reading, stops at the nesting cap
+    wrap = tmp_path / "wrap.cg"
+    wrap.write_text('(construction :id wrap :nl "$Building#0" :logic '
+                    f'{_wrapped(MAX_TERM_DEPTH, "$Building#0")} '
+                    ':output-type Building)\n', encoding="utf-8")
+    lex = tmp_path / "deep.lex"
+    lex.write_text(f'(lex-nat "zork" {_wrapped(MAX_TERM_DEPTH, "Building")})\n',
+                   encoding="utf-8")
+    args = _demo_args_with("--constructions", wrap)
+    rc, out = run_cli(["interpret", *args, "--lexicon", str(lex),
+                       "--format", "trace", "zork"])
+    assert rc == 0 and len(out.splitlines()) == MAX_NESTING + 3
+    assert capsys.readouterr().err == (
+        f"warning: nesting limit ({MAX_NESTING} levels) reached, "
+        "interpretations may be incomplete\n")
+
+
+def test_eval_warns_about_each_truncated_caption(capsys):
+    argv = ["eval", *demo_args(), str(RESOURCE_DIR / "captions.tsv")]
+    rc, out = run_cli(argv)
+    assert rc == 0 and capsys.readouterr().err == ""
+    rc_capped, out_capped = run_cli(argv + ["--max-edges", "3"])
+    assert rc_capped == 0
+    assert "caption\tc2\t" in out_capped and "interp\tc2\t" in out
+    assert "interp\tc2\t" not in out_capped
+    assert capsys.readouterr().err == "".join(
+        f"warning: caption {c}: edge limit reached, interpretations may be "
+        "incomplete\n" for c in ("c1", "c2", "c5"))
 
 
 @pytest.mark.parametrize("limit", [[], ["--max-edges", "300"]])

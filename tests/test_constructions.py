@@ -7,7 +7,7 @@ from construe.constructions import (ConstructionLoadError,
                                     lint_constructions, parse_construction,
                                     typed_key)
 from construe.kb import load_kb
-from construe.logic import SharedNames, free_vars
+from construe.logic import MAX_TERM_DEPTH, SharedNames, free_vars
 
 
 COLOR_THING = """
@@ -287,3 +287,22 @@ def test_construction_findings_name_file_and_form(tmp_path):
         ("cons-form", f"{path}: form at line 2, column 1: unknown key :bogus"),
         ("cons-duplicate-id",
          f"{path}: form at line 3, column 1: construction c defined twice")]
+
+
+@pytest.mark.parametrize("key", [":logic", ":test+", ":test-"])
+def test_template_nesting_is_capped_at_load(key):
+    def construction(depth):
+        logic = "(p " * depth + "$Thing#1" + ")" * depth
+        body = (f"{key} {logic}" if key == ":logic"
+                else f":logic (p $Thing#1) {key} {logic}")
+        return f'(construction :id c :nl "$Thing#1 a" {body})'
+
+    repo, findings = load_constructions_lenient(
+        text=construction(MAX_TERM_DEPTH))
+    assert findings == [] and "c" in repo.constructions
+    repo, findings = load_constructions_lenient(
+        text=construction(MAX_TERM_DEPTH + 1))
+    assert [(f.code, f.message) for f in findings] == [
+        ("cons-form", f"<string>: form at line 1, column 1: c: {key} nests "
+                      f"deeper than {MAX_TERM_DEPTH} levels")]
+    assert repo.constructions == {}

@@ -368,6 +368,20 @@ def test_ratio_where_an_integer_is_needed_is_a_finding(form):
     assert kb._inter_arg == {}
 
 
+@pytest.mark.parametrize("form", [
+    "(interArgGenls p 1 (a b) 2 C)",
+    "(fn F 1 (resultIsa 3))",
+    '(fn F 1 ("resultIsa" C))'])
+def test_name_field_that_is_not_a_symbol_is_a_finding(tmp_path, form):
+    path = tmp_path / "names.kb"
+    path.write_text(form + "\n", encoding="utf-8")
+    kb, findings = load_kb_lenient([path])
+    assert [f.code for f in findings] == ["kb-form"]
+    assert findings[0].message.startswith(f"{path}: form at line 1, column 1: ")
+    assert kb.term_names == frozenset() and kb._signatures == {}
+    assert kb._inter_arg == {}
+
+
 def test_handler_findings_name_file_and_form(tmp_path):
     path = tmp_path / "bad.kb"
     path.write_text("(isa A B)\n\n  (argIsa p 0 C)\n(genls C D)\n(genls D C)\n",

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import BIO_LEX_FILES
-from construe.logic import Constant, Numeral, print_expr
+from construe.logic import MAX_TERM_DEPTH, Constant, Numeral, print_expr
 from construe.tagger import (Lexicon, load_lexicon, load_lexicon_lenient,
                              segment, tag, tokenize)
 from helpers import reference_segmentations
@@ -104,6 +104,19 @@ def test_lexicon_empty_surface_is_a_finding():
         text='(lex "" A)\n(lex-nat "" (F A))\n(lex "x" X)')
     assert [f.code for f in findings] == ["lex-form", "lex-form"]
     assert lex.lookup("x") == (Constant("X"),)
+
+
+def test_lexicon_reading_nesting_is_capped_at_load():
+    def entry(depth):
+        return '(lex-nat "x" ' + "(F " * depth + "A" + ")" * depth + ")"
+
+    lex, findings = load_lexicon_lenient(text=entry(MAX_TERM_DEPTH))
+    assert findings == [] and lex.lookup("x")
+    lex, findings = load_lexicon_lenient(text=entry(MAX_TERM_DEPTH + 1))
+    assert [(f.code, f.message) for f in findings] == [
+        ("lex-form", "<string>: form at line 1, column 1: lex-nat reading "
+                     f"nests deeper than {MAX_TERM_DEPTH} levels")]
+    assert lex.lookup("x") == ()
 
 
 def test_known_whole_word_not_decomposed(bio_lex):
