@@ -11,6 +11,12 @@ error, 2 resource or load error, 3 lint findings.
 ``interpret``, ``tag`` and ``eval`` keep each clean load of their
 resources in an on-disk cache (see ``load_resources``); ``lint`` and the
 library loaders never use it.
+
+Each ``main`` call builds only the parser of the command that its first
+argument names (``command_parser``); the full parser (``build_parser``)
+parses only an argument list that does not start with a command name:
+``--help``, no arguments, an unknown command, or an option before the
+command.  Both are built from ``COMMANDS`` and live for one call.
 """
 
 from __future__ import annotations
@@ -531,9 +537,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _resource_args() -> argparse.ArgumentParser:
+def _add_resource_args(p: argparse.ArgumentParser):
     """The resource and engine flags every subcommand shares."""
-    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--kb", action="append", default=[], metavar="FILE",
                    help="KB file (repeatable)")
     p.add_argument("--lexicon", action="append", default=[], metavar="FILE",
@@ -550,28 +555,21 @@ def _resource_args() -> argparse.ArgumentParser:
                    help="application context overlaying the base context")
     p.add_argument("--max-edges", type=_positive_int, default=50_000,
                    help="edge safety cap (default 50000)")
-    return p
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="construe",
-                     description="Translate text into logic by matching typed "
-                                 "constructions against concept-tagged input.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    shared = [_resource_args()]
-
-    p = sub.add_parser("interpret", help="interpret text", parents=shared)
+def _add_interpret_args(p: argparse.ArgumentParser):
     p.add_argument("text", nargs="?", help="text to interpret")
     p.add_argument("--file", help="read the text from a file instead")
     p.add_argument("--format", choices=["cycl", "json", "trace"],
                    default="cycl")
 
-    p = sub.add_parser("tag", help="show the concept-tag table", parents=shared)
+
+def _add_tag_args(p: argparse.ArgumentParser):
     p.add_argument("text", help="text to tag")
     p.add_argument("--format", choices=["table", "json"], default="table")
 
-    p = sub.add_parser("eval", help="evaluation worksheet and metrics",
-                       parents=shared)
+
+def _add_eval_args(p: argparse.ArgumentParser):
     p.add_argument("captions", help="captions file: 'id<TAB>text' lines")
     p.add_argument("--verdicts", help="verdict file: "
                                       "'caption-id interp-id correct|incorrect'")
@@ -579,9 +577,56 @@ def build_parser() -> _Parser:
                    default="tokens")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("lint", help="check the loaded resources", parents=shared)
+
+def _add_lint_args(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["text", "json"], default="text")
+
+
+_PROG = "construe"
+# Each command's help line and the function that adds its own arguments
+# (after the shared ones); ``build_parser`` and ``command_parser`` both
+# build from this table.
+COMMANDS = {
+    "interpret": ("interpret text", _add_interpret_args),
+    "tag": ("show the concept-tag table", _add_tag_args),
+    "eval": ("evaluation worksheet and metrics", _add_eval_args),
+    "lint": ("check the loaded resources", _add_lint_args),
+}
+
+
+def _add_command_args(p: argparse.ArgumentParser, command: str):
+    _add_resource_args(p)
+    COMMANDS[command][1](p)
+
+
+def build_parser() -> _Parser:
+    """The full parser: every command as a subparser."""
+    parser = _Parser(prog=_PROG,
+                     description="Translate text into logic by matching typed "
+                                 "constructions against concept-tagged input.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_line, _) in COMMANDS.items():
+        _add_command_args(sub.add_parser(command, help=help_line), command)
     return parser
+
+
+def command_parser(command: str) -> _Parser:
+    """The parser of *command* alone, as ``build_parser`` makes its
+    subparser."""
+    parser = _Parser(prog=f"{_PROG} {command}")
+    _add_command_args(parser, command)
+    return parser
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """*argv* parsed by the parser of the command it names first, or, when
+    it does not start with a command name (``--help``, no command, an
+    unknown one, an option before the command), by the full parser."""
+    if argv and argv[0] in COMMANDS:
+        args = command_parser(argv[0]).parse_args(argv[1:])
+        args.command = argv[0]
+        return args
+    return build_parser().parse_args(argv)
 
 
 def _config_from(args) -> EngineConfig:
@@ -598,9 +643,8 @@ def _manifest_from(args) -> RunManifest:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         manifest = _manifest_from(args)
         if args.command == "lint":
             return cmd_lint(manifest, args.format, out)

@@ -32,7 +32,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import sexpr, tagger
-from .kb import KnowledgeBase
+from .kb import KnowledgeBase, constant_name
 from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, TYPED_VAR_RE, Constant, Expr,
                     Names, QueryVar, TypedVar, free_vars, from_sexpr,
                     print_expr, term_depth)
@@ -313,7 +313,8 @@ def _parse_form(form, names: Names) -> Construction:
     while i < len(items):
         key = items[i]
         if not (isinstance(key, sexpr.Symbol) and str(key).startswith(":")):
-            raise FormError("cons-form", f"expected a :keyword, got {key!r}")
+            raise FormError("cons-form",
+                            f"expected a :keyword, got {sexpr.to_text(key)}")
         if i + 1 >= len(items):
             raise FormError("cons-form", f"{key} is missing its value")
         value = items[i + 1]
@@ -359,7 +360,7 @@ def _parse_form(form, names: Names) -> Construction:
                                     "takes a term or (slot k) with an integer k")
                 output_type = ("slot", int(value[1]))
             elif isinstance(value, sexpr.Symbol):
-                output_type = names.name(value)
+                output_type = constant_name(value, names, "cons-form")
             else:
                 raise FormError("cons-form", f"{cid or '?'}: bad :output-type")
         elif k in (":test+", ":test-"):

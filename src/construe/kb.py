@@ -114,6 +114,19 @@ def _is_integer(item) -> bool:
     return isinstance(item, Fraction) and item.denominator == 1
 
 
+def constant_name(node: sexpr.Symbol, names: Names,
+                  code: str = "kb-form") -> str:
+    """The name that the name-field symbol *node* gives, read the way
+    ``from_sexpr`` reads a constant: ``#$Foo`` is ``Foo``.  A bare ``#$``
+    is rejected as a *code* finding."""
+    text = str(node)
+    if text.startswith("#$"):
+        text = text[2:]
+        if not text:
+            raise FormError(code, "empty constant after #$")
+    return names.name(text)
+
+
 class KnowledgeBase:
     def __init__(self):
         self._declared: dict[str, str] = {}
@@ -561,7 +574,8 @@ class _Loader:
     def load_form(self, form, findings: list):
         self.findings = findings        # the list load_forms collects
         if not isinstance(form, sexpr.SexprList) or not form:
-            raise FormError("kb-form", f"stray atom {form!r} at top level")
+            raise FormError("kb-form",
+                            f"stray atom {sexpr.to_text(form)} at top level")
         kb, names = self.kb, self.names
         head = names.name(form[0]) if isinstance(form[0], sexpr.Symbol) else None
         if head in ("isa", "genls"):
@@ -569,6 +583,7 @@ class _Loader:
         elif head == "fact":
             if len(form) != 3 or not _symbols(form[1]):
                 raise FormError("kb-form", "(fact CTX (pred args...)) expected")
+            context = constant_name(form[1], names)
             atom = from_sexpr(form[2], names)
             if not isinstance(atom, App):
                 raise FormError("kb-form", "fact body must be a predicate "
@@ -578,13 +593,13 @@ class _Loader:
                                 f"fact must be ground: {print_expr(atom)}")
             self.register(atom)
             key = print_expr(atom.predicate)
-            kb._facts.setdefault(key, []).append((names.name(form[1]), atom.args))
+            kb._facts.setdefault(key, []).append((context, atom.args))
         elif head == "fn":
             if (len(form) != 4 or not _symbols(form[1])
                     or not _is_integer(form[2])
                     or not isinstance(form[3], sexpr.SexprList)):
                 raise FormError("kb-form", "(fn Functor ARITY (RULE ...)) expected")
-            name = names.name(form[1])
+            name = constant_name(form[1], names)
             arity = int(form[2])
             rule = form[3]
             if arity < 1:
@@ -603,7 +618,7 @@ class _Loader:
                     raise FormError("kb-form", f"fn {name}: result argument "
                                     f"index {rv} exceeds arity {arity}")
             elif _symbols(rule[1]):
-                rv = names.name(rule[1])
+                rv = constant_name(rule[1], names)
                 self.register(names.constant(rv), "collection")
             else:
                 raise FormError("kb-form", f"fn {name}: {rk} takes a collection")
@@ -616,7 +631,8 @@ class _Loader:
             if (len(form) != 4 or not _symbols(form[1], form[3])
                     or not _is_integer(form[2])):
                 raise FormError("kb-form", f"({head} pred N C) expected")
-            owner, pos, req = names.name(form[1]), int(form[2]), names.name(form[3])
+            owner, pos = constant_name(form[1], names), int(form[2])
+            req = constant_name(form[3], names)
             if pos < 1:
                 raise FormError("kb-form",
                                 f"{head} {owner}: position must be positive")
@@ -630,9 +646,9 @@ class _Loader:
                     or not _is_integer(form[4])):
                 raise FormError("kb-form",
                                 "(interArgGenls pred N1 C1 N2 C2) expected")
-            owner = names.name(form[1])
-            p1, c1 = int(form[2]), names.name(form[3])
-            p2, c2 = int(form[4]), names.name(form[5])
+            owner = constant_name(form[1], names)
+            p1, c1 = int(form[2]), constant_name(form[3], names)
+            p2, c2 = int(form[4]), constant_name(form[5], names)
             if p1 == p2:
                 raise FormError("kb-form", f"interArgGenls {owner}: positions "
                                 "must be distinct")
@@ -657,7 +673,7 @@ class _Loader:
         elif head in ("individual", "collection"):
             if len(form) != 2 or not _symbols(form[1]):
                 raise FormError("kb-form", f"({head} Term) expected")
-            name = names.name(form[1])
+            name = constant_name(form[1], names)
             prior = kb._declared.get(name)
             if prior is not None and prior != head:
                 raise FormError("kb-conflict",
@@ -665,7 +681,8 @@ class _Loader:
             self.register(names.constant(name))
             kb._declared[name] = head
         else:
-            raise FormError("kb-form", f"unknown form ({head} ...)")
+            raise FormError("kb-form",
+                            f"unknown form ({sexpr.to_text(form[0])} ...)")
 
     def validate(self):
         kb = self.kb

@@ -15,7 +15,8 @@ exact after a string with escapes or with line breaks inside it, and a
 this one replaced got both wrong).  Errors are ``SexprError``: an
 unterminated string (reported first if the text has one), an unbalanced
 parenthesis, an unexpected ``)``, a dangling ``¬``, or a ratio with a
-zero denominator.
+zero denominator.  ``to_text`` writes a form back as one line of text,
+so that messages quote forms as a resource file writes them.
 
 ``load_forms`` is the one way a resource file is read: it reads every
 source as UTF-8, parses it, hands each top-level form to a per-form
@@ -189,6 +190,36 @@ def parse_all(text: str, source: str = "<string>") -> list:
         raise SexprError("dangling negation sign" if cur_neg
                          else "unbalanced parenthesis", cur.line, cur.col)
     return forms
+
+
+def _quote(text: str) -> str:
+    return '"%s"' % (text.replace("\\", "\\\\").replace('"', '\\"')
+                     .replace("\n", "\\n").replace("\t", "\\t"))
+
+
+def to_text(form) -> str:
+    """*form* written as one line of s-expression text, for messages: a
+    symbol as read, a number as its value (``3/2``, ``5``), a string
+    quoted with ``\\n`` and ``\\t`` escaped, a list in parentheses.  An
+    explicit stack, so a deeply nested form prints too."""
+    parts: list = []
+    stack = [iter((form,))]
+    while stack:
+        for item in stack[-1]:
+            if parts and parts[-1] != "(":
+                parts.append(" ")
+            if isinstance(item, list):
+                parts.append("(")
+                stack.append(iter(item))
+                break
+            parts.append(item if isinstance(item, Symbol)
+                         else _quote(item) if isinstance(item, str)
+                         else str(item))
+        else:
+            stack.pop()
+            if stack:
+                parts.append(")")
+    return "".join(parts)
 
 
 def parse_one(text: str, source: str = "<string>"):

@@ -17,8 +17,8 @@ from functools import cached_property
 from typing import Iterable
 
 from . import sexpr
-from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, Expr, Names, Nat, Numeral,
-                    from_sexpr, print_expr, term_depth)
+from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, Constant, Expr, Names, Nat,
+                    Numeral, from_sexpr, print_expr, term_depth)
 from .sexpr import FormError
 
 _BOUNDARY_CHARS = set("-()[]{}.,;:!?")
@@ -116,7 +116,7 @@ def _load_entry(lex: Lexicon, names: Names, form, findings: list):
     """Add one (lex ...) or (lex-nat ...) form to *lex*, its names and
     atoms made by *names*."""
     if not isinstance(form, sexpr.SexprList) or not form:
-        raise FormError("lex-form", f"stray atom {form!r}")
+        raise FormError("lex-form", f"stray atom {sexpr.to_text(form)}")
     head = str(form[0]) if isinstance(form[0], sexpr.Symbol) else None
     if head == "lex":
         if len(form) < 3 or not _is_surface(form[1]):
@@ -126,11 +126,15 @@ def _load_entry(lex: Lexicon, names: Names, form, findings: list):
         for item in form[2:]:
             if isinstance(item, sexpr.Symbol) and str(item) == ":exact-case":
                 exact = True
-            elif isinstance(item, sexpr.Symbol):
-                symbols.append(names.constant(str(item)))
+                continue
+            # read as a term, so that #$Foo is Foo
+            reading = from_sexpr(item, names)
+            if isinstance(reading, Constant):
+                symbols.append(reading)
             else:
                 findings.append(sexpr.Finding(
-                    "lex-form", f"bad reading {item!r} for {form[1]!r}"))
+                    "lex-form", f"bad reading {sexpr.to_text(item)} for "
+                                f"{sexpr.to_text(form[1])}"))
         if symbols:
             lex.add(form[1], symbols, exact_case=exact)
     elif head == "lex-nat":
@@ -145,7 +149,8 @@ def _load_entry(lex: Lexicon, names: Names, form, findings: list):
                                         f"{MAX_TERM_DEPTH} levels")
         lex.add(form[1], (reading,))
     else:
-        raise FormError("lex-form", f"unknown form ({head} ...)")
+        raise FormError("lex-form",
+                        f"unknown form ({sexpr.to_text(form[0])} ...)")
 
 
 def load_lexicon_lenient(paths: Iterable | None = None, *,

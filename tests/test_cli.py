@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -358,6 +359,83 @@ def test_self_feeding_construction_stops_at_the_nesting_cap(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"warning: nesting limit ({MAX_NESTING} levels) reached, "
         "interpretations may be incomplete\n")
+
+
+# ---------------------------------------------------------------------------
+# argument parsing: one command's parser against the full parser
+
+def _full_subparser(command):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_command_parser_help_equals_full_parser_help(command):
+    assert cli.command_parser(command).format_help() == \
+        _full_subparser(command).format_help()
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: construe [-h] {interpret,tag,eval,lint}")
+    rows = [line.split() for line in out.splitlines()]
+    for command, (help_line, _) in cli.COMMANDS.items():
+        assert [command, *help_line.split()] in rows
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_command_call_builds_only_its_own_parser(monkeypatch, capsys,
+                                                    command):
+    def no_full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: construe {command} ")
+
+
+def _run_with_full_parser(monkeypatch, argv):
+    with monkeypatch.context() as m:
+        m.setattr(cli, "parse_args",
+                  lambda args: cli.build_parser().parse_args(args))
+        return run_cli(argv)
+
+
+_TEXT = "big blue building"
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["--kb", "x", "interpret", _TEXT],
+    ["--kb", "interpret", _TEXT], ["interpret", *demo_args()],
+    ["interpret", *demo_args(), "--format", "xml", _TEXT],
+    ["interpret", *demo_args(), "--max-edges", "0", _TEXT],
+    ["interpret", *demo_args(), "--no-such-flag", _TEXT],
+    ["interpret", *demo_args(), "--form", "json", _TEXT],
+    ["interpret", *demo_args(), _TEXT, "again"],
+], ids=["no-args", "unknown-command", "option-before-command",
+        "flag-before-command", "no-text", "bad-format", "zero-max-edges",
+        "unknown-flag", "abbreviated-flag", "two-texts"])
+def test_command_parser_exits_as_the_full_parser_does(monkeypatch, capsys,
+                                                      argv):
+    got = run_cli(argv), capsys.readouterr().err
+    expected = _run_with_full_parser(monkeypatch, argv), capsys.readouterr().err
+    assert got == expected
+    try:
+        full = vars(cli.build_parser().parse_args(argv))
+    except cli.UsageError:
+        full = None
+    if full is not None:
+        assert vars(cli.parse_args(argv)) == full
+    (rc, out), err = got
+    assert len(err.splitlines()) == (rc != 0)
+    assert not any(isinstance(v, argparse.ArgumentParser)
+                   for v in vars(cli).values())
 
 
 # ---------------------------------------------------------------------------

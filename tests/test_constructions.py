@@ -280,13 +280,29 @@ def test_lint_reports_unresolvable_slot_types():
 def test_construction_findings_name_file_and_form(tmp_path):
     path = tmp_path / "bad.cg"
     good = '(construction :id c :nl "$Thing#1 a" :logic (p $Thing#1))\n'
-    path.write_text(good + "(construction :id d :nl \"a\" :bogus 1)\n" + good,
+    path.write_text(good + "(construction :id d :nl \"a\" :bogus 1)\n" + good
+                    + "(construction id d)\n(construction (a \"b\") d)\n",
                     encoding="utf-8")
     _, findings = load_constructions_lenient([path])
     assert [(f.code, f.message) for f in findings] == [
         ("cons-form", f"{path}: form at line 2, column 1: unknown key :bogus"),
         ("cons-duplicate-id",
-         f"{path}: form at line 3, column 1: construction c defined twice")]
+         f"{path}: form at line 3, column 1: construction c defined twice"),
+        ("cons-form", f"{path}: form at line 4, column 1: expected a :keyword, "
+                      "got id"),
+        ("cons-form", f"{path}: form at line 5, column 1: expected a :keyword, "
+                      "got (a \"b\")")]
+
+
+def test_output_type_with_constant_prefix_is_the_constant():
+    body = '(construction :id c :nl "$Thing#1 a" :logic (p $Thing#1) '
+    repo, findings = load_constructions_lenient(
+        text=body + ":output-type #$Thing)\n"
+             + body.replace(":id c", ":id d") + ":output-type #$)")
+    assert repo.constructions["c"].output_type == "Thing"
+    assert [(f.code, f.message) for f in findings] == [
+        ("cons-form", "<string>: form at line 2, column 1: empty constant "
+                      "after #$")]
 
 
 @pytest.mark.parametrize("key", [":logic", ":test+", ":test-"])

@@ -395,7 +395,55 @@ def test_handler_findings_name_file_and_form(tmp_path):
 
 def test_finding_about_a_top_level_atom_names_only_the_file(tmp_path):
     path = tmp_path / "stray.kb"
-    path.write_text("(isa A B)\n5\n", encoding="utf-8")
+    path.write_text('(isa A B)\n5\n3/1\n1/2\n"a\\"b"\n', encoding="utf-8")
     _, findings = load_kb_lenient([path])
     assert [(f.code, f.message) for f in findings] == [
-        ("kb-form", f"{path}: stray atom Fraction(5, 1) at top level")]
+        ("kb-form", f"{path}: stray atom {atom} at top level")
+        for atom in ("5", "3", "1/2", '"a\\"b"')]
+
+
+def test_findings_print_forms_as_source_text(tmp_path):
+    path = tmp_path / "heads.kb"
+    path.write_text('((a) b)\n("isa" A B)\n()\n', encoding="utf-8")
+    _, findings = load_kb_lenient([path])
+    assert [(f.code, f.message) for f in findings] == [
+        ("kb-form", f"{path}: form at line 1, column 1: unknown form ((a) ...)"),
+        ("kb-form", f'{path}: form at line 2, column 1: unknown form ("isa" ...)'),
+        ("kb-form", f"{path}: form at line 3, column 1: stray atom () at top "
+                    "level")]
+
+
+_PREFIXED_NAMES = ("(collection #$Foo)\n(individual #$a)\n(isa #$a #$Foo)\n"
+                   "(argIsa #$p 1 #$Foo)\n(argGenls #$p 2 #$Foo)\n"
+                   "(interArgGenls #$q 1 #$Foo 2 #$Bar)\n"
+                   "(fn #$F 1 (resultIsa #$Foo))\n(fact #$base (#$p a (F a)))\n")
+
+
+def test_name_fields_read_constant_prefix_as_term_fields_do():
+    kb, findings = load_kb_lenient(text=_PREFIXED_NAMES)
+    assert findings == []
+    assert kb.term_names == {"Foo", "Bar", "a", "p", "q", "F"}
+    foo = Constant("Foo")
+    assert kb._declared == {"Foo": "collection", "a": "individual"}
+    assert kb._arg_constraints["p"][0].required == "Foo"
+    assert kb._inter_arg["q"][0].then_type == "Bar"
+    assert kb._signatures["F"].rule_value == "Foo"
+    assert kb.subsumes(foo, Constant("a"))
+    assert [ctx for ctx, _ in kb._facts["p"]] == ["base"]
+    assert kb.holds(parse_expr("(p a (F a))"))
+    plain, _ = load_kb_lenient(text=_PREFIXED_NAMES.replace("#$", ""))
+    assert kb._arg_constraints == plain._arg_constraints
+    assert kb._inter_arg == plain._inter_arg
+    assert kb._signatures == plain._signatures
+
+
+@pytest.mark.parametrize("form", ["(collection #$)", "(argIsa p 1 #$)",
+                                  "(fn #$ 1 (resultIsa C))",
+                                  "(fn F 1 (resultIsa #$))", "(fact #$ (p a))",
+                                  "(interArgGenls p 1 C 2 #$)"])
+def test_bare_constant_prefix_in_a_name_field_is_a_located_finding(form):
+    kb, findings = load_kb_lenient(text="(isa a C)\n" + form)
+    assert [(f.code, f.message) for f in findings] == [
+        ("kb-form", "<string>: form at line 2, column 1: empty constant "
+                    "after #$")]
+    assert kb.term_names == {"a", "C"}

@@ -1,7 +1,8 @@
 """Property tests over the three lenient loaders: forms built from each
 loader's heads and keywords, with symbols, integers, ratios, strings and
 short lists in every field, load without raising, and every name they
-keep was a symbol in the input (or the default language, en)."""
+keep was a symbol in the input (less a ``#$`` prefix for a KB name, or the
+default language, en)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,8 @@ from construe.tagger import load_lexicon_lenient
 
 _symbols = st.one_of(
     st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,3}", fullmatch=True),
-    st.sampled_from(["?x", "$Thing#1", "$Thing#2", "slot", "and"]))
+    st.sampled_from(["?x", "$Thing#1", "$Thing#2", "slot", "and", "#$C",
+                     "#$p"]))
 _atoms = st.one_of(
     _symbols,
     st.integers(-2, 4).map(str),
@@ -109,7 +111,9 @@ def _symbol_texts(text):
 def test_lenient_loaders_keep_only_names_that_were_symbols(kb_text, lex_text,
                                                            cons_text):
     kb, _ = load_kb_lenient(text=kb_text)
-    assert kb.term_names <= _symbol_texts(kb_text)
+    # a KB name is a symbol, read as a term reads it: #$C is C
+    assert kb.term_names <= {s[2:] if s.startswith("#$") else s
+                             for s in _symbol_texts(kb_text)}
     load_lexicon_lenient(text=lex_text)
     repo, _ = load_constructions_lenient(text=cons_text)
     symbols = _symbol_texts(cons_text)

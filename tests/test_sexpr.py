@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import RESOURCE_DIR
 from construe.logic import from_sexpr
 from construe.sexpr import (Finding, LoadError, SexprError, SexprList, Symbol,
-                            load_forms, parse_all, parse_one)
+                            load_forms, parse_all, parse_one, to_text)
 from helpers import reference_parse_all
 
 
@@ -186,6 +186,35 @@ def test_deep_nesting_reads_without_recursion():
         assert negated[0] == "not"
         negated = negated[1]
     assert negated == "y"
+
+
+def _value(node):
+    """*node* without its positions: what ``to_text`` must keep."""
+    if isinstance(node, list):
+        return [_value(x) for x in node]
+    return (type(node), node)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_forms)
+def test_printed_form_reads_back_as_the_same_form(text):
+    form = parse_one(text)
+    printed = to_text(form)
+    assert "\n" not in printed
+    assert _value(parse_one(printed)) == _value(form)
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("((a) b)", "((a) b)"), ("( x  ¬y 3/1 1.5 -2 )", "(x (not y) 3 3/2 -2)"),
+    ('"a\\"b\\nc\\td"', '"a\\"b\\nc\\td"'), ("()", "()"), ("(() ())", "(() ())")])
+def test_printed_form_text(text, printed):
+    assert to_text(parse_one(text)) == printed
+
+
+def test_deep_form_prints_without_recursion():
+    depth = 100_000
+    assert to_text(parse_one("(" * depth + ")" * depth)) == \
+        "(" * depth + ")" * depth
 
 
 def _converting(form, findings):

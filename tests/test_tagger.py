@@ -240,10 +240,26 @@ def test_concepts_at_equals_a_scan_of_the_spans(demo_lexicon):
 
 def test_lexicon_findings_name_file_and_form(tmp_path):
     path = tmp_path / "bad.lex"
-    path.write_text('(lex "x" X)\n (lex "" A)\n(lex-nat "y" Y)\n',
+    path.write_text('(lex "x" X)\n (lex "" A)\n(lex-nat "y" Y)\n'
+                    '(lex "a" 3/1)\n(lex "c" (A) C)\n((a) b)\n7\n',
                     encoding="utf-8")
-    _, findings = load_lexicon_lenient([path])
-    assert [f.message.split(": ")[:2] for f in findings] == [
+    lex, findings = load_lexicon_lenient([path])
+    assert [f.message.split(": ")[:2] for f in findings[:2]] == [
         [str(path), "form at line 2, column 2"],
         [str(path), "form at line 3, column 1"]]
-    assert [f.code for f in findings] == ["lex-form", "lex-form"]
+    assert [f.message for f in findings[2:]] == [
+        f"{path}: form at line 4, column 1: bad reading 3 for \"a\"",
+        f"{path}: form at line 5, column 1: bad reading (A) for \"c\"",
+        f"{path}: form at line 6, column 1: unknown form ((a) ...)",
+        f"{path}: stray atom 7"]
+    assert {f.code for f in findings} == {"lex-form"}
+    assert lex.lookup("c") == (Constant("C"),)
+
+
+def test_lexicon_reading_with_constant_prefix_is_the_constant():
+    lex, findings = load_lexicon_lenient(
+        text='(lex "x" #$Foo Bar)\n(lex "y" #$)')
+    assert set(lex.lookup("x")) == {Constant("Foo"), Constant("Bar")}
+    assert [(f.code, f.message) for f in findings] == [
+        ("lex-syntax", "<string>: form at line 2, column 1: empty constant "
+                       "after #$ (line 2, column 10)")]
