@@ -599,11 +599,25 @@ def _add_command_args(p: argparse.ArgumentParser, command: str):
     COMMANDS[command][1](p)
 
 
+class _FullParser(_Parser):
+    def parse_known_args(self, args=None, namespace=None):
+        """Names an option placed before the command, which argparse would
+        report as a bad command or a stray argument."""
+        if args and args[0].startswith("-") and args[0] not in ("-h", "--help"):
+            command = next((a for a in args[1:] if a in COMMANDS), None)
+            if command is not None:
+                option = args[0].split("=", 1)[0]
+                raise UsageError(f"{option} goes after the command: "
+                                 f"{_PROG} {command} {option} ...")
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> _Parser:
     """The full parser: every command as a subparser."""
-    parser = _Parser(prog=_PROG,
-                     description="Translate text into logic by matching typed "
-                                 "constructions against concept-tagged input.")
+    parser = _FullParser(prog=_PROG,
+                         description="Translate text into logic by matching "
+                                     "typed constructions against "
+                                     "concept-tagged input.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, _) in COMMANDS.items():
         _add_command_args(sub.add_parser(command, help=help_line), command)

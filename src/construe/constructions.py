@@ -72,6 +72,9 @@ class TemplateVariant:
 
 
 SKELETON_SLOT = None  # placeholder marking a collapsed typed variable
+# The source of an edge seeded from a tagged concept; no construction may
+# take it as its id.
+LEXICAL_SOURCE = "lex"
 
 
 def derive_keys(variant: TemplateVariant) -> tuple:
@@ -110,6 +113,12 @@ class Construction:
     def variants(self) -> tuple:
         """``expand_variants`` of this construction, expanded once."""
         return tuple(expand_variants(self))
+
+    @cached_property
+    def logic_slots(self) -> frozenset:
+        """The typed variables of the logic template, found once (at load,
+        by ``_validate``)."""
+        return frozenset(_slot_occurrences(self.logic_template))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +253,7 @@ def _validate(c: Construction, sink: list) -> bool:
     nl = c.nl_slots()
     anaphoric = set(c.anaphoric_refs)
     bound = nl | anaphoric
-    logic_slots = _slot_occurrences(c.logic_template)
+    logic_slots = c.logic_slots
     # one unifying integer names one slot
     by_index: dict = {}
     for s in sorted(bound | logic_slots, key=print_expr):
@@ -324,6 +333,9 @@ def _parse_form(form, names: Names) -> Construction:
             raise FormError("cons-form", f"{k} takes a symbol")
         if k == ":id":
             cid = names.name(value)
+            if cid == LEXICAL_SOURCE:
+                raise FormError("cons-form", f":id {cid} is reserved for the "
+                                "edges of tagged concepts")
         elif k == ":lang":
             lang = names.name(value)
         elif k == ":nl":
@@ -424,19 +436,22 @@ class Repository:
         self.has_anaphora = self.has_anaphora or bool(c.anaphoric_refs)
         for s in c.all_slots():
             self._used_types.add(s.type)
-        for v in c.variants:
-            self.variants.append(v)
+        self.variants.extend(c.variants)
+        # a tier holds equal variants once; only one construction's
+        # alternations can spell a variant twice
+        for v in dict.fromkeys(c.variants):
             skeleton, lexical = derive_keys(v)
             for tier, key in (("lexical", lexical), ("skeleton", skeleton),
                               ("typed", typed_key(v))):
-                self._tiers[tier].setdefault((v.language, key), []).append(v)
+                index, key = self._tiers[tier], (v.language, key)
+                index[key] = index.get(key, ()) + (v,)
             prefixes = self._skeleton_prefixes.setdefault(v.language, set())
             prefixes.update(skeleton[:i] for i in range(len(skeleton) + 1))
 
-    def lookup(self, tier: str, key: tuple, language: str = "en") -> frozenset:
-        """Exact-match retrieval on one tier; empty set when nothing
-        matches."""
-        return frozenset(self._tiers[tier].get((language, tuple(key)), ()))
+    def lookup(self, tier: str, key: tuple, language: str = "en") -> tuple:
+        """Exact-match retrieval on one tier: the stored variants, each
+        once, in the order they were added; ``()`` when nothing matches."""
+        return self._tiers[tier].get((language, tuple(key)), ())
 
     def skeleton_prefixes(self, language: str = "en") -> set:
         """Every prefix of every stored skeleton key of *language*, the

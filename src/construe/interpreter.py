@@ -25,12 +25,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .constructions import Construction, Repository, SKELETON_SLOT
+from .constructions import (LEXICAL_SOURCE, SKELETON_SLOT, Construction,
+                            Repository)
 from .kb import (ContextStack, DEFAULT_CONTEXT, KnowledgeBase,
                  UnknownTermError)
 from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
                     Text, TypedVar, canonical_form, conjunct_count,
-                    free_query_vars, free_vars, is_sentence, print_expr,
+                    free_query_vars, is_sentence, print_expr,
                     quantify_existential, rename_query_vars, simplify,
                     substitute)
 from .tagger import Lexicon, TagChart, tag
@@ -43,6 +44,10 @@ class CompositionError(Exception):
 _POLICIES = ("statement", "question", "check")
 # Antecedent candidates kept per anaphoric slot, nearest first.
 MAX_ANAPHOR_CANDIDATES = 5
+# The head and the no-output-variable filler of the term that an edge's
+# dedup key is the canonical form of.
+_EDGE_MARKER = Constant("edge")
+_NO_VAR = Constant("-")
 # How deep an edge's children may nest.  Deeper logic would take the
 # recursive term walks near Python's stack limit; a fixed constant stops
 # every Python version at the same edge.
@@ -71,7 +76,7 @@ class Edge:
     id: int
     start: int
     end: int
-    source: str                      # "lex" or a construction id
+    source: str                      # LEXICAL_SOURCE or a construction id
     logic: Expr
     output_var: QueryVar | None
     output_type: Expr | None
@@ -100,8 +105,8 @@ class Retrieval:
 
 class ParseGraph:
     """Chart of interpretation edges over token spans.  Edges are only
-    ever added; duplicates (same span, source and logic up to query-
-    variable renaming) are suppressed."""
+    ever added; ``add_edge`` suppresses duplicates (same span, source and
+    logic up to query-variable renaming)."""
 
     def __init__(self, text: str, chart: TagChart, kb: KnowledgeBase,
                  repo: Repository, config: EngineConfig):
@@ -142,13 +147,27 @@ class ParseGraph:
     def add_edge(self, span: tuple, source: str, logic: Expr,
                  output_var: QueryVar | None, output_type: Expr | None,
                  kind: str, children: tuple = ()) -> tuple:
-        marker = App(Constant("edge"),
-                     (logic, output_var if output_var is not None else Constant("-")))
+        """(edge, added): the new edge, or the equal one already on the
+        span; (None, False) when a cap stops it."""
+        marker = App(_EDGE_MARKER,
+                     (logic, output_var if output_var is not None else _NO_VAR))
         key = (span, source, canonical_form(marker),
                print_expr(output_type) if output_type is not None else "")
         existing = self._dedup.get(key)
         if existing is not None:
             return existing, False
+        edge = self.insert_edge(span, source, logic, output_var, output_type,
+                                kind, children)
+        if edge is None:
+            return None, False
+        self._dedup[key] = edge
+        return edge, True
+
+    def insert_edge(self, span: tuple, source: str, logic: Expr,
+                    output_var: QueryVar | None, output_type: Expr | None,
+                    kind: str, children: tuple = ()) -> Edge | None:
+        """Add an edge without looking for an equal one, for a caller that
+        knows there is none; None when a cap stops it."""
         nesting = 1 + max(self.edges[i].nesting for _, i in children) \
             if children else 0
         cap = ("edge limit" if len(self.edges) >= self.config.max_edges else
@@ -156,14 +175,13 @@ class ParseGraph:
                if nesting > MAX_NESTING else "")
         if cap:
             self.truncated_by = self.truncated_by or cap
-            return None, False
+            return None
         edge = Edge(len(self.edges), span[0], span[1], source, logic,
                     output_var, output_type, kind, children, nesting)
         self.edges.append(edge)
         self._by_span.setdefault(span, []).append(edge)
-        self._dedup[key] = edge
         self._file_filler(edge)
-        return edge, True
+        return edge
 
     def _file_filler(self, edge: Edge):
         """Index the edge under every used slot type that generalizes its
@@ -194,6 +212,9 @@ def _edge_kind(kb: KnowledgeBase, logic: Expr) -> str:
 
 
 def _seed_tag_edges(graph: ParseGraph):
+    """One edge per concept of each tag span.  A span carries each concept
+    once and no construction may take ``LEXICAL_SOURCE`` as its id, so no
+    seed can equal another edge and none needs a dedup key."""
     kb = graph.kb
     for span in graph.chart.spans:
         for concept in span.concepts:
@@ -203,11 +224,12 @@ def _seed_tag_edges(graph: ParseGraph):
                 output_type = concept
             violations = kb.check_plausibility(concept, graph.config.context)
             if violations:
-                graph.trace_discard("plausibility", "lex", (span.start, span.end),
+                graph.trace_discard("plausibility", LEXICAL_SOURCE,
+                                    (span.start, span.end),
                                     "; ".join(v.message for v in violations))
                 continue
-            graph.add_edge((span.start, span.end), "lex", concept, None,
-                           output_type, _edge_kind(kb, concept))
+            graph.insert_edge((span.start, span.end), LEXICAL_SOURCE, concept,
+                              None, output_type, _edge_kind(kb, concept))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +348,7 @@ def compose(matrix: Construction, binding: dict, fresh) -> tuple:
             subst_map[slot] = QueryVar(f"{edge.output_var.name}_{n}")
         else:
             subst_map[slot] = edge.logic
-    missing = {v for v in free_vars(matrix.logic_template)
-               if isinstance(v, TypedVar)} - set(binding)
+    missing = [s for s in matrix.logic_slots if s not in binding]
     if missing:
         names = ", ".join(sorted(map(print_expr, missing)))
         raise CompositionError(f"unfilled logic-template slots: {names}")
@@ -516,7 +537,7 @@ def finalize(graph: ParseGraph, maximal_only: bool = True) -> list:
     check modes (of ``graph.config``) close free query variables
     existentially; question mode leaves them free."""
     policy = graph.config.outermost_policy
-    edges = [e for e in graph.edges if e.source != "lex"]
+    edges = [e for e in graph.edges if e.source != LEXICAL_SOURCE]
     if maximal_only:
         spans = {(e.start, e.end) for e in edges}
         def covered(e):

@@ -60,16 +60,16 @@ class ArgConstraint:
     owner: str
     position: int
     kind: str               # argIsa | argGenls
-    required: str
+    required: Constant
 
 
 @dataclass(frozen=True)
 class InterArgConstraint:
     owner: str
     if_position: int
-    if_type: str
+    if_type: Constant
     then_position: int
-    then_type: str
+    then_type: Constant
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,9 @@ DEFAULT_CONTEXT = ContextStack()
 _ISA = Constant("isa")
 _GENLS = Constant("genls")
 _EQUALS = Constant("equals")
+_POSITIVE_INTEGER = Constant("PositiveInteger")
+_INTEGER = Constant("Integer")
+_RATIONAL_NUMBER = Constant("RationalNumber")
 
 
 @dataclass(frozen=True)
@@ -283,13 +286,13 @@ class KnowledgeBase:
         seeds = []
         if value.denominator == 1:
             if value > 0:
-                seeds.append("PositiveInteger")
-            seeds.append("Integer")
-        seeds.append("RationalNumber")
+                seeds.append(_POSITIVE_INTEGER)
+            seeds.append(_INTEGER)
+        seeds.append(_RATIONAL_NUMBER)
         acc: set = set()
-        for name in seeds:
-            if name in self._terms:
-                acc |= self.genls_closure(Constant(name))
+        for seed in seeds:
+            if seed.name in self._terms:
+                acc |= self.genls_closure(seed)
         return frozenset(acc)
 
     # -- facts -------------------------------------------------------------
@@ -390,17 +393,16 @@ class KnowledgeBase:
             arg = args[c.position - 1]
             if free_vars(arg):
                 continue
-            required = Constant(c.required)
             apath = path + (c.position,)
             if isinstance(arg, Numeral):
                 if c.kind == "argIsa":
-                    if required in self.numeral_instance_types(arg.value):
+                    if c.required in self.numeral_instance_types(arg.value):
                         continue
                 out.append(Violation("arg-isa" if c.kind == "argIsa" else "arg-genls",
                                      apath,
                                      f"argument {c.position} of {owner} must be "
                                      f"{'an instance' if c.kind == 'argIsa' else 'a specialization'} "
-                                     f"of {c.required}, got the number {arg.value}"))
+                                     f"of {c.required.name}, got the number {arg.value}"))
                 continue
             if not _is_term(arg):
                 out.append(Violation("structural", apath,
@@ -409,22 +411,22 @@ class KnowledgeBase:
             if not self.known(arg):
                 continue
             if c.kind == "argIsa":
-                if not self.subsumes(required, arg, "isa"):
+                if not self.subsumes(c.required, arg, "isa"):
                     out.append(Violation("arg-isa", apath,
                                          f"argument {c.position} of {owner} must be "
-                                         f"an instance of {c.required}, got {print_expr(arg)}"))
+                                         f"an instance of {c.required.name}, got {print_expr(arg)}"))
             else:
-                if self.subsumes(required, arg, "genls"):
+                if self.subsumes(c.required, arg, "genls"):
                     continue
-                if self.subsumes(required, arg, "isa"):
+                if self.subsumes(c.required, arg, "isa"):
                     out.append(Violation(
                         "instance-vs-specialization", apath,
                         f"argument {c.position} of {owner} must be a specialization "
-                        f"of {c.required}; {print_expr(arg)} is an instance of it"))
+                        f"of {c.required.name}; {print_expr(arg)} is an instance of it"))
                 else:
                     out.append(Violation("arg-genls", apath,
                                          f"argument {c.position} of {owner} must be "
-                                         f"a specialization of {c.required}, "
+                                         f"a specialization of {c.required.name}, "
                                          f"got {print_expr(arg)}"))
         for c in self._inter_arg.get(owner, ()):
             if c.if_position > len(args) or c.then_position > len(args):
@@ -438,15 +440,15 @@ class KnowledgeBase:
                 continue
             if not (_is_term(if_arg) and self.known(if_arg)):
                 continue
-            if not self.subsumes(Constant(c.if_type), if_arg, "genls"):
+            if not self.subsumes(c.if_type, if_arg, "genls"):
                 continue
             if (_is_term(then_arg) and self.known(then_arg)
-                    and self.subsumes(Constant(c.then_type), then_arg, "genls")):
+                    and self.subsumes(c.then_type, then_arg, "genls")):
                 continue
             out.append(Violation(
                 "inter-arg", path + (c.then_position,),
-                f"{owner}: argument {c.if_position} specializes {c.if_type}, "
-                f"so argument {c.then_position} must specialize {c.then_type}; "
+                f"{owner}: argument {c.if_position} specializes {c.if_type.name}, "
+                f"so argument {c.then_position} must specialize {c.then_type.name}; "
                 f"got {print_expr(then_arg)}"))
 
     def _walk_plausibility(self, e: Expr, path: tuple, positive: bool, out: list):
@@ -632,12 +634,12 @@ class _Loader:
                     or not _is_integer(form[2])):
                 raise FormError("kb-form", f"({head} pred N C) expected")
             owner, pos = constant_name(form[1], names), int(form[2])
-            req = constant_name(form[3], names)
+            req = names.constant(constant_name(form[3], names))
             if pos < 1:
                 raise FormError("kb-form",
                                 f"{head} {owner}: position must be positive")
             self.register(names.constant(owner))
-            self.register(names.constant(req), "collection")
+            self.register(req, "collection")
             kb._arg_constraints.setdefault(owner, []).append(
                 ArgConstraint(owner, pos, head, req))
         elif head == "interArgGenls":
@@ -647,14 +649,14 @@ class _Loader:
                 raise FormError("kb-form",
                                 "(interArgGenls pred N1 C1 N2 C2) expected")
             owner = constant_name(form[1], names)
-            p1, c1 = int(form[2]), constant_name(form[3], names)
-            p2, c2 = int(form[4]), constant_name(form[5], names)
+            p1, c1 = int(form[2]), names.constant(constant_name(form[3], names))
+            p2, c2 = int(form[4]), names.constant(constant_name(form[5], names))
             if p1 == p2:
                 raise FormError("kb-form", f"interArgGenls {owner}: positions "
                                 "must be distinct")
             self.register(names.constant(owner))
-            self.register(names.constant(c1), "collection")
-            self.register(names.constant(c2), "collection")
+            self.register(c1, "collection")
+            self.register(c2, "collection")
             kb._inter_arg.setdefault(owner, []).append(
                 InterArgConstraint(owner, p1, c1, p2, c2))
         elif head == "disjoint":

@@ -70,8 +70,9 @@ class Lexicon:
     flagged otherwise."""
 
     def __init__(self):
-        self._exact: dict[str, list] = {}
-        self._folded: dict[str, list] = {}
+        # surface -> its readings, de-duplicated and sorted by print_expr
+        self._exact: dict[str, tuple] = {}
+        self._folded: dict[str, tuple] = {}
         self._multiword_lens: set[int] = set()
 
     def add(self, surface: str, readings: Iterable[Expr], exact_case: bool = False):
@@ -81,26 +82,30 @@ class Lexicon:
         if not readings:
             raise ValueError(f"no readings for lexicon entry {surface!r}")
         if exact_case or len(surface) == 1:
-            self._exact.setdefault(surface, []).extend(readings)
+            table, key = self._exact, surface
         else:
-            self._folded.setdefault(surface.casefold(), []).extend(readings)
+            table, key = self._folded, surface.casefold()
+        table[key] = _merged(table.get(key, ()), readings)
         if " " in surface:
             self._multiword_lens.add(surface.count(" ") + 1)
 
     def lookup(self, surface: str) -> tuple:
         """All readings for a surface form, deterministically ordered."""
-        readings = list(self._exact.get(surface, ()))
-        readings.extend(self._folded.get(surface.casefold(), ()))
-        seen, out = set(), []
-        for r in readings:
-            if r not in seen:
-                seen.add(r)
-                out.append(r)
-        return tuple(sorted(out, key=print_expr))
+        exact = self._exact.get(surface)
+        folded = self._folded.get(surface.casefold())
+        if exact is None:
+            return folded or ()
+        return exact if folded is None else _merged(exact, folded)
 
     @property
     def multiword_lengths(self) -> tuple:
         return tuple(sorted(self._multiword_lens))
+
+
+def _merged(first: tuple, second: tuple) -> tuple:
+    """The readings of *first* then *second*, each once, sorted by
+    ``print_expr`` (a stable sort, so equal texts keep that order)."""
+    return tuple(sorted(dict.fromkeys(first + second), key=print_expr))
 
 
 LexiconLoadError = sexpr.LoadError
@@ -226,10 +231,14 @@ def segment(surface: str, lexicon: Lexicon) -> list:
 
 
 def _readings(token: Token, lexicon: Lexicon) -> tuple:
-    found = list(lexicon.lookup(token.surface))
+    """The token's readings, each once: a digit run also reads as its
+    value."""
+    found = lexicon.lookup(token.surface)
     if _is_digits(token.surface):
-        found.append(Numeral(Fraction(int(token.surface))))
-    return tuple(found)
+        value = Numeral(Fraction(int(token.surface)))
+        if value not in found:
+            found += (value,)
+    return found
 
 
 def _join_hyphenated(tokens: list, lexicon: Lexicon) -> list:
@@ -281,7 +290,8 @@ def _split_unknown(tokens: list, lexicon: Lexicon) -> list:
 
 def tag(text: str, lexicon: Lexicon) -> TagChart:
     """Tag *text* with every candidate concept the lexicon offers.  No
-    consolidation: every reading of every span is kept."""
+    consolidation: every reading of every span is kept, and no span
+    carries one concept twice."""
     tokens = tokenize(text)
     tokens = _join_hyphenated(tokens, lexicon)
     tokens = _split_unknown(tokens, lexicon)
@@ -296,6 +306,6 @@ def tag(text: str, lexicon: Lexicon) -> TagChart:
             surface = " ".join(t.surface for t in tokens[i:i + length])
             readings = lexicon.lookup(surface)
             if readings:
-                spans.append(TagSpan(i, i + length, tuple(readings)))
+                spans.append(TagSpan(i, i + length, readings))
     spans.sort(key=lambda s: (s.start, s.end))
     return TagChart(text, tokens, spans)

@@ -412,14 +412,16 @@ _TEXT = "big blue building"
 
 @pytest.mark.parametrize("argv", [
     [], ["bogus"], ["--kb", "x", "interpret", _TEXT],
-    ["--kb", "interpret", _TEXT], ["interpret", *demo_args()],
+    ["--kb", "interpret", _TEXT], ["--format", "json", "interpret", _TEXT],
+    ["interpret", *demo_args()],
     ["interpret", *demo_args(), "--format", "xml", _TEXT],
     ["interpret", *demo_args(), "--max-edges", "0", _TEXT],
     ["interpret", *demo_args(), "--no-such-flag", _TEXT],
     ["interpret", *demo_args(), "--form", "json", _TEXT],
     ["interpret", *demo_args(), _TEXT, "again"],
 ], ids=["no-args", "unknown-command", "option-before-command",
-        "flag-before-command", "no-text", "bad-format", "zero-max-edges",
+        "flag-before-command", "format-before-command", "no-text",
+        "bad-format", "zero-max-edges",
         "unknown-flag", "abbreviated-flag", "two-texts"])
 def test_command_parser_exits_as_the_full_parser_does(monkeypatch, capsys,
                                                       argv):
@@ -436,6 +438,21 @@ def test_command_parser_exits_as_the_full_parser_does(monkeypatch, capsys,
     assert len(err.splitlines()) == (rc != 0)
     assert not any(isinstance(v, argparse.ArgumentParser)
                    for v in vars(cli).values())
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--kb", "x", "interpret", _TEXT], "--kb"),
+    (["--kb", "interpret", _TEXT], "--kb"),
+    (["--format", "json", "interpret", _TEXT], "--format"),
+    (["--lexicon=x", "tag", _TEXT], "--lexicon"),
+])
+def test_an_option_before_the_command_is_named(capsys, argv, option):
+    rc, out = run_cli(argv)
+    command = next(a for a in argv if a in cli.COMMANDS)
+    assert (rc, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"usage error: {option} goes after the command: "
+        f"construe {command} {option} ...\n")
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,9 @@ def test_lexical_lookup_finds_residue_construction(bio_repo):
 
 def test_lookup_on_empty_repository():
     repo = Repository()
-    assert repo.lookup("lexical", ("-",), "en") == frozenset()
-    assert repo.lookup("skeleton", (None,), "en") == frozenset()
-    assert repo.lookup("typed", (("lit", "x"),), "en") == frozenset()
+    assert repo.lookup("lexical", ("-",), "en") == ()
+    assert repo.lookup("skeleton", (None,), "en") == ()
+    assert repo.lookup("typed", (("lit", "x"),), "en") == ()
 
 
 def test_typed_lookup_exact_match(bio_repo):
@@ -232,7 +232,7 @@ def test_typed_lookup_exact_match(bio_repo):
     assert bio_repo.lookup("typed", typed_key(variant), "en")
     near_miss = list(typed_key(variant))
     near_miss[0] = ("type", "PolypeptideMolecule")
-    assert bio_repo.lookup("typed", tuple(near_miss), "en") == frozenset()
+    assert bio_repo.lookup("typed", tuple(near_miss), "en") == ()
 
 
 def test_language_filtering(demo_repo):
@@ -240,11 +240,28 @@ def test_language_filtering(demo_repo):
     assert fr
     assert all(v.language == "fr" for v in fr)
     assert demo_repo.lookup("skeleton", ("placer", None, "à", "feu", "vif"),
-                            "en") == frozenset()
+                            "en") == ()
     en_variants = {v for v in demo_repo.variants if v.language == "en"}
     for key in [derive_keys(v)[0] for v in en_variants]:
         for hit in demo_repo.lookup("skeleton", key, "fr"):
             assert hit.language == "fr"
+
+
+def test_lookup_returns_the_stored_tuple(demo_repo, bio_repo):
+    for repo in (demo_repo, bio_repo):
+        for v in repo.variants:
+            skeleton, _ = derive_keys(v)
+            hits = repo.lookup("skeleton", skeleton, v.language)
+            assert type(hits) is tuple and len(hits) == len(set(hits))
+            assert hits is repo.lookup("skeleton", skeleton, v.language)
+
+
+def test_a_tier_holds_equal_variants_once():
+    repo = load_constructions(text='(construction :id c :nl "[a{}] [a{}] '
+                                   '$Thing#0" :logic (p $Thing#0))')
+    assert len(repo.variants) == 4
+    [hit] = repo.lookup("skeleton", ("a", None))
+    assert hit.elements[1] == TypedSlot("Thing", 0)
 
 
 def test_every_variant_reachable_from_all_three_tiers(demo_repo, bio_repo):
@@ -292,6 +309,19 @@ def test_construction_findings_name_file_and_form(tmp_path):
                       "got id"),
         ("cons-form", f"{path}: form at line 5, column 1: expected a :keyword, "
                       "got (a \"b\")")]
+
+
+def test_construction_id_lex_is_reserved():
+    text = ('(construction :id lex :nl "big $Building#0" '
+            ':logic (LargeFn $Building#0) :output-type Building)')
+    repo, findings = load_constructions_lenient(text=text)
+    assert repo.constructions == {}
+    assert [(f.code, f.message) for f in findings] == [
+        ("cons-form", "<string>: form at line 1, column 1: :id lex is "
+                      "reserved for the edges of tagged concepts")]
+    repo, findings = load_constructions_lenient(
+        text=text.replace(":id lex", ":id large"))
+    assert findings == [] and list(repo.constructions) == ["large"]
 
 
 def test_output_type_with_constant_prefix_is_the_constant():

@@ -6,14 +6,15 @@ import pytest
 from helpers import (brute_force_matches, full_sweep_window_loop,
                      graph_outcome, random_instance, retrieval_signatures)
 from construe import interpreter
-from construe.constructions import TypedSlot, load_constructions
+from construe.constructions import (LEXICAL_SOURCE, TypedSlot,
+                                    load_constructions)
 from construe.interpreter import (MAX_NESTING, EngineConfig, ParseGraph,
                                   compose, finalize, interpret,
                                   resolve_anaphora, retrieve, window_loop)
 from construe.kb import ContextStack, load_kb
 from construe.logic import (Constant, QueryVar, equal_modulo_renaming,
                             free_query_vars, parse_expr, print_expr)
-from construe.tagger import load_lexicon, tag
+from construe.tagger import Lexicon, load_lexicon, tag
 
 
 @pytest.fixture(scope="module")
@@ -205,6 +206,31 @@ def test_agenda_matches_full_sweeps_on_random_instances():
         window_loop(graph)
         full_sweep_window_loop(oracle)
         assert graph_outcome(graph) == graph_outcome(oracle), seed
+
+
+def test_seeded_lexical_edges_are_distinct(run, run_bio):
+    """No two seeds share a span and a logic, so seeds need no dedup key."""
+    graphs = [run(t) for t in ("the song has 6 notes", "2 sandwiches",
+                               "Barack Obama eats a sandwich",
+                               "white house dancing", "big blue building")]
+    graphs += [run_bio(t) for t in ("G12V-K-Ras", "V12G-K-Ras",
+                                    "intracellular accumulation")]
+    for seed in range(100):
+        # the instance's one-token edges as a lexicon, each reading given
+        # twice, in both tables
+        instance, _ = random_instance(random.Random(seed))
+        lexicon = Lexicon()
+        for e in instance.edges:
+            if e.source == LEXICAL_SOURCE:
+                surface = instance.tokens[e.start].surface
+                lexicon.add(surface, [e.logic, e.logic])
+                lexicon.add(surface, [e.logic], exact_case=True)
+        graphs.append(interpret(instance.text, instance.kb, instance.repo,
+                                lexicon))
+    seeds = [[(e.span, e.logic) for e in g.edges if e.source == LEXICAL_SOURCE]
+             for g in graphs]
+    assert all(len(keys) == len(set(keys)) for keys in seeds)
+    assert sum(map(len, seeds)) > 200
 
 
 def test_edges_deduplicated_modulo_renaming(run):

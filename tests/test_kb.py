@@ -425,8 +425,8 @@ def test_name_fields_read_constant_prefix_as_term_fields_do():
     assert kb.term_names == {"Foo", "Bar", "a", "p", "q", "F"}
     foo = Constant("Foo")
     assert kb._declared == {"Foo": "collection", "a": "individual"}
-    assert kb._arg_constraints["p"][0].required == "Foo"
-    assert kb._inter_arg["q"][0].then_type == "Bar"
+    assert kb._arg_constraints["p"][0].required == Constant("Foo")
+    assert kb._inter_arg["q"][0].then_type == Constant("Bar")
     assert kb._signatures["F"].rule_value == "Foo"
     assert kb.subsumes(foo, Constant("a"))
     assert [ctx for ctx, _ in kb._facts["p"]] == ["base"]

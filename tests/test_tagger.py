@@ -205,6 +205,32 @@ def test_span_concepts_union_of_readings():
         Constant("Bank-Topographical"), Constant("Bank-FinancialOrganization")}
 
 
+def test_lookup_returns_one_sorted_tuple_fixed_at_load():
+    lex, findings = load_lexicon_lenient(text=(
+        '(lex "ras" Zeta Alpha)\n(lex "RAS" Mid Alpha)\n'
+        '(lex-nat "ras" (F Alpha))\n(lex "Ras" Omega Alpha :exact-case)\n'))
+    assert findings == []
+    folded = tuple(Constant(n) for n in ("Alpha", "Mid", "Zeta"))
+    nat = lex.lookup("ras")[0]
+    assert print_expr(nat) == "(F Alpha)"
+    # two lex forms (and a lex-nat) for one folded surface
+    assert lex.lookup("rAs") == (nat, *folded)
+    assert lex.lookup("rAs") is lex.lookup("RAS")
+    # a surface with an exact-case entry and a folded one
+    assert lex.lookup("Ras") == (nat, Constant("Alpha"), Constant("Mid"),
+                                 Constant("Omega"), Constant("Zeta"))
+    for surface in ("ras", "Ras"):
+        readings = lex.lookup(surface)
+        assert type(readings) is tuple
+        assert list(readings) == sorted(set(readings), key=print_expr)
+
+
+def test_a_digit_run_reads_as_its_value_once():
+    lex = Lexicon()
+    lex.add("5", [Constant("Five"), Numeral(5)])
+    assert tag("5", lex).token_concepts(0) == (Numeral(5), Constant("Five"))
+
+
 def test_tagging_insensitive_to_entry_order(bio_lex):
     text = BIO_LEX_FILES[0].read_text(encoding="utf-8")
     lines = [l for l in text.splitlines() if l.strip() and not l.startswith(";")]
