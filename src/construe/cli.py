@@ -28,7 +28,6 @@ import stat
 import sys
 import time
 import zlib
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import constructions as cons
@@ -39,6 +38,7 @@ from .interpreter import (Edge, EngineConfig, Interpretation, ParseGraph,
 from .kb import ContextStack, KnowledgeBase
 from .logic import (PLAIN_NAMES, Names, SharedNames, expr_to_json,
                     print_expr)
+from .value import Value, setters
 
 
 class UsageError(Exception):
@@ -49,19 +49,35 @@ class ResourceError(Exception):
     pass
 
 
-@dataclass
-class RunManifest:
-    kb_files: list
-    lexicon_files: list
-    construction_files: list
-    config: EngineConfig = field(default_factory=EngineConfig)
+class RunManifest(Value):
+    __slots__ = _fields = ("kb_files", "lexicon_files", "construction_files",
+                           "config")
+
+    def __init__(self, kb_files: list, lexicon_files: list,
+                 construction_files: list,
+                 config: EngineConfig = EngineConfig()):
+        _set_manifest_kb_files(self, kb_files)
+        _set_manifest_lexicon_files(self, lexicon_files)
+        _set_manifest_construction_files(self, construction_files)
+        _set_manifest_config(self, config)
 
 
-@dataclass
-class Resources:
-    kb: KnowledgeBase
-    lexicon: tagger.Lexicon
-    repo: cons.Repository
+(_set_manifest_kb_files, _set_manifest_lexicon_files,
+ _set_manifest_construction_files, _set_manifest_config) = setters(RunManifest)
+
+
+class Resources(Value):
+    __slots__ = _fields = ("kb", "lexicon", "repo")
+
+    def __init__(self, kb: KnowledgeBase, lexicon: tagger.Lexicon,
+                 repo: cons.Repository):
+        _set_resources_kb(self, kb)
+        _set_resources_lexicon(self, lexicon)
+        _set_resources_repo(self, repo)
+
+
+(_set_resources_kb, _set_resources_lexicon,
+ _set_resources_repo) = setters(Resources)
 
 
 def _check_paths(manifest: RunManifest):
@@ -347,16 +363,27 @@ def cmd_tag(resources: Resources, text: str, fmt: str, out) -> int:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass
-class EvalRecord:
-    caption_id: str
-    text: str
-    interpretations: list          # Interpretation, largest span first
-    token_count: int
-    truncated_by: str = ""          # the cap that cut the caption's run short
+class EvalRecord(Value):
+    """*interpretations* go largest span first; *truncated_by* names the cap
+    that cut the caption's run short."""
+
+    __slots__ = _fields = ("caption_id", "text", "interpretations",
+                           "token_count", "truncated_by")
+
+    def __init__(self, caption_id: str, text: str, interpretations: list,
+                 token_count: int, truncated_by: str = ""):
+        _set_record_caption_id(self, caption_id)
+        _set_record_text(self, text)
+        _set_record_interpretations(self, interpretations)
+        _set_record_token_count(self, token_count)
+        _set_record_truncated_by(self, truncated_by)
 
     def interp_id(self, index: int) -> str:
         return f"i{index}"
+
+
+(_set_record_caption_id, _set_record_text, _set_record_interpretations,
+ _set_record_token_count, _set_record_truncated_by) = setters(EvalRecord)
 
 
 def build_eval_records(resources: Resources, config: EngineConfig,

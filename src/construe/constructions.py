@@ -26,9 +26,7 @@ retrieval can drop a partial tiling as soon as no stored key extends it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 from . import sexpr, tagger
@@ -37,38 +35,66 @@ from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, TYPED_VAR_RE, Constant, Expr,
                     Names, QueryVar, TypedVar, free_vars, from_sexpr,
                     print_expr, term_depth)
 from .sexpr import Finding, FormError, LoadError
+from .value import Value, setters
 
 ConstructionLoadError = LoadError
 # A template slot is the logic template's typed variable itself.
 TypedSlot = TypedVar
 
 
-@dataclass(frozen=True)
-class Literal:
-    text: str
-    folded: str                      # the case-folded key, made at load
+class Literal(Value):
+    """A template word; *folded* is its case-folded key, made at load."""
+
+    __slots__ = _fields = ("text", "folded")
+
+    def __init__(self, text: str, folded: str):
+        _set_literal_text(self, text)
+        _set_literal_folded(self, folded)
 
 
-@dataclass(frozen=True)
-class Alternation:
-    alternatives: tuple  # tuple of element sequences; a sequence may be empty
+_set_literal_text, _set_literal_folded = setters(Literal)
 
 
-@dataclass(frozen=True)
-class NlTemplate:
-    language: str
-    elements: tuple
+class Alternation(Value):
+    """*alternatives* are element sequences; a sequence may be empty."""
+
+    __slots__ = _fields = ("alternatives",)
+
+    def __init__(self, alternatives: tuple):
+        _set_alternation_alternatives(self, alternatives)
 
 
-@dataclass(frozen=True)
-class TemplateVariant:
-    construction_id: str
-    language: str
-    elements: tuple  # Literal | TypedVar only
+_set_alternation_alternatives, = setters(Alternation)
 
-    @cached_property
-    def slots(self) -> tuple:
-        return tuple(e for e in self.elements if isinstance(e, TypedVar))
+
+class NlTemplate(Value):
+    __slots__ = _fields = ("language", "elements")
+
+    def __init__(self, language: str, elements: tuple):
+        _set_template_language(self, language)
+        _set_template_elements(self, elements)
+
+
+_set_template_language, _set_template_elements = setters(NlTemplate)
+
+
+class TemplateVariant(Value):
+    """One spelling of a construction: Literal and TypedVar elements only.
+    ``slots`` are its typed variables, in order."""
+
+    _fields = ("construction_id", "language", "elements")
+    __slots__ = _fields + ("slots",)
+
+    def __init__(self, construction_id: str, language: str, elements: tuple):
+        _set_variant_construction_id(self, construction_id)
+        _set_variant_language(self, language)
+        _set_variant_elements(self, elements)
+        _set_variant_slots(self, tuple([e for e in elements
+                                        if isinstance(e, TypedVar)]))
+
+
+(_set_variant_construction_id, _set_variant_language, _set_variant_elements,
+ _set_variant_slots) = setters(TemplateVariant)
 
 
 SKELETON_SLOT = None  # placeholder marking a collapsed typed variable
@@ -92,16 +118,32 @@ def typed_key(variant: TemplateVariant) -> tuple:
                  else ("lit", e.folded) for e in variant.elements)
 
 
-@dataclass(frozen=True)
-class Construction:
-    id: str
-    nl_templates: tuple
-    logic_template: Expr
-    anaphoric_refs: tuple = ()
-    output_var: QueryVar | None = None
-    output_type: object = None          # TermId string, ("slot", k), or None
-    tests_positive: tuple = ()
-    tests_negative: tuple = ()
+class Construction(Value):
+    """A construction as loaded.  *output_type* is a TermId string,
+    ("slot", k) or None.  ``variants`` (``expand_variants`` of it) and
+    ``logic_slots`` (the typed variables of the logic template) are derived
+    once, when it is made."""
+
+    _fields = ("id", "nl_templates", "logic_template", "anaphoric_refs",
+               "output_var", "output_type", "tests_positive", "tests_negative")
+    __slots__ = _fields + ("variants", "logic_slots")
+
+    def __init__(self, id: str, nl_templates: tuple, logic_template: Expr,
+                 anaphoric_refs: tuple = (),
+                 output_var: QueryVar | None = None,
+                 output_type: object = None, tests_positive: tuple = (),
+                 tests_negative: tuple = ()):
+        _set_construction_id(self, id)
+        _set_construction_nl_templates(self, nl_templates)
+        _set_construction_logic_template(self, logic_template)
+        _set_construction_anaphoric_refs(self, anaphoric_refs)
+        _set_construction_output_var(self, output_var)
+        _set_construction_output_type(self, output_type)
+        _set_construction_tests_positive(self, tests_positive)
+        _set_construction_tests_negative(self, tests_negative)
+        _set_construction_variants(self, tuple(expand_variants(self)))
+        _set_construction_logic_slots(
+            self, frozenset(_slot_occurrences(logic_template)))
 
     def nl_slots(self) -> set:
         return set().union(*(v.slots for v in self.variants))
@@ -109,16 +151,13 @@ class Construction:
     def all_slots(self) -> set:
         return self.nl_slots() | set(self.anaphoric_refs)
 
-    @cached_property
-    def variants(self) -> tuple:
-        """``expand_variants`` of this construction, expanded once."""
-        return tuple(expand_variants(self))
 
-    @cached_property
-    def logic_slots(self) -> frozenset:
-        """The typed variables of the logic template, found once (at load,
-        by ``_validate``)."""
-        return frozenset(_slot_occurrences(self.logic_template))
+(_set_construction_id, _set_construction_nl_templates,
+ _set_construction_logic_template, _set_construction_anaphoric_refs,
+ _set_construction_output_var, _set_construction_output_type,
+ _set_construction_tests_positive, _set_construction_tests_negative,
+ _set_construction_variants,
+ _set_construction_logic_slots) = setters(Construction)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +458,25 @@ class Repository:
         self._tiers: dict[str, dict] = {"lexical": {}, "skeleton": {},
                                         "typed": {}}
         self._skeleton_prefixes: dict[str, set] = {}
-        self._used_types: set = set()
+        # (language, skeleton key) -> per slot position, the slot types
+        # that the key's variants name there
+        self._slot_types: dict[tuple, tuple] = {}
+        # the type of every slot, as the constant naming it
+        self.used_types: frozenset = frozenset()
         self.has_anaphora = False       # any construction with :anaphoric slots
 
-    @property
-    def used_types(self) -> frozenset:
-        return frozenset(self._used_types)
-
-    def add(self, c: Construction):
+    def add(self, c: Construction, names: Names = PLAIN_NAMES):
         """Store *c* and index its variants on the three tiers; a second
-        construction with *c*'s id raises ``FormError``."""
+        construction with *c*'s id raises ``FormError``.  *names* makes
+        the constants of its slot types, so that under a load's
+        ``SharedNames`` they are the very constants of the KB."""
         if c.id in self.constructions:
             raise FormError("cons-duplicate-id",
                             f"construction {c.id} defined twice")
         self.constructions[c.id] = c
         self.has_anaphora = self.has_anaphora or bool(c.anaphoric_refs)
-        for s in c.all_slots():
-            self._used_types.add(s.type)
+        self.used_types = self.used_types.union(
+            names.constant(s.type) for s in c.all_slots())
         self.variants.extend(c.variants)
         # a tier holds equal variants once; only one construction's
         # alternations can spell a variant twice
@@ -445,6 +486,10 @@ class Repository:
                               ("typed", typed_key(v))):
                 index, key = self._tiers[tier], (v.language, key)
                 index[key] = index.get(key, ()) + (v,)
+            key = (v.language, skeleton)
+            types = self._slot_types.get(key) or (frozenset(),) * len(v.slots)
+            self._slot_types[key] = tuple(
+                named | {s.type} for named, s in zip(types, v.slots))
             prefixes = self._skeleton_prefixes.setdefault(v.language, set())
             prefixes.update(skeleton[:i] for i in range(len(skeleton) + 1))
 
@@ -452,6 +497,11 @@ class Repository:
         """Exact-match retrieval on one tier: the stored variants, each
         once, in the order they were added; ``()`` when nothing matches."""
         return self._tiers[tier].get((language, tuple(key)), ())
+
+    def slot_types(self, skeleton: tuple, language: str = "en") -> tuple:
+        """Per slot position of the stored skeleton key, the set of slot
+        types that its variants name there."""
+        return self._slot_types[(language, skeleton)]
 
     def skeleton_prefixes(self, language: str = "en") -> set:
         """Every prefix of every stored skeleton key of *language*, the
@@ -463,7 +513,7 @@ class Repository:
 def _add_form(repo: Repository, names: Names, form, findings: list):
     c = _parse_form(form, names)
     if _validate(c, findings):
-        repo.add(c)
+        repo.add(c, names)
 
 
 def load_constructions_lenient(paths: Iterable | None = None, *,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .constructions import (LEXICAL_SOURCE, SKELETON_SLOT, Construction,
                             Repository)
@@ -35,6 +34,7 @@ from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
                     quantify_existential, rename_query_vars, simplify,
                     substitute)
 from .tagger import Lexicon, TagChart, tag
+from .value import Value, setters
 
 
 class CompositionError(Exception):
@@ -54,53 +54,90 @@ _NO_VAR = Constant("-")
 MAX_NESTING = 32
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    max_window: int = 12
-    language: str = "en"
-    outermost_policy: str = "statement"
-    max_edges: int = 50_000
-    context: ContextStack = DEFAULT_CONTEXT
+class EngineConfig(Value):
+    __slots__ = _fields = ("max_window", "language", "outermost_policy",
+                           "max_edges", "context")
 
-    def __post_init__(self):
-        if self.max_window < 1:
+    def __init__(self, max_window: int = 12, language: str = "en",
+                 outermost_policy: str = "statement", max_edges: int = 50_000,
+                 context: ContextStack = DEFAULT_CONTEXT):
+        if max_window < 1:
             raise ValueError("max_window must be at least 1")
-        if self.max_edges < 1:
+        if max_edges < 1:
             raise ValueError("max_edges must be at least 1")
-        if self.outermost_policy not in _POLICIES:
+        if outermost_policy not in _POLICIES:
             raise ValueError(f"outermost_policy must be one of {_POLICIES}")
+        _set_config_max_window(self, max_window)
+        _set_config_language(self, language)
+        _set_config_outermost_policy(self, outermost_policy)
+        _set_config_max_edges(self, max_edges)
+        _set_config_context(self, context)
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: int
-    start: int
-    end: int
-    source: str                      # LEXICAL_SOURCE or a construction id
-    logic: Expr
-    output_var: QueryVar | None
-    output_type: Expr | None
-    kind: str                        # instance | collection | sentential
-    children: tuple = ()             # (slot index, child edge id) pairs
-    nesting: int = 0                 # 0 without children, else 1 + deepest child's
+(_set_config_max_window, _set_config_language, _set_config_outermost_policy,
+ _set_config_max_edges, _set_config_context) = setters(EngineConfig)
+
+
+class Edge(Value):
+    """An interpretation of the tokens [start, end).  *source* is
+    ``LEXICAL_SOURCE`` or a construction id; *kind* is instance, collection
+    or sentential; *children* holds (slot index, child edge id) pairs;
+    *nesting* is 0 without children, else 1 + the deepest child's."""
+
+    __slots__ = _fields = ("id", "start", "end", "source", "logic",
+                           "output_var", "output_type", "kind", "children",
+                           "nesting")
+
+    def __init__(self, id: int, start: int, end: int, source: str,
+                 logic: Expr, output_var: QueryVar | None,
+                 output_type: Expr | None, kind: str, children: tuple = (),
+                 nesting: int = 0):
+        _set_edge_id(self, id)
+        _set_edge_start(self, start)
+        _set_edge_end(self, end)
+        _set_edge_source(self, source)
+        _set_edge_logic(self, logic)
+        _set_edge_output_var(self, output_var)
+        _set_edge_output_type(self, output_type)
+        _set_edge_kind(self, kind)
+        _set_edge_children(self, children)
+        _set_edge_nesting(self, nesting)
 
     @property
     def span(self) -> tuple:
         return (self.start, self.end)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    kind: str                        # discard reason class
-    construction: str
-    span: tuple
-    detail: str
+(_set_edge_id, _set_edge_start, _set_edge_end, _set_edge_source,
+ _set_edge_logic, _set_edge_output_var, _set_edge_output_type, _set_edge_kind,
+ _set_edge_children, _set_edge_nesting) = setters(Edge)
 
 
-@dataclass(frozen=True)
-class Retrieval:
-    construction: Construction
-    binding: dict
+class TraceEvent(Value):
+    """A discarded application; *kind* is the class of the reason."""
+
+    __slots__ = _fields = ("kind", "construction", "span", "detail")
+
+    def __init__(self, kind: str, construction: str, span: tuple, detail: str):
+        _set_event_kind(self, kind)
+        _set_event_construction(self, construction)
+        _set_event_span(self, span)
+        _set_event_detail(self, detail)
+
+
+(_set_event_kind, _set_event_construction, _set_event_span,
+ _set_event_detail) = setters(TraceEvent)
+
+
+class Retrieval(Value):
+    __slots__ = _fields = ("construction", "binding")
+
+    def __init__(self, construction: Construction, binding: dict):
+        _set_retrieval_construction(self, construction)
+        _set_retrieval_binding(self, binding)
+
+
+_set_retrieval_construction, _set_retrieval_binding = setters(Retrieval)
 
 
 class ParseGraph:
@@ -189,16 +226,14 @@ class ParseGraph:
         if edge.output_type is None:
             return
         try:
-            gens = self.kb.match_types(edge.output_type)
+            types = self.kb.match_types(edge.output_type) & self._used_types
         except UnknownTermError:
             return
-        names = [g.name for g in gens
-                 if isinstance(g, Constant) and g.name in self._used_types]
-        if names:
+        if types:
             type_map = self._fillers.setdefault(edge.start, {}) \
                 .setdefault(edge.end, {})
-            for name in names:
-                type_map.setdefault(name, []).append(edge)
+            for t in types:
+                type_map.setdefault(t.name, []).append(edge)
 
 
 def _edge_kind(kb: KnowledgeBase, logic: Expr) -> str:
@@ -253,9 +288,8 @@ def retrieve(graph: ParseGraph, start: int, end: int) -> list:
     while stack:
         pos, skeleton, type_maps = stack.pop()
         if pos == end:
-            variants = repo.lookup("skeleton", skeleton, lang)
-            if variants:
-                _typed_matches(graph, skeleton, type_maps, variants, found)
+            if repo.lookup("skeleton", skeleton, lang):
+                _typed_matches(graph, skeleton, type_maps, found)
             continue
         key = skeleton + (folded[pos],)
         if key in prefixes:
@@ -269,15 +303,15 @@ def retrieve(graph: ParseGraph, start: int, end: int) -> list:
 
 
 def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
-                   skeleton_variants, found: dict):
-    """Typed-tier lookups for one complete tiling that matched
-    *skeleton_variants*.  Each slot tries the filler types that one of those
+                   found: dict):
+    """Typed-tier lookups for one complete tiling that matched the stored
+    *skeleton* key.  Each slot tries the filler types that one of the key's
     variants names there; every binding of a typed hit is added to *found*
     under its (construction id, binding) signature."""
     repo, lang = graph.repo, graph.config.language
-    choices = [sorted({v.slots[j].type for v in skeleton_variants}
-                      .intersection(type_map))
-               for j, type_map in enumerate(type_maps)]
+    choices = [sorted(named.intersection(type_map))
+               for named, type_map in zip(repo.slot_types(skeleton, lang),
+                                          type_maps)]
     for combo in itertools.product(*choices):
         it = iter(combo)
         tkey = tuple(("type", next(it)) if k is SKELETON_SLOT else ("lit", k)
@@ -434,7 +468,10 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
         except CompositionError as err:
             graph.trace_discard("composition", c.id, span, str(err))
             continue
-        violations = kb.check_plausibility(logic, config.context)
+        # a term child goes into the logic as it is, and passed the check
+        # when its edge was made
+        passed = tuple([e.logic for e in b.values() if e.kind != "sentential"])
+        violations = kb.check_plausibility(logic, config.context, passed)
         if violations:
             graph.trace_discard("plausibility", c.id, span,
                                 "; ".join(f"{v.kind}: {v.message}" for v in violations))
@@ -506,15 +543,19 @@ def interpret(text: str, kb: KnowledgeBase, repo: Repository, lexicon: Lexicon,
 # ---------------------------------------------------------------------------
 # Finalization
 
-@dataclass(frozen=True)
-class Interpretation:
-    edge_id: int
-    start: int
-    end: int
-    logic: Expr
-    output_type: Expr | None
-    source: str
-    text: str
+class Interpretation(Value):
+    __slots__ = _fields = ("edge_id", "start", "end", "logic", "output_type",
+                           "source", "text")
+
+    def __init__(self, edge_id: int, start: int, end: int, logic: Expr,
+                 output_type: Expr | None, source: str, text: str):
+        _set_interp_edge_id(self, edge_id)
+        _set_interp_start(self, start)
+        _set_interp_end(self, end)
+        _set_interp_logic(self, logic)
+        _set_interp_output_type(self, output_type)
+        _set_interp_source(self, source)
+        _set_interp_text(self, text)
 
     @property
     def span(self) -> tuple:
@@ -523,6 +564,11 @@ class Interpretation:
     @property
     def token_length(self) -> int:
         return self.end - self.start
+
+
+(_set_interp_edge_id, _set_interp_start, _set_interp_end, _set_interp_logic,
+ _set_interp_output_type, _set_interp_source,
+ _set_interp_text) = setters(Interpretation)
 
 
 def _span_text(graph: ParseGraph, start: int, end: int) -> str:

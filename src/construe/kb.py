@@ -17,21 +17,22 @@ The KB file format is an s-expression file.  Top-level forms:
     (collection t)
 
 Comments start with ';'.  A KB is observably immutable once loaded:
-``genls_closure`` and ``match_types`` fill idempotent memos, which no
-query's result depends on, so every query is safe for concurrent use.
+``genls_closure``, ``isa_closure``, ``match_types`` and
+``numeral_instance_types`` fill idempotent memos, which no query's result
+depends on, so every query is safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from . import sexpr
 from .logic import (App, And, Constant, Exists, Expr, Kappa, Nat, Not,
                     PLAIN_NAMES, Names, Numeral, Text, TheSetOf, TypedVar,
-                    QueryVar, children, free_vars, from_sexpr, print_expr)
+                    QueryVar, children, from_sexpr, is_ground, print_expr)
 from .sexpr import Finding, FormError, LoadError
+from .value import Value, setters
 
 TermLike = (Constant, Nat)
 
@@ -47,41 +48,73 @@ class UntypedTermError(Exception):
 KbLoadError = LoadError
 
 
-@dataclass(frozen=True)
-class FunctionSignature:
-    functor: str
-    arity: int
-    rule_kind: str          # resultIsa | resultGenls | resultGenlsArg
-    rule_value: object      # collection name, or 1-based argument index
+class FunctionSignature(Value):
+    """*rule_kind* is resultIsa, resultGenls or resultGenlsArg; *rule_value*
+    is a collection name, or a 1-based argument index."""
+
+    __slots__ = _fields = ("functor", "arity", "rule_kind", "rule_value")
+
+    def __init__(self, functor: str, arity: int, rule_kind: str,
+                 rule_value: object):
+        _set_sig_functor(self, functor)
+        _set_sig_arity(self, arity)
+        _set_sig_rule_kind(self, rule_kind)
+        _set_sig_rule_value(self, rule_value)
 
 
-@dataclass(frozen=True)
-class ArgConstraint:
-    owner: str
-    position: int
-    kind: str               # argIsa | argGenls
-    required: Constant
+(_set_sig_functor, _set_sig_arity, _set_sig_rule_kind,
+ _set_sig_rule_value) = setters(FunctionSignature)
 
 
-@dataclass(frozen=True)
-class InterArgConstraint:
-    owner: str
-    if_position: int
-    if_type: Constant
-    then_position: int
-    then_type: Constant
+class ArgConstraint(Value):
+    """*kind* is argIsa or argGenls."""
+
+    __slots__ = _fields = ("owner", "position", "kind", "required")
+
+    def __init__(self, owner: str, position: int, kind: str,
+                 required: Constant):
+        _set_arg_owner(self, owner)
+        _set_arg_position(self, position)
+        _set_arg_kind(self, kind)
+        _set_arg_required(self, required)
 
 
-@dataclass(frozen=True)
-class ContextStack:
+(_set_arg_owner, _set_arg_position, _set_arg_kind,
+ _set_arg_required) = setters(ArgConstraint)
+
+
+class InterArgConstraint(Value):
+    __slots__ = _fields = ("owner", "if_position", "if_type", "then_position",
+                           "then_type")
+
+    def __init__(self, owner: str, if_position: int, if_type: Constant,
+                 then_position: int, then_type: Constant):
+        _set_inter_owner(self, owner)
+        _set_inter_if_position(self, if_position)
+        _set_inter_if_type(self, if_type)
+        _set_inter_then_position(self, then_position)
+        _set_inter_then_type(self, then_type)
+
+
+(_set_inter_owner, _set_inter_if_position, _set_inter_if_type,
+ _set_inter_then_position, _set_inter_then_type) = setters(InterArgConstraint)
+
+
+class ContextStack(Value):
     """Base assertion context plus an optional application overlay that
     inherits everything in the base."""
 
-    base: str = "base"
-    overlay: str | None = None
+    __slots__ = _fields = ("base", "overlay")
+
+    def __init__(self, base: str = "base", overlay: str | None = None):
+        _set_context_base(self, base)
+        _set_context_overlay(self, overlay)
 
     def stack(self) -> tuple:
         return (self.overlay, self.base) if self.overlay else (self.base,)
+
+
+_set_context_base, _set_context_overlay = setters(ContextStack)
 
 
 DEFAULT_CONTEXT = ContextStack()
@@ -92,14 +125,29 @@ _EQUALS = Constant("equals")
 _POSITIVE_INTEGER = Constant("PositiveInteger")
 _INTEGER = Constant("Integer")
 _RATIONAL_NUMBER = Constant("RationalNumber")
+# numeral_type_name -> the collections a number of that kind is an
+# instance of before genls links: its own, then the ones containing it
+_NUMERAL_SEEDS = {
+    "PositiveInteger": (_POSITIVE_INTEGER, _INTEGER, _RATIONAL_NUMBER),
+    "Integer": (_INTEGER, _RATIONAL_NUMBER),
+    "RationalNumber": (_RATIONAL_NUMBER,),
+}
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str               # structural | arg-isa | arg-genls |
-                            # instance-vs-specialization | inter-arg | known-false
-    path: tuple
-    message: str
+class Violation(Value):
+    """*kind* is structural, arg-isa, arg-genls, instance-vs-specialization,
+    inter-arg or known-false."""
+
+    __slots__ = _fields = ("kind", "path", "message")
+
+    def __init__(self, kind: str, path: tuple, message: str):
+        _set_violation_kind(self, kind)
+        _set_violation_path(self, path)
+        _set_violation_message(self, message)
+
+
+(_set_violation_kind, _set_violation_path,
+ _set_violation_message) = setters(Violation)
 
 
 def _is_term(e: Expr) -> bool:
@@ -145,7 +193,9 @@ class KnowledgeBase:
         self._disjoint: set[frozenset] = set()
         self._nats_seen: set[Nat] = set()
         self._genls_memo: dict[Expr, frozenset] = {}
+        self._isa_memo: dict[Expr, frozenset] = {}
         self._match_memo: dict[Expr, frozenset] = {}
+        self._numeral_memo: dict[str, frozenset] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -241,6 +291,15 @@ class KnowledgeBase:
             cached = self._genls_memo[t] = self._closure(t, self.genls_parents)
         return cached
 
+    def isa_closure(self, t: Expr) -> frozenset:
+        """Every collection *t* is an instance of: one isa hop, then the
+        genls closure."""
+        cached = self._isa_memo.get(t)
+        if cached is None:
+            cached = self._isa_memo[t] = frozenset().union(
+                *map(self.genls_closure, self.isa_parents(t)))
+        return cached
+
     def generalizations(self, t: Expr) -> frozenset:
         """Reflexive-transitive upward closure over both isa and genls."""
         self._require_known(t)
@@ -259,8 +318,7 @@ class KnowledgeBase:
         if mode == "genls":
             return general in self.genls_closure(specific)
         if mode == "isa":
-            return any(general in self.genls_closure(p)
-                       for p in self.isa_parents(specific))
+            return general in self.isa_closure(specific)
         raise ValueError(f"bad subsumption mode: {mode}")
 
     def match_types(self, t: Expr) -> frozenset:
@@ -271,8 +329,7 @@ class KnowledgeBase:
             self._require_known(t)
             cached = self._match_memo[t] = (
                 self.genls_closure(t) if self.kindedness(t) == "collection"
-                else frozenset().union(*map(self.genls_closure,
-                                            self.isa_parents(t))))
+                else self.isa_closure(t))
         return cached
 
     # -- numerals ----------------------------------------------------------
@@ -283,17 +340,15 @@ class KnowledgeBase:
         return "RationalNumber"
 
     def numeral_instance_types(self, value: Fraction) -> frozenset:
-        seeds = []
-        if value.denominator == 1:
-            if value > 0:
-                seeds.append(_POSITIVE_INTEGER)
-            seeds.append(_INTEGER)
-        seeds.append(_RATIONAL_NUMBER)
-        acc: set = set()
-        for seed in seeds:
-            if seed.name in self._terms:
-                acc |= self.genls_closure(seed)
-        return frozenset(acc)
+        """The collections a number is an instance of: one answer per
+        ``numeral_type_name``, each made once."""
+        kind = self.numeral_type_name(value)
+        cached = self._numeral_memo.get(kind)
+        if cached is None:
+            cached = self._numeral_memo[kind] = frozenset().union(*(
+                self.genls_closure(seed) for seed in _NUMERAL_SEEDS[kind]
+                if seed.name in self._terms))
+        return cached
 
     # -- facts -------------------------------------------------------------
 
@@ -391,7 +446,7 @@ class KnowledgeBase:
                                      f"{owner} needs at least {c.position} arguments"))
                 continue
             arg = args[c.position - 1]
-            if free_vars(arg):
+            if not is_ground(arg):
                 continue
             apath = path + (c.position,)
             if isinstance(arg, Numeral):
@@ -436,7 +491,7 @@ class KnowledgeBase:
                 continue
             if_arg = args[c.if_position - 1]
             then_arg = args[c.then_position - 1]
-            if free_vars(if_arg) or free_vars(then_arg):
+            if not (is_ground(if_arg) and is_ground(then_arg)):
                 continue
             if not (_is_term(if_arg) and self.known(if_arg)):
                 continue
@@ -451,8 +506,10 @@ class KnowledgeBase:
                 f"so argument {c.then_position} must specialize {c.then_type.name}; "
                 f"got {print_expr(then_arg)}"))
 
-    def _walk_plausibility(self, e: Expr, path: tuple, positive: bool, out: list):
-        if isinstance(e, (Constant, Numeral, Text, TypedVar, QueryVar)):
+    def _walk_plausibility(self, e: Expr, path: tuple, positive: bool,
+                           out: list, skip: set):
+        if isinstance(e, (Constant, Numeral, Text, TypedVar, QueryVar)) \
+                or positive and id(e) in skip:
             return
         if isinstance(e, And):
             for i, a in enumerate(e.args):
@@ -460,18 +517,19 @@ class KnowledgeBase:
                     out.append(Violation("structural", path + (i,),
                                          "conjunct is not a sentence"))
                     continue
-                self._walk_plausibility(a, path + (i,), positive, out)
+                self._walk_plausibility(a, path + (i,), positive, out, skip)
             return
         if isinstance(e, Not):
-            self._walk_plausibility(e.arg, path + (0,), not positive, out)
+            self._walk_plausibility(e.arg, path + (0,), not positive, out,
+                                    skip)
             return
         if isinstance(e, (Kappa, TheSetOf, Exists)):
-            self._walk_plausibility(e.body, path + (0,), positive, out)
+            self._walk_plausibility(e.body, path + (0,), positive, out, skip)
             return
         if isinstance(e, App):
             pred = e.predicate
             if isinstance(pred, Nat):
-                self._walk_plausibility(pred, path + (0,), positive, out)
+                self._walk_plausibility(pred, path + (0,), positive, out, skip)
             elif not isinstance(pred, Constant):
                 out.append(Violation("structural", path + (0,),
                                      "predicate must be a constant or function term"))
@@ -489,7 +547,7 @@ class KnowledgeBase:
             if isinstance(pred, Constant):
                 self._check_owner_args(pred.name, e.args, path, out)
             for i, a in enumerate(e.args, start=1):
-                self._walk_plausibility(a, path + (i,), positive, out)
+                self._walk_plausibility(a, path + (i,), positive, out, skip)
             return
         if isinstance(e, Nat):
             if not isinstance(e.functor, Constant):
@@ -503,16 +561,23 @@ class KnowledgeBase:
                                          f"arguments, got {len(e.args)}"))
                 self._check_owner_args(e.functor.name, e.args, path, out)
             for i, a in enumerate(e.args, start=1):
-                self._walk_plausibility(a, path + (i,), positive, out)
+                self._walk_plausibility(a, path + (i,), positive, out, skip)
             return
         out.append(Violation("structural", path, f"unexpected node {e!r}"))
 
-    def check_plausibility(self, e: Expr,
-                           ctx: ContextStack = DEFAULT_CONTEXT) -> list:
+    def check_plausibility(self, e: Expr, ctx: ContextStack = DEFAULT_CONTEXT,
+                           passed: tuple = ()) -> list:
         """Collect every constraint violation in *e*.  An empty list means
-        the expression is plausible."""
+        the expression is plausible.
+
+        *passed* holds terms that were checked whole and found plausible,
+        such as the children a composition puts into *e*.  What the walk
+        finds in a subterm depends only on the subterm and its polarity, so
+        it skips a subterm that is one of them (by identity) where it meets
+        it at positive polarity.  At negative polarity, under a ``not``, the
+        checks differ, and the subterm is walked."""
         out: list = []
-        self._walk_plausibility(e, (), True, out)
+        self._walk_plausibility(e, (), True, out, {id(p) for p in passed})
         return out
 
 
@@ -590,7 +655,7 @@ class _Loader:
             if not isinstance(atom, App):
                 raise FormError("kb-form", "fact body must be a predicate "
                                 f"application, got {print_expr(atom)}")
-            if free_vars(atom):
+            if not is_ground(atom):
                 raise FormError("kb-form",
                                 f"fact must be ground: {print_expr(atom)}")
             self.register(atom)

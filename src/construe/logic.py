@@ -13,12 +13,13 @@ head constant starts with an uppercase letter denotes a function term
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import is_
 from typing import Mapping
 
 from . import sexpr
 from .sexpr import SexprError, SexprList, Symbol
+from .value import Value, setters
 
 
 class ExprSyntaxError(SexprError):
@@ -26,81 +27,240 @@ class ExprSyntaxError(SexprError):
     ``sexpr.load_forms`` reports it as a syntax finding of its form."""
 
 
-@dataclass(frozen=True)
-class Expr:
-    """Base class for all expression nodes."""
+class Expr(Value):
+    """Base class for all expression nodes.  Each node class writes its
+    own ``__eq__`` and ``__hash__``, since terms are compared and hashed
+    on every path of the engine."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Constant(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set_constant_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is Constant:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
+_set_constant_name, = setters(Constant)
+
+
 class Numeral(Expr):
-    value: Fraction
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        _set_numeral_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is Numeral:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
+_set_numeral_value, = setters(Numeral)
+
+
 class Text(Expr):
-    value: str
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: str):
+        _set_text_value(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is Text:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True)
+_set_text_value, = setters(Text)
+
+
 class TypedVar(Expr):
-    type: str
-    index: int
+    __slots__ = _fields = ("type", "index")
+
+    def __init__(self, type: str, index: int):
+        _set_typed_var_type(self, type)
+        _set_typed_var_index(self, index)
+
+    def __eq__(self, other):
+        if other.__class__ is TypedVar:
+            return (self.type, self.index) == (other.type, other.index)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.type, self.index))
 
 
-@dataclass(frozen=True)
+_set_typed_var_type, _set_typed_var_index = setters(TypedVar)
+
+
 class QueryVar(Expr):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set_query_var_name(self, name)
+
+    def __eq__(self, other):
+        if other.__class__ is QueryVar:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
 
-@dataclass(frozen=True)
+_set_query_var_name, = setters(QueryVar)
+
+
 class Nat(Expr):
     """Non-atomic term: a function application denoting a concept."""
 
-    functor: Expr
-    args: tuple
+    __slots__ = _fields = ("functor", "args")
+
+    def __init__(self, functor: Expr, args: tuple):
+        _set_nat_functor(self, functor)
+        _set_nat_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is Nat:
+            return (self.functor, self.args) == (other.functor, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.functor, self.args))
 
 
-@dataclass(frozen=True)
+_set_nat_functor, _set_nat_args = setters(Nat)
+
+
 class App(Expr):
     """Predicate application (an atomic sentence)."""
 
-    predicate: Expr
-    args: tuple
+    __slots__ = _fields = ("predicate", "args")
+
+    def __init__(self, predicate: Expr, args: tuple):
+        _set_app_predicate(self, predicate)
+        _set_app_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is App:
+            return (self.predicate, self.args) == (other.predicate, other.args)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.predicate, self.args))
 
 
-@dataclass(frozen=True)
+_set_app_predicate, _set_app_args = setters(App)
+
+
 class And(Expr):
-    args: tuple
+    __slots__ = _fields = ("args",)
+
+    def __init__(self, args: tuple):
+        _set_and_args(self, args)
+
+    def __eq__(self, other):
+        if other.__class__ is And:
+            return self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.args,))
 
 
-@dataclass(frozen=True)
+_set_and_args, = setters(And)
+
+
 class Not(Expr):
-    arg: Expr
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Expr):
+        _set_not_arg(self, arg)
+
+    def __eq__(self, other):
+        if other.__class__ is Not:
+            return (self.arg,) == (other.arg,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.arg,))
 
 
-@dataclass(frozen=True)
+_set_not_arg, = setters(Not)
+
+
 class Kappa(Expr):
     """Binder forming a predicate from an open sentence."""
 
-    vars: tuple
-    body: Expr
+    __slots__ = _fields = ("vars", "body")
+
+    def __init__(self, vars: tuple, body: Expr):
+        _set_kappa_vars(self, vars)
+        _set_kappa_body(self, body)
+
+    def __eq__(self, other):
+        if other.__class__ is Kappa:
+            return (self.vars, self.body) == (other.vars, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vars, self.body))
 
 
-@dataclass(frozen=True)
+_set_kappa_vars, _set_kappa_body = setters(Kappa)
+
+
 class TheSetOf(Expr):
-    var: QueryVar
-    body: Expr
+    __slots__ = _fields = ("var", "body")
+
+    def __init__(self, var: QueryVar, body: Expr):
+        _set_the_set_of_var(self, var)
+        _set_the_set_of_body(self, body)
+
+    def __eq__(self, other):
+        if other.__class__ is TheSetOf:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.var, self.body))
 
 
-@dataclass(frozen=True)
+_set_the_set_of_var, _set_the_set_of_body = setters(TheSetOf)
+
+
 class Exists(Expr):
-    vars: tuple
-    body: Expr
+    __slots__ = _fields = ("vars", "body")
+
+    def __init__(self, vars: tuple, body: Expr):
+        _set_exists_vars(self, vars)
+        _set_exists_body(self, body)
+
+    def __eq__(self, other):
+        if other.__class__ is Exists:
+            return (self.vars, self.body) == (other.vars, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vars, self.body))
+
+
+_set_exists_vars, _set_exists_body = setters(Exists)
 
 
 # ``$Type#k``: the one spelling of a typed variable, in logic text and in
@@ -349,6 +509,29 @@ def free_vars(e: Expr, bound: frozenset = frozenset()) -> set:
     return out
 
 
+def is_ground(e: Expr) -> bool:
+    """``not free_vars(e)``, found without building sets: the walk stops
+    at the first free variable."""
+    stack = [(e, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        cls = x.__class__
+        if cls is Constant or cls is Numeral or cls is Text:
+            continue
+        if cls is TypedVar:
+            return False
+        if cls is QueryVar:
+            if x not in bound:
+                return False
+        elif cls is Kappa or cls is Exists:
+            stack.append((x.body, bound | frozenset(x.vars)))
+        elif cls is TheSetOf:
+            stack.append((x.body, bound | {x.var}))
+        else:
+            stack.extend([(part, bound) for part in children(x)])
+    return True
+
+
 def free_query_vars(e: Expr) -> set:
     return {v for v in free_vars(e) if isinstance(v, QueryVar)}
 
@@ -423,10 +606,18 @@ def _is_equals(e: Expr) -> bool:
     return (isinstance(e, App) and e.predicate == EQUALS and len(e.args) == 2)
 
 
+def _same(new, old) -> bool:
+    """*new* holds the very objects of *old*, in order."""
+    return len(new) == len(old) and all(map(is_, new, old))
+
+
 def _structural(e: Expr) -> Expr:
     """Flatten nested conjunctions, drop duplicate conjuncts, collapse
-    single-conjunct ``and`` nodes.  Applied recursively."""
-    if isinstance(e, And):
+    single-conjunct ``and`` nodes.  Applied recursively.  A node whose
+    parts all come back unchanged comes back itself, so a subterm shared
+    before is shared after."""
+    cls = e.__class__
+    if cls is And:
         flat = []
         for a in e.args:
             a = _structural(a)
@@ -441,24 +632,23 @@ def _structural(e: Expr) -> Expr:
                 out.append(a)
         if len(out) == 1:
             return out[0]
-        return And(tuple(out))
-    if isinstance(e, Not):
-        return Not(_structural(e.arg))
-    if isinstance(e, Nat):
-        return Nat(e.functor, tuple(_structural(a) for a in e.args))
-    if isinstance(e, App):
-        return App(e.predicate, tuple(_structural(a) for a in e.args))
-    if isinstance(e, Kappa):
-        return Kappa(e.vars, _structural(e.body))
-    if isinstance(e, TheSetOf):
-        return TheSetOf(e.var, _structural(e.body))
-    if isinstance(e, Exists):
-        return Exists(e.vars, _structural(e.body))
+        return e if _same(out, e.args) else And(tuple(out))
+    if cls is Not:
+        arg = _structural(e.arg)
+        return e if arg is e.arg else Not(arg)
+    if cls is Nat or cls is App:
+        args = tuple([_structural(a) for a in e.args])
+        if _same(args, e.args):
+            return e
+        return Nat(e.functor, args) if cls is Nat else App(e.predicate, args)
+    if cls is Kappa or cls is TheSetOf or cls is Exists:
+        body = _structural(e.body)
+        if body is e.body:
+            return e
+        if cls is TheSetOf:
+            return TheSetOf(e.var, body)
+        return cls(e.vars, body)
     return e
-
-
-def _variable_free(e: Expr) -> bool:
-    return not free_vars(e)
 
 
 def _eliminate_equals(e: Expr):
@@ -477,9 +667,9 @@ def _eliminate_equals(e: Expr):
                 return And(rest) if rest else None
             # keep the lexicographically smaller name
             var, term = (lhs, rhs) if rhs.name < lhs.name else (rhs, lhs)
-        elif isinstance(lhs, QueryVar) and _variable_free(rhs):
+        elif isinstance(lhs, QueryVar) and is_ground(rhs):
             var, term = lhs, rhs
-        elif isinstance(rhs, QueryVar) and _variable_free(lhs):
+        elif isinstance(rhs, QueryVar) and is_ground(lhs):
             var, term = rhs, lhs
         if var is None:
             continue
@@ -499,7 +689,7 @@ def simplify(e: Expr) -> Expr:
         if reduced is not None:
             e = reduced
             continue
-        if e2 == e:
+        if e2 is e:
             return e
         e = e2
 

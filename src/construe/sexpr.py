@@ -28,18 +28,24 @@ resource does not load.  A handler rejects its form by raising
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .value import Value, setters
 
-@dataclass(frozen=True)
-class Finding:
+
+class Finding(Value):
     """One diagnostic from loading or linting."""
 
-    code: str
-    message: str
+    __slots__ = _fields = ("code", "message")
+
+    def __init__(self, code: str, message: str):
+        _set_finding_code(self, code)
+        _set_finding_message(self, message)
+
+
+_set_finding_code, _set_finding_message = setters(Finding)
 
 
 class LoadError(Exception):

@@ -11,57 +11,79 @@ one span may carry many candidate concepts, and spans may overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable
 
 from . import sexpr
 from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, Constant, Expr, Names, Nat,
                     Numeral, from_sexpr, print_expr, term_depth)
 from .sexpr import FormError
+from .value import Value, setters
 
 _BOUNDARY_CHARS = set("-()[]{}.,;:!?")
 _MAX_SEGMENT_LEN = 64
 
 
-@dataclass(frozen=True)
-class Token:
-    surface: str
-    start: int                       # character offsets into the text
-    end: int
-    parent: "Token | None" = None    # set on sub-word tokens
+class Token(Value):
+    """*start* and *end* are character offsets into the text; *parent* is
+    set on sub-word tokens."""
+
+    __slots__ = _fields = ("surface", "start", "end", "parent")
+
+    def __init__(self, surface: str, start: int, end: int,
+                 parent: Token | None = None):
+        _set_token_surface(self, surface)
+        _set_token_start(self, start)
+        _set_token_end(self, end)
+        _set_token_parent(self, parent)
 
     def __repr__(self):
         return f"Token({self.surface!r}, {self.start}, {self.end})"
 
 
-@dataclass(frozen=True)
-class TagSpan:
-    start: int                       # token indexes, [start, end)
-    end: int
-    concepts: tuple
+(_set_token_surface, _set_token_start, _set_token_end,
+ _set_token_parent) = setters(Token)
 
 
-@dataclass
-class TagChart:
-    text: str
-    tokens: list
-    spans: list                      # not changed once the chart is built
+class TagSpan(Value):
+    """The concepts of the tokens [start, end)."""
 
-    @cached_property
-    def by_span(self) -> dict:
-        """(start, end) -> concepts of the first span there."""
-        index: dict = {}
-        for span in self.spans:
-            index.setdefault((span.start, span.end), span.concepts)
-        return index
+    __slots__ = _fields = ("start", "end", "concepts")
+
+    def __init__(self, start: int, end: int, concepts: tuple):
+        _set_span_start(self, start)
+        _set_span_end(self, end)
+        _set_span_concepts(self, concepts)
+
+
+_set_span_start, _set_span_end, _set_span_concepts = setters(TagSpan)
+
+
+class TagChart(Value):
+    """The tokens of a text and the tag spans over them.  ``by_span`` maps
+    (start, end) to the concepts of the first span there."""
+
+    _fields = ("text", "tokens", "spans")
+    __slots__ = _fields + ("by_span",)
+
+    def __init__(self, text: str, tokens: list, spans: list):
+        _set_chart_text(self, text)
+        _set_chart_tokens(self, tokens)
+        _set_chart_spans(self, spans)
+        by_span: dict = {}
+        for span in spans:
+            by_span.setdefault((span.start, span.end), span.concepts)
+        _set_chart_by_span(self, by_span)
 
     def concepts_at(self, start: int, end: int) -> tuple:
         return self.by_span.get((start, end), ())
 
     def token_concepts(self, i: int) -> tuple:
         return self.concepts_at(i, i + 1)
+
+
+(_set_chart_text, _set_chart_tokens, _set_chart_spans,
+ _set_chart_by_span) = setters(TagChart)
 
 
 class Lexicon:

@@ -1,0 +1,72 @@
+"""Immutable slotted value classes, the base of every record type in the
+package.
+
+A subclass names its fields, in constructor order, in ``_fields``; its
+``__slots__`` are those fields plus any value derived from them when it
+is made.  Assignment raises, so ``__init__`` fills each slot through the
+slot's own descriptor: ``_x, _y = setters(Point)`` after the class, then
+``_x(self, x)`` in its ``__init__``, at about half the cost of an
+``object.__setattr__`` call.
+
+The base gives the dataclass semantics: ``repr`` is ``Name(field=value,
+...)``, two values are equal when they are of one class and their field
+tuples are equal, and the hash is the hash of the field tuple.  A class
+compared or hashed on a hot path writes its own ``__eq__`` and
+``__hash__`` with the same meaning.
+"""
+
+from __future__ import annotations
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of a value."""
+
+
+def setters(cls: type) -> tuple:
+    """The ``__set__`` of each of *cls*'s own slots, in ``__slots__``
+    order."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+def _restore(cls: type, values: tuple):
+    """A *cls* whose slots hold *values*, made without ``__init__``: how a
+    pickle restores a value together with what was derived from it."""
+    obj = object.__new__(cls)
+    for set_slot, v in zip(setters(cls), values):
+        set_slot(obj, v)
+    return obj
+
+
+class Value:
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields))
+
+    def __reduce__(self):
+        cls = type(self)
+        if cls.__slots__ == cls._fields:
+            return cls, self._values()
+        # derived slots travel with the fields, so loading a pickle
+        # derives nothing again
+        return _restore, (cls, tuple([getattr(self, name)
+                                      for name in cls.__slots__]))

@@ -1,6 +1,7 @@
 import pytest
 
-from construe.constructions import (ConstructionLoadError,
+from conftest import DEMO_CG_FILES
+from construe.constructions import (SKELETON_SLOT, ConstructionLoadError,
                                     Repository, TypedSlot, derive_keys,
                                     expand_variants, load_constructions,
                                     load_constructions_lenient,
@@ -277,7 +278,23 @@ def test_used_types_is_union_of_slot_types(demo_repo):
     expected = set()
     for c in demo_repo.constructions.values():
         expected |= {s.type for s in c.all_slots()}
-    assert demo_repo.used_types == frozenset(expected)
+    assert {t.name for t in demo_repo.used_types} == expected
+
+
+def test_slot_types_of_a_skeleton_key_are_its_variants(demo_repo):
+    keys = {(v.language, derive_keys(v)[0]) for v in demo_repo.variants}
+    for language, skeleton in keys:
+        variants = demo_repo.lookup("skeleton", skeleton, language)
+        expected = tuple(frozenset(v.slots[j].type for v in variants)
+                         for j in range(skeleton.count(SKELETON_SLOT)))
+        assert demo_repo.slot_types(skeleton, language) == expected
+
+
+def test_used_types_are_the_loads_own_constants(demo_repo):
+    names = SharedNames()
+    repo = load_constructions(DEMO_CG_FILES, names=names)
+    assert repo.used_types == demo_repo.used_types
+    assert all(t is names.constant(t.name) for t in repo.used_types)
 
 
 def test_multilanguage_construction_shares_one_logic(demo_repo):

@@ -11,9 +11,10 @@ from construe.constructions import (LEXICAL_SOURCE, TypedSlot,
 from construe.interpreter import (MAX_NESTING, EngineConfig, ParseGraph,
                                   compose, finalize, interpret,
                                   resolve_anaphora, retrieve, window_loop)
-from construe.kb import ContextStack, load_kb
-from construe.logic import (Constant, QueryVar, equal_modulo_renaming,
-                            free_query_vars, parse_expr, print_expr)
+from construe.kb import DEFAULT_CONTEXT, ContextStack, KnowledgeBase, load_kb
+from construe.logic import (Constant, QueryVar, children,
+                            equal_modulo_renaming, free_query_vars,
+                            parse_expr, print_expr)
 from construe.tagger import Lexicon, load_lexicon, tag
 
 
@@ -206,6 +207,45 @@ def test_agenda_matches_full_sweeps_on_random_instances():
         window_loop(graph)
         full_sweep_window_loop(oracle)
         assert graph_outcome(graph) == graph_outcome(oracle), seed
+
+
+def subterms(e):
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        yield x
+        stack.extend(children(x))
+
+
+def test_plausibility_skip_gives_the_full_walks_verdicts(monkeypatch, run,
+                                                        run_bio):
+    """A composition's check skips the term children it substitutes; on
+    the demo, bio and random sets every verdict is the full walk's."""
+    check = KnowledgeBase.check_plausibility
+    skipped = []
+
+    def both(self, e, ctx=DEFAULT_CONTEXT, passed=()):
+        found = check(self, e, ctx, passed)
+        assert found == check(self, e, ctx), print_expr(e)
+        # compound children that composition kept as the very objects
+        parts = list(subterms(e))
+        skipped.extend(p for p in passed
+                       if children(p) and any(x is p for x in parts))
+        return found
+
+    monkeypatch.setattr(KnowledgeBase, "check_plausibility", both)
+    for text in ("big blue building", "2 sandwiches", "blowing out candles",
+                 "Barack Obama eats a sandwich", "white house dancing",
+                 "a bank is a kind of company", "the song has 6 notes",
+                 "wimbledon , the end of the 2015 season"):
+        run(text)
+    for text in ("G12V-K-Ras", "V12G-K-Ras", "intracellular accumulation",
+                 "electron transport"):
+        run_bio(text)
+    for seed in range(100):
+        graph, _ = random_instance(random.Random(seed))
+        window_loop(graph)
+    assert skipped
 
 
 def test_seeded_lexical_edges_are_distinct(run, run_bio):

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import BIO_KB_FILES, DEMO_KB_FILES
 from construe import sexpr
 from construe.kb import (ContextStack, KbLoadError, UnknownTermError,
                          UntypedTermError, lint_kb, load_kb, load_kb_lenient)
-from construe.logic import Constant, Nat, from_sexpr, parse_expr
+from construe.logic import And, Constant, Nat, Not, from_sexpr, parse_expr
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,35 @@ def test_subsumes_auto_uses_declarations(demo_kb):
     assert demo_kb.subsumes(Constant("Food"), Constant("Sandwich"), "auto")
     assert not demo_kb.subsumes(Constant("Sandwich"), Constant("BlueColor"),
                                 "auto")
+
+
+def test_isa_closure_is_one_isa_hop_then_genls(demo_kb, bio_kb):
+    """The one closure that subsumes' isa mode and match_types of an
+    individual both read."""
+    for kb in (demo_kb, bio_kb):
+        for t in sorted(map(Constant, kb.term_names), key=lambda c: c.name):
+            hop = set()
+            for parent in kb.isa_parents(t):
+                hop |= kb.genls_closure(parent)
+            assert kb.isa_closure(t) == hop
+            for g in (Constant("Color"), Constant("PartiallyTangible"), t):
+                if kb.known(t) and kb.known(g):
+                    assert kb.subsumes(g, t, "isa") == (g in hop)
+            if kb.known(t) and kb.kindedness(t) == "individual":
+                assert kb.match_types(t) == hop
+
+
+def test_numeral_instance_types_one_answer_per_kind(demo_kb):
+    types, closure = demo_kb.numeral_instance_types, demo_kb.genls_closure
+    assert types(Fraction(6)) is types(Fraction(1))
+    assert types(Fraction(0)) is types(Fraction(-3))
+    assert types(Fraction(1, 2)) is types(Fraction(-5, 3))
+    rational = closure(Constant("RationalNumber"))
+    assert types(Fraction(1, 2)) == rational
+    assert types(Fraction(0)) == closure(Constant("Integer")) | rational
+    assert types(Fraction(6)) == closure(Constant("PositiveInteger"))
+    assert load_kb(text="(collection Thing)").numeral_instance_types(
+        Fraction(6)) == frozenset()
 
 
 def test_subsumption_partial_order_on_collections(demo_kb):
@@ -247,6 +277,27 @@ def test_plausibility_arity_mismatch(demo_kb):
 def test_plausibility_skips_negated_contexts(demo_kb):
     e = parse_expr("(not (genls Bank-Topographical Business))")
     assert demo_kb.check_plausibility(e) == []
+
+
+def test_passed_subterm_is_skipped_at_positive_polarity_only(demo_kb):
+    false = parse_expr("(genls Bank-Topographical Business)")
+    other = parse_expr("(isa TheWhiteHouse Building)")
+    # a passed subterm met at positive polarity is not walked again, so an
+    # implausible one given as passed shows the skip
+    assert demo_kb.check_plausibility(And((other, false)), passed=(false,)) \
+        == []
+    assert [v.path for v in demo_kb.check_plausibility(And((other, false)))] \
+        == [(1,)]
+    # plausible alone, as its genls sits at negative polarity ...
+    child = Not(false)
+    assert demo_kb.check_plausibility(child) == []
+    # ... but under one more not the genls is positive again: the child is
+    # walked, and contradicts the disjointness declaration
+    violations = demo_kb.check_plausibility(Not(child), passed=(child,))
+    assert [(v.kind, v.path) for v in violations] == [("known-false", (0, 0))]
+    # an equal copy is not the passed term itself, so it is walked
+    copy = parse_expr("(genls Bank-Topographical Business)")
+    assert demo_kb.check_plausibility(copy, passed=(false,)) != []
 
 
 # ---------------------------------------------------------------------------

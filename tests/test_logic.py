@@ -356,3 +356,27 @@ def test_print_parse_round_trip(e):
 def test_simplify_idempotent(e):
     s = simplify(e)
     assert simplify(s) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs)
+def test_is_ground_is_no_free_variable(e):
+    assert logic.is_ground(e) == (not free_vars(e))
+    for binder in (Exists((QueryVar("X"),), e), Kappa((QueryVar("X"),), e),
+                   TheSetOf(QueryVar("X"), e)):
+        assert logic.is_ground(binder) == (not free_vars(binder))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exprs)
+def test_simplify_returns_a_simplified_term_itself(e):
+    """Nothing changes, so nothing is rebuilt: a subterm shared before
+    simplification is the same object after it."""
+    s = simplify(e)
+    assert simplify(s) is s
+    nested = Nat(Constant("PairFn"), (s, Constant("A")))
+    assert simplify(nested) is nested
+    # the inner and collapses, so the outer one is rebuilt around them
+    p_s = App(Constant("p"), (s,))
+    flattened = simplify(And((And((p_s,)), Not(s))))
+    assert flattened.args[0] is p_s and flattened.args[1].arg is s
