@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import stat
 import sys
 import time
@@ -550,6 +551,18 @@ def cmd_lint(manifest: RunManifest, fmt: str, out) -> int:
 # Argument handling
 
 class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` on a usage error.  argparse makes a help
+    formatter for every argument it adds, and each default formatter reads
+    the terminal width; a ``_Parser`` reads it once, when it is made, and
+    gives it to every formatter it makes, which then lays out help and
+    usage text as the default one would."""
+
+    def __init__(self, *args, **kwargs):
+        width = shutil.get_terminal_size().columns - 2
+        kwargs["formatter_class"] = (
+            lambda prog: argparse.HelpFormatter(prog, width=width))
+        super().__init__(*args, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

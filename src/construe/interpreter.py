@@ -367,9 +367,15 @@ def compose(matrix: Construction, binding: dict, fresh) -> tuple:
     variables freshened, their output variable substituted into the slot,
     and their sentence conjoined.  A term-denoting matrix that absorbs a
     sentential child is given a fresh output variable equated with the
-    term.  Returns (logic, output_var, output_type)."""
+    term.  Returns (logic, output_var, output_type, passed), where
+    *passed* holds each child's logic as it went into *logic*: the
+    plausibility check has seen it already."""
     subst_map: dict = {}
     collected: list = []
+    # a term child goes in as it is.  A sentential one is renamed, which
+    # keeps groundness and termhood, so its check still holds; simplify
+    # splices an ``and`` copy's conjuncts into the conjunction.
+    passed: list = []
     for slot in sorted(binding, key=lambda s: s.index):
         edge = binding[slot]
         if edge.kind == "sentential":
@@ -378,10 +384,15 @@ def compose(matrix: Construction, binding: dict, fresh) -> tuple:
                     "sentential edge without an output variable cannot fill "
                     f"{print_expr(slot)}")
             n = fresh()
-            collected.append(rename_query_vars(edge.logic, n))
+            r = rename_query_vars(edge.logic, n)
+            collected.append(r)
+            passed.append(r)
+            if r.__class__ is And:
+                passed.extend(r.args)
             subst_map[slot] = QueryVar(f"{edge.output_var.name}_{n}")
         else:
             subst_map[slot] = edge.logic
+            passed.append(edge.logic)
     missing = [s for s in matrix.logic_slots if s not in binding]
     if missing:
         names = ", ".join(sorted(map(print_expr, missing)))
@@ -408,7 +419,7 @@ def compose(matrix: Construction, binding: dict, fresh) -> tuple:
         output_type = Constant(matrix.output_type)
     else:
         output_type = None
-    return result, output_var, output_type
+    return result, output_var, output_type, passed
 
 
 def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
@@ -464,13 +475,12 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
         if discarded:
             continue
         try:
-            logic, output_var, output_type = compose(c, b, graph.fresh)
+            logic, output_var, output_type, passed = compose(c, b,
+                                                             graph.fresh)
         except CompositionError as err:
             graph.trace_discard("composition", c.id, span, str(err))
             continue
-        # a term child goes into the logic as it is, and passed the check
-        # when its edge was made
-        passed = tuple([e.logic for e in b.values() if e.kind != "sentential"])
+        # every child passed the check when its edge was made
         violations = kb.check_plausibility(logic, config.context, passed)
         if violations:
             graph.trace_discard("plausibility", c.id, span,

@@ -566,7 +566,7 @@ class KnowledgeBase:
         out.append(Violation("structural", path, f"unexpected node {e!r}"))
 
     def check_plausibility(self, e: Expr, ctx: ContextStack = DEFAULT_CONTEXT,
-                           passed: tuple = ()) -> list:
+                           passed: Iterable = ()) -> list:
         """Collect every constraint violation in *e*.  An empty list means
         the expression is plausible.
 

@@ -548,6 +548,11 @@ def _subst_binder(e, binding, make):
     live = {k: v for k, v in binding.items() if k not in bvars}
     if not live:
         return e
+    # a binding none of whose variables is free in the body changes nothing
+    free = free_vars(e.body)
+    live = {k: v for k, v in live.items() if k in free}
+    if not live:
+        return e
     # rename bound variables that would capture a free variable of a
     # replacement term; fresh names must also avoid everything already
     # free in the body
@@ -556,7 +561,7 @@ def _subst_binder(e, binding, make):
         incoming |= {x.name for x in free_query_vars(v)}
     renames = {}
     taken = incoming | {b.name for b in bvars}
-    taken |= {x.name for x in free_query_vars(e.body)}
+    taken |= {x.name for x in free if isinstance(x, QueryVar)}
     for b in bvars:
         if b.name in incoming:
             renames[b] = QueryVar(_fresh_name(b.name, taken))
@@ -565,32 +570,41 @@ def _subst_binder(e, binding, make):
     if renames:
         body = substitute(body, renames)
         bvars = tuple(renames.get(b, b) for b in bvars)
-    return make(bvars, substitute(body, live))
+    new_body = substitute(body, live)
+    if new_body is e.body:
+        return e
+    return make(bvars, new_body)
 
 
 def substitute(e: Expr, binding: Mapping[Expr, Expr]) -> Expr:
-    """Replace free occurrences of bound variables; capture-avoiding."""
+    """Replace free occurrences of bound variables; capture-avoiding.  A
+    subterm in which nothing is replaced comes back itself, so a subterm
+    shared before is shared after."""
     if not binding:
         return e
-    if isinstance(e, (QueryVar, TypedVar)):
+    cls = e.__class__
+    if cls is QueryVar or cls is TypedVar:
         return binding.get(e, e)
-    if isinstance(e, (Constant, Numeral, Text)):
+    if cls is Constant or cls is Numeral or cls is Text:
         return e
-    if isinstance(e, Nat):
-        return Nat(substitute(e.functor, binding),
-                   tuple(substitute(a, binding) for a in e.args))
-    if isinstance(e, App):
-        return App(substitute(e.predicate, binding),
-                   tuple(substitute(a, binding) for a in e.args))
-    if isinstance(e, And):
-        return And(tuple(substitute(a, binding) for a in e.args))
-    if isinstance(e, Not):
-        return Not(substitute(e.arg, binding))
-    if isinstance(e, Kappa):
+    if cls is Nat or cls is App:
+        head = e.functor if cls is Nat else e.predicate
+        new_head = substitute(head, binding)
+        args = tuple([substitute(a, binding) for a in e.args])
+        if new_head is head and _same(args, e.args):
+            return e
+        return cls(new_head, args)
+    if cls is And:
+        args = tuple([substitute(a, binding) for a in e.args])
+        return e if _same(args, e.args) else And(args)
+    if cls is Not:
+        arg = substitute(e.arg, binding)
+        return e if arg is e.arg else Not(arg)
+    if cls is Kappa:
         return _subst_binder(e, binding, lambda vs, b: Kappa(vs, b))
-    if isinstance(e, TheSetOf):
+    if cls is TheSetOf:
         return _subst_binder(e, binding, lambda vs, b: TheSetOf(vs[0], b))
-    if isinstance(e, Exists):
+    if cls is Exists:
         return _subst_binder(e, binding, lambda vs, b: Exists(vs, b))
     raise TypeError(f"not an expression: {e!r}")
 

@@ -6,13 +6,21 @@ A subclass names its fields, in constructor order, in ``_fields``; its
 is made.  Assignment raises, so ``__init__`` fills each slot through the
 slot's own descriptor: ``_x, _y = setters(Point)`` after the class, then
 ``_x(self, x)`` in its ``__init__``, at about half the cost of an
-``object.__setattr__`` call.
+``object.__setattr__`` call.  Each class's tuple of those descriptors is
+built once, when the class is made, and kept in a table keyed by the class
+itself, so a subclass never reads its base's.
 
 The base gives the dataclass semantics: ``repr`` is ``Name(field=value,
 ...)``, two values are equal when they are of one class and their field
 tuples are equal, and the hash is the hash of the field tuple.  A class
 compared or hashed on a hot path writes its own ``__eq__`` and
 ``__hash__`` with the same meaning.
+
+A value pickles as its class and field tuple, and loads through
+``__init__``.  A value with derived slots pickles every slot instead, and
+loads through ``_restore``: a bare instance whose slots are filled from the
+class's setter table, so loading a cached value derives nothing and builds
+no table.
 """
 
 from __future__ import annotations
@@ -22,17 +30,21 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, a field of a value."""
 
 
+# ``setters(cls)`` of every value class, filled as each class is made
+_SETTERS: dict[type, tuple] = {}
+
+
 def setters(cls: type) -> tuple:
     """The ``__set__`` of each of *cls*'s own slots, in ``__slots__``
     order."""
-    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+    return _SETTERS[cls]
 
 
 def _restore(cls: type, values: tuple):
     """A *cls* whose slots hold *values*, made without ``__init__``: how a
     pickle restores a value together with what was derived from it."""
     obj = object.__new__(cls)
-    for set_slot, v in zip(setters(cls), values):
+    for set_slot, v in zip(_SETTERS[cls], values):
         set_slot(obj, v)
     return obj
 
@@ -40,6 +52,11 @@ def _restore(cls: type, values: tuple):
 class Value:
     __slots__ = ()
     _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        _SETTERS[cls] = tuple([cls.__dict__[name].__set__
+                               for name in cls.__slots__])
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

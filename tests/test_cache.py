@@ -334,3 +334,35 @@ def test_entry_reads_the_same_under_another_hash_seed(
     fresh = _run_module(src, argv, {"PYTHONHASHSEED": "1",
                                     "XDG_CACHE_HOME": str(tmp_path / "fresh")})
     assert written == read == fresh
+
+
+def test_entry_loads_through_the_setter_tables_alone(private_resource_cache,
+                                                     monkeypatch):
+    """Loading an entry builds no setter tuple: each value class's table
+    was built with the class.  What loads equals a fresh load, derived
+    slots included."""
+    from construe import value
+    from construe.constructions import load_constructions
+    argv = ["interpret", *demo_args(), "--format", "json", "2 sandwiches"]
+    cold = call(argv)
+    assert cold[0] == 0
+    [entry] = entries(private_resource_cache)
+    data = entry.read_bytes()
+
+    def no_setters(cls):
+        raise AssertionError(f"setters({cls.__name__}) called")
+
+    monkeypatch.setattr(value, "setters", no_setters)
+    _, _, resources = pickle.loads(data)
+    fresh = load_constructions([RESOURCE_DIR / "demo.cg"])
+    repo = resources.repo
+    assert repo.constructions == fresh.constructions
+    assert repo.variants == fresh.variants
+    restored = 0
+    for c in repo.constructions.values():
+        f = fresh.constructions[c.id]
+        assert c.variants == f.variants and c.logic_slots == f.logic_slots
+        assert [v.slots for v in c.variants] == [v.slots for v in f.variants]
+        restored += 1 + len(c.variants)
+    assert restored >= 40
+    assert call(argv) == cold

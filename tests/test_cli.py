@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -374,6 +375,43 @@ def _full_subparser(command):
 def test_command_parser_help_equals_full_parser_help(command):
     assert cli.command_parser(command).format_help() == \
         _full_subparser(command).format_help()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_a_command_parser_reads_the_terminal_width_once(monkeypatch, command):
+    reads = []
+    size = shutil.get_terminal_size
+
+    def counted(*args):
+        reads.append(args)
+        return size(*args)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counted)
+    parser = cli.command_parser(command)
+    parser.format_help()
+    parser.format_usage()
+    assert len(reads) == 1
+
+
+def _every_parser():
+    full = cli.build_parser()
+    sub = next(a for a in full._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return ([full, *sub.choices.values()]
+            + [cli.command_parser(c) for c in sorted(cli.COMMANDS)])
+
+
+@pytest.mark.parametrize("columns", [None, "40", "80", "200"])
+def test_help_is_the_default_formatters_text(monkeypatch, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    for parser in _every_parser():
+        text, usage = parser.format_help(), parser.format_usage()
+        parser.formatter_class = argparse.HelpFormatter
+        assert parser.format_help() == text
+        assert parser.format_usage() == usage
 
 
 def test_top_level_help_lists_every_command(capsys):

@@ -14,7 +14,7 @@ from construe.interpreter import (MAX_NESTING, EngineConfig, ParseGraph,
 from construe.kb import DEFAULT_CONTEXT, ContextStack, KnowledgeBase, load_kb
 from construe.logic import (Constant, QueryVar, children,
                             equal_modulo_renaming, free_query_vars,
-                            parse_expr, print_expr)
+                            is_sentence, parse_expr, print_expr)
 from construe.tagger import Lexicon, load_lexicon, tag
 
 
@@ -219,8 +219,9 @@ def subterms(e):
 
 def test_plausibility_skip_gives_the_full_walks_verdicts(monkeypatch, run,
                                                         run_bio):
-    """A composition's check skips the term children it substitutes; on
-    the demo, bio and random sets every verdict is the full walk's."""
+    """A composition's check skips the term children it substitutes and
+    the renamed sentential children it conjoins; on the demo, bio and
+    random sets every verdict is the full walk's."""
     check = KnowledgeBase.check_plausibility
     skipped = []
 
@@ -246,6 +247,7 @@ def test_plausibility_skip_gives_the_full_walks_verdicts(monkeypatch, run,
         graph, _ = random_instance(random.Random(seed))
         window_loop(graph)
     assert skipped
+    assert any(is_sentence(p) for p in skipped)
 
 
 def test_seeded_lexical_edges_are_distinct(run, run_bio):
@@ -412,9 +414,9 @@ def test_composing_same_child_twice_renames_apart(demo_kb, demo_repo):
     child = Edge(0, 0, 1, "indefinite-instance", child_logic, QueryVar("X"),
                  Constant("Sandwich"), "sentential")
     counter = iter(range(1, 10))
-    logic, ovar, _ = compose(matrix, {TypedSlot("Food", 0): child,
-                                      TypedSlot("Food", 1): child},
-                             lambda: next(counter))
+    logic, ovar, _, _ = compose(matrix, {TypedSlot("Food", 0): child,
+                                         TypedSlot("Food", 1): child},
+                                lambda: next(counter))
     names = {v.name for v in free_query_vars(logic)}
     assert names >= {"X_1", "X_2"}
     # a term-denoting matrix absorbing sentential children gains a fresh

@@ -380,3 +380,41 @@ def test_simplify_returns_a_simplified_term_itself(e):
     p_s = App(Constant("p"), (s,))
     flattened = simplify(And((And((p_s,)), Not(s))))
     assert flattened.args[0] is p_s and flattened.args[1].arg is s
+
+
+def _shared_parts(e):
+    """Every subterm of *e*, by identity."""
+    out, stack = {}, [e]
+    while stack:
+        x = stack.pop()
+        out[id(x)] = x
+        stack.extend(logic.children(x))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs, st.sampled_from([{QueryVar("X"): Constant("A")},
+                                {QueryVar("X"): QueryVar("V1")},
+                                {TypedVar("Color", 0): QueryVar("Y")},
+                                {QueryVar("LONG_NAME"): QueryVar("X"),
+                                 QueryVar("X"): Nat(Constant("F"),
+                                                    (QueryVar("Y"),))}]))
+def test_substitute_keeps_unchanged_subterms(e, binding):
+    """A subterm in which nothing is replaced comes back as the same
+    object, also under a binder whose variable a replacement's free
+    variable would otherwise capture."""
+    x = QueryVar("X")
+    for t in (e, Exists((x,), e), Kappa((x,), e), TheSetOf(x, e)):
+        s = substitute(t, binding)
+        parts = _shared_parts(s)
+        stack = [t]
+        while stack:
+            sub = stack.pop()
+            if not (free_vars(sub) & binding.keys()):
+                assert id(sub) in parts and parts[id(sub)] is sub, \
+                    print_expr(sub)
+            else:
+                stack.extend(logic.children(sub))
+        if not (free_vars(t) & binding.keys()):
+            assert s is t
+    assert substitute(e, {}) is e
