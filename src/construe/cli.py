@@ -124,27 +124,31 @@ def _cache_key(paths: tuple) -> tuple:
     return (CACHE_FORMAT, sys.version_info[:2], paths, tuple(modules))
 
 
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
 def _read_sources(paths: tuple) -> tuple | None:
     """The bytes of every resource file, per path list, or None if one
     cannot be read (the loaders then report it)."""
     try:
-        return tuple(tuple(Path(p).read_bytes() for p in group)
-                     for group in paths)
+        return tuple(tuple(map(_read_bytes, group)) for group in paths)
     except OSError:
         return None
 
 
-def _cache_file(paths: tuple) -> Path:
+def _cache_file(paths: tuple) -> str:
     """The one entry of a set of absolute resource *paths*: it is named by
     the paths alone, so an entry written under another engine or Python
     is overwritten, not left behind."""
     root = (os.environ.get("XDG_CACHE_HOME")
             or os.path.join(os.path.expanduser("~"), ".cache"))
-    return Path(root, "construe",
-                f"{zlib.crc32(repr(paths).encode()):08x}.pickle")
+    return os.path.join(root, "construe",
+                        f"{zlib.crc32(repr(paths).encode()):08x}.pickle")
 
 
-def _cache_get(path: Path, key: tuple, sources: tuple) -> Resources | None:
+def _cache_get(path: str, key: tuple, sources: tuple) -> Resources | None:
     """The resources of the entry at *path*, if the current user owns it,
     no one else may write it, and it was written under *key* from exactly
     *sources*; otherwise None."""
@@ -167,7 +171,7 @@ def _cache_get(path: Path, key: tuple, sources: tuple) -> Resources | None:
     return resources
 
 
-def _cache_put(path: Path, entry: tuple):
+def _cache_put(path: str, entry: tuple):
     """Write *entry* to *path* through a private temporary file, then evict
     stale entries; an entry that cannot be pickled (a term nested a few
     hundred levels deep loads but exceeds the pickler's recursion limit)
@@ -177,9 +181,10 @@ def _cache_put(path: Path, entry: tuple):
         data = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
     except (pickle.PicklingError, RecursionError):
         return
-    tmp = path.with_name(f"{path.name}.tmp")
+    tmp = f"{path}.tmp"
+    directory = os.path.dirname(path)
     try:
-        path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        os.makedirs(directory, mode=0o700, exist_ok=True)
         try:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
         except FileExistsError:
@@ -196,10 +201,10 @@ def _cache_put(path: Path, entry: tuple):
             raise
     except OSError:
         return
-    _evict_stale(path.parent)
+    _evict_stale(directory)
 
 
-def _evict_stale(directory: Path):
+def _evict_stale(directory: str):
     """Delete the entries in *directory* that the current user owns and
     that were last written more than ``CACHE_MAX_AGE_S`` ago: those of
     deleted checkouts or resource copies.  An entry still in use is at

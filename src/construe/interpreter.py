@@ -4,19 +4,21 @@ composition on a parse graph, and anaphor resolution.
 
 The window starts at each token position at its maximum size and shrinks
 until one or more constructions apply, then the anchor advances one token.
-Sweeps over the anchors repeat until one adds no edge.  A sweep revisits
-only dirty anchors: those with a new edge inside their reach since their
-last visit, or, when some construction has anaphoric slots, a new edge to
-their left, where antecedents are searched.  Any other revisit would be a
-no-op.
+Sweeps over the anchors repeat until one adds no edge.  A revisit runs only
+the windows that hold an edge added since the anchor's last visit began,
+from the largest down; with anaphoric constructions, a new edge at or left
+of an anchor, where antecedents are searched, makes its next visit run
+every size.  Any other window would retrieve only candidates already tried.
 
-Candidate constructions are found by chaining three exact-match tiers.  A
-window is tiled left to right with literal tokens and slot sub-spans, and
-a tiling grows only while its partial skeleton is a prefix of some stored
-skeleton key; that pruning subsumes the lexical tier.  Complete tilings
-are confirmed on the skeleton tier, then on the typed tier, whose keys
-come from the (pruned) upward type closures of the filler edges, computed
-once per edge.
+Candidate constructions are found by chaining three exact-match tiers.  One
+walk from each anchor tiles its reach left to right with literal tokens and
+slot sub-spans, and a tiling grows only while its partial skeleton is a
+prefix of some stored skeleton key; that pruning subsumes the lexical tier.
+The walk records where each tiling ends and serves every window of the
+anchor until an edge is added.  A visited window's complete tilings are
+confirmed on the skeleton tier, then on the typed tier, whose keys come
+from the (pruned) upward type closures of the filler edges, computed once
+per edge.
 """
 
 from __future__ import annotations
@@ -157,6 +159,7 @@ class ParseGraph:
         self.readings = [len(chart.token_concepts(i)) + 1
                          for i in range(len(self.tokens))]
         self._used_types = repo.used_types
+        self._prefixes = repo.skeleton_prefixes(config.language)
         self.edges: list[Edge] = []
         self._by_span: dict[tuple, list] = {}
         self._fillers: dict[int, dict] = {}   # start -> end -> slot type -> edges
@@ -166,6 +169,8 @@ class ParseGraph:
         self.trace: list[TraceEvent] = []
         self.pattern_counts: dict[tuple, int] = {}
         self.truncated_by = ""           # the cap that cut the run short
+        # retrieval's last anchor walk (``_walk``)
+        self._last_walk: tuple = (None, 0, ())
         self._fresh = itertools.count(1)
 
     @property
@@ -273,33 +278,49 @@ def _seed_tag_edges(graph: ParseGraph):
 def retrieve(graph: ParseGraph, start: int, end: int) -> list:
     """Constructions applicable to the window, with their slot bindings.
 
-    The window is tiled left to right with literal tokens and slot
-    sub-spans (spans with an edge that can fill some used slot type).  A
-    tiling is only extended while its partial skeleton is a prefix of a
-    stored skeleton key, which also implies the lexical tier.  A complete
-    tiling is confirmed on the skeleton tier, then on the typed tier.  Also
-    records the window's typed-pattern candidate count (the product over
-    tokens of readings plus the surface form itself)."""
+    The tilings of the anchor's walk (``_walk``) that end at *end* are
+    confirmed on the skeleton tier, then on the typed tier.  Also records
+    the window's typed-pattern candidate count (the product over tokens of
+    readings plus the surface form itself)."""
     repo, lang = graph.repo, graph.config.language
     graph.pattern_counts[(start, end)] = math.prod(graph.readings[start:end])
-    prefixes, folded = repo.skeleton_prefixes(lang), graph.folded
+    walk = graph._last_walk
+    if walk[0] != (start, len(graph.edges)) or walk[1] < end:
+        walk = graph._last_walk = _walk(graph, start, end)
     found: dict = {}
-    stack = [(start, (), ())]
-    while stack:
-        pos, skeleton, type_maps = stack.pop()
-        if pos == end:
-            if repo.lookup("skeleton", skeleton, lang):
-                _typed_matches(graph, skeleton, type_maps, found)
+    for pos, skeleton, type_maps in walk[2]:
+        if pos == end and repo.lookup("skeleton", skeleton, lang):
+            _typed_matches(graph, skeleton, type_maps, found)
+    return [found[sig] for sig in sorted(found)] if found else []
+
+
+def _walk(graph: ParseGraph, start: int, end: int) -> tuple:
+    """((anchor, edge count), reach, tilings): every tiling from the anchor
+    *start* up to its reach (and at least to *end*), each as (end
+    position, partial skeleton, filler type maps).
+
+    A window is tiled left to right with literal tokens and slot sub-spans
+    (spans with an edge that can fill some used slot type).  A tiling is
+    only extended while its partial skeleton is a prefix of a stored
+    skeleton key, which also implies the lexical tier.  Tilings depend
+    only on the edges present, and edges are only ever added, so one walk
+    serves every window of the anchor until the next edge."""
+    limit = max(end, min(len(graph.tokens), start + graph.config.max_window))
+    prefixes, folded, fillers = graph._prefixes, graph.folded, graph._fillers
+    tilings = [(start, (), ())]
+    # the loop also reads the tilings it appends
+    for pos, skeleton, type_maps in tilings:
+        if pos == limit:
             continue
         key = skeleton + (folded[pos],)
         if key in prefixes:
-            stack.append((pos + 1, key, type_maps))
+            tilings.append((pos + 1, key, type_maps))
         key = skeleton + (SKELETON_SLOT,)
         if key in prefixes:
-            for span_end, type_map in graph._fillers.get(pos, {}).items():
-                if span_end <= end:
-                    stack.append((span_end, key, type_maps + (type_map,)))
-    return [found[sig] for sig in sorted(found)]
+            for span_end, type_map in fillers.get(pos, {}).items():
+                if span_end <= limit:
+                    tilings.append((span_end, key, type_maps + (type_map,)))
+    return (start, len(graph.edges)), limit, tilings
 
 
 def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
@@ -501,25 +522,31 @@ def window_loop(graph: ParseGraph):
     something applies; any application advances the anchor one token; the
     sweep repeats while new edges keep appearing.
 
-    An anchor is revisited only when it is dirty: since its last visit
-    began, an edge was added inside its reach or, when the repository has
-    anaphoric constructions, an edge ending at or before the anchor, where
-    anaphora look.  Otherwise the revisit would retrieve the same
-    candidates, every one already tried, so skipping it changes nothing."""
+    A visit of anchor *a* runs the sizes from the top down to ``need[a]``:
+    every size on the first visit, and after it the smallest window at *a*
+    that holds an edge added since *a*'s last visit began.  An anchor with
+    no such edge is not revisited.  A smaller window holds no new filler,
+    so it retrieves the same candidates, every one already tried: if one
+    applied last time, it applies again with its prior edge, and nothing
+    else can.  When the repository has anaphoric constructions, an edge
+    ending at or before an anchor can change its antecedents, and the
+    anchor's next visit runs every size."""
     config = graph.config
     n = len(graph.tokens)
     anaphora = graph.repo.has_anaphora
-    dirty = [True] * n
+    unseen = config.max_window + 1      # no window holds a new edge
+    need = [1] * n
     while True:
         before = len(graph.edges)
         for start in range(n):
+            low = need[start]
+            if low == unseen:
+                continue
             if graph.truncated:
                 return
-            if not dirty[start]:
-                continue
-            dirty[start] = False
+            need[start] = unseen
             visit_start = len(graph.edges)
-            for size in range(min(config.max_window, n - start), 0, -1):
+            for size in range(min(config.max_window, n - start), low - 1, -1):
                 applied = False
                 for r in retrieve(graph, start, start + size):
                     edges = apply_construction(graph, r.construction, r.binding,
@@ -528,13 +555,13 @@ def window_loop(graph: ParseGraph):
                 if applied:
                     break
             for edge in graph.edges[visit_start:]:
-                # the anchors whose reach [a, a + min(max_window, n - a))
-                # holds the edge, and with anaphora those right of it
+                # the anchors whose reach holds the edge, each down to its
+                # smallest window that does
                 for a in range(max(0, edge.end - config.max_window),
                                edge.start + 1):
-                    dirty[a] = True
+                    need[a] = min(need[a], edge.end - a)
                 if anaphora:
-                    dirty[edge.end:] = [True] * (n - edge.end)
+                    need[edge.end:] = [1] * (n - edge.end)
         if len(graph.edges) == before or graph.truncated:
             return
 

@@ -465,15 +465,18 @@ class KnowledgeBase:
                 continue
             if not self.known(arg):
                 continue
+            # the loader registered every constraint type and the argument
+            # is known, so each subsumption test here is membership in one
+            # of the argument's closures
             if c.kind == "argIsa":
-                if not self.subsumes(c.required, arg, "isa"):
+                if c.required not in self.isa_closure(arg):
                     out.append(Violation("arg-isa", apath,
                                          f"argument {c.position} of {owner} must be "
                                          f"an instance of {c.required.name}, got {print_expr(arg)}"))
             else:
-                if self.subsumes(c.required, arg, "genls"):
+                if c.required in self.genls_closure(arg):
                     continue
-                if self.subsumes(c.required, arg, "isa"):
+                if c.required in self.isa_closure(arg):
                     out.append(Violation(
                         "instance-vs-specialization", apath,
                         f"argument {c.position} of {owner} must be a specialization "
@@ -495,10 +498,10 @@ class KnowledgeBase:
                 continue
             if not (_is_term(if_arg) and self.known(if_arg)):
                 continue
-            if not self.subsumes(c.if_type, if_arg, "genls"):
+            if c.if_type not in self.genls_closure(if_arg):
                 continue
             if (_is_term(then_arg) and self.known(then_arg)
-                    and self.subsumes(c.then_type, then_arg, "genls")):
+                    and c.then_type in self.genls_closure(then_arg)):
                 continue
             out.append(Violation(
                 "inter-arg", path + (c.then_position,),

@@ -272,8 +272,15 @@ def reference_segmentations(surface, lexicon):
 _VOCAB = ["the", "red", "of", "on", "vast", "near"]
 
 
-def random_instance(rng: random.Random):
-    """A small random taxonomy, construction set, and pre-seeded window."""
+def random_instance(rng: random.Random, feeding: bool = False,
+                    max_window: int = 12):
+    """A small random taxonomy, construction set, and pre-seeded window.
+
+    With *feeding*, each construction outputs one of the taxonomy's types,
+    so that its edges fill the slots of larger windows on later sweeps; an
+    anaphoric construction, spelled "it", ends the input, and in half the
+    instances gets more antecedents than ``MAX_ANAPHOR_CANDIDATES``; and a
+    run stops at 80 edges.  The engine runs with *max_window*."""
     n_types = rng.randint(5, 10)
     types = [f"Type{i}" for i in range(n_types)]
     kb_lines = [f"(collection {t})" for t in types]
@@ -289,7 +296,7 @@ def random_instance(rng: random.Random):
         kb_lines.append(f"(isa {ind} {rng.choice(types)})")
     kb = load_kb(text="\n".join(kb_lines))
 
-    cons_forms = []
+    cons_forms, outputs = [], []
     for ci in range(rng.randint(3, 8)):
         parts = []
         for ei in range(rng.randint(1, 4)):
@@ -303,8 +310,25 @@ def random_instance(rng: random.Random):
         nl = " ".join(parts)
         slots = [p for p in parts if p.startswith("$")]
         logic = f"(TupleFn {' '.join(slots)})" if slots else "Marker"
+        output = rng.choice(types) if feeding else "Marker"
+        outputs.append(output)
         cons_forms.append(f'(construction :id c{ci} :lang en :nl "{nl}" '
-                          f":logic {logic} :output-type Marker)")
+                          f":logic {logic} :output-type {output})")
+    if feeding:
+        # antecedents that constructions make, and some that they do not
+        anaphor = rng.choice(outputs + types[:1])
+        cons_forms.append(f'(construction :id it :lang en :nl "it" '
+                          f":logic (TupleFn ${anaphor}#9) "
+                          f":anaphoric (${anaphor}#9) "
+                          f":output-type {rng.choice(types)})")
+        if rng.random() < 0.3:
+            # a pair that wraps each other's edges, so that an antecedent
+            # of "it" appears only every other sweep
+            other = rng.choice(types)
+            for cid, a, b in (("up", anaphor, other), ("down", other, anaphor)):
+                cons_forms.append(f'(construction :id {cid} :lang en '
+                                  f':nl "${a}#0" :logic (TupleFn ${a}#0) '
+                                  f":output-type {b})")
     repo = load_constructions(text="\n".join(cons_forms))
 
     def add_edge(graph, span, name):
@@ -342,8 +366,10 @@ def random_instance(rng: random.Random):
     else:
         surfaces = [rng.choice(_VOCAB + ["unseen"])
                     for _ in range(rng.randint(1, 6))]
-    n_tok = max(1, len(surfaces))
     surfaces = surfaces or ["unseen"]
+    if feeding:
+        surfaces += ["unseen"] * (3 - len(surfaces)) + ["it"]
+    n_tok = len(surfaces)
 
     tokens = []
     offset = 0
@@ -351,11 +377,19 @@ def random_instance(rng: random.Random):
         tokens.append(Token(s, offset, offset + len(s)))
         offset += len(s) + 1
     chart = TagChart(" ".join(surfaces), tokens, [])
-    graph = ParseGraph(chart.text, chart, kb, repo, EngineConfig())
+    config = EngineConfig(max_window=max_window,
+                          max_edges=80 if feeding else 50_000)
+    graph = ParseGraph(chart.text, chart, kb, repo, config)
     pool = types + individuals
+    if feeding:
+        # seeded edges are not antecedents of "it": those come from
+        # constructions, and from the extra edges below
+        antecedents = specializations_of(anaphor)
+        pool = [t for t in pool if t not in antecedents] or pool
     for span, name in planted_slots:
         add_edge(graph, span, name)
-    for i in range(n_tok):
+    # with feeding, only "it" itself adds edges on the "it" token
+    for i in range(n_tok - feeding):
         for _ in range(rng.randint(0, 2)):
             add_edge(graph, (i, i + 1), rng.choice(pool))
     for _ in range(rng.randint(0, 2)):
@@ -363,6 +397,14 @@ def random_instance(rng: random.Random):
             s = rng.randrange(n_tok - 1)
             e = rng.randint(s + 2, n_tok)
             add_edge(graph, (s, e), rng.choice(types))
+    if feeding and rng.random() < 0.5:
+        # more antecedents for "it" than it keeps, not next to it, so that
+        # edges made later can be nearer
+        spans = [(s, e) for s in range(n_tok - 2)
+                 for e in range(s + 1, n_tok - 1)]
+        pairs = [(span, name) for span in spans for name in antecedents]
+        for span, name in rng.sample(pairs, min(len(pairs), 7)):
+            add_edge(graph, span, name)
     return graph, (0, n_tok)
 
 

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import helpers
 from helpers import (brute_force_matches, full_sweep_window_loop,
                      graph_outcome, random_instance, retrieval_signatures)
 from construe import interpreter
@@ -209,6 +210,43 @@ def test_agenda_matches_full_sweeps_on_random_instances():
         assert graph_outcome(graph) == graph_outcome(oracle), seed
 
 
+@pytest.mark.parametrize("max_window", [12, 3, 2])
+def test_agenda_matches_full_sweeps_on_feeding_instances(monkeypatch,
+                                                         max_window):
+    """Edges that fill larger windows on later sweeps, and an anaphor with
+    more candidates than it keeps: the revisits that run only the sizes
+    holding a new edge end where full sweeps end, with less retrieval."""
+    windows = {"agenda": 0, "full": 0}
+
+    def counted(name, fn):
+        def wrapper(graph, start, end):
+            windows[name] += 1
+            return fn(graph, start, end)
+        return wrapper
+
+    monkeypatch.setattr(interpreter, "retrieve",
+                        counted("agenda", interpreter.retrieve))
+    monkeypatch.setattr(helpers, "retrieve", counted("full", helpers.retrieve))
+    fed = anaphors = 0
+    for seed in range(150):
+        graph, _ = random_instance(random.Random(seed), feeding=True,
+                                   max_window=max_window)
+        oracle, _ = random_instance(random.Random(seed), feeding=True,
+                                    max_window=max_window)
+        window_loop(graph)
+        full_sweep_window_loop(oracle)
+        assert graph_outcome(graph) == graph_outcome(oracle), seed
+        assert graph.truncated_by == oracle.truncated_by, seed
+        sources = [e.source for e in graph.edges]
+        fed += any(sources[i] not in ("lex", "syn")
+                   for e in graph.edges for _, i in e.children)
+        anaphors += "it" in sources
+    # construction edges fill construction slots, "it" resolves, and the
+    # bounded revisits skip windows
+    assert fed > 30 and anaphors > 100
+    assert windows["agenda"] < windows["full"]
+
+
 def subterms(e):
     stack = [e]
     while stack:
@@ -304,6 +342,27 @@ def test_retrieve_matches_brute_force_on_random_instances():
         got = retrieval_signatures(retrieve(graph, start, end))
         expected = brute_force_matches(graph, start, end)
         assert got == expected
+
+
+def test_retrieve_matches_brute_force_as_edges_are_added():
+    """Retrieval takes its tilings from one walk per anchor and edge count;
+    calls that switch anchors and window ends, with edges added between
+    them, still see exactly what brute force sees."""
+    rng = random.Random(7)
+    for _ in range(100):
+        graph, (_, n) = random_instance(rng, feeding=rng.random() < 0.5,
+                                        max_window=rng.choice((2, 3, 12)))
+        names = sorted({e.output_type.name for e in graph.edges})
+        for _ in range(12):
+            start = rng.randrange(n)
+            end = rng.randint(start + 1, n)
+            got = retrieval_signatures(retrieve(graph, start, end))
+            assert got == brute_force_matches(graph, start, end)
+            if names and rng.random() < 0.5:
+                s = rng.randrange(n)
+                t = Constant(rng.choice(names))
+                graph.add_edge((s, rng.randint(s + 1, n)), "added", t, None,
+                               t, "collection")
 
 
 def _deep_window_graph(text, kb, repo, lexicon):
