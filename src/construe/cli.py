@@ -37,8 +37,7 @@ from . import sexpr, tagger
 from .interpreter import (Edge, EngineConfig, Interpretation, ParseGraph,
                           finalize, interpret)
 from .kb import ContextStack, KnowledgeBase
-from .logic import (PLAIN_NAMES, Names, SharedNames, expr_to_json,
-                    print_expr)
+from .logic import Names, expr_to_json, print_expr
 from .value import Value, setters
 
 
@@ -98,7 +97,7 @@ def _read_text(path, what: str) -> str:
         raise ResourceError(f"{what} file {path} cannot be read: {err}") from err
 
 
-def _load(loader, paths, flag: str, names: Names = PLAIN_NAMES):
+def _load(loader, paths, flag: str, names: Names | None = None):
     """*loader* run on *paths* with the load's *names*; a resource that does
     not load is a ResourceError naming *flag*."""
     try:
@@ -245,7 +244,7 @@ def load_resources(manifest: RunManifest) -> Resources:
             return cached
     # one table for the three loaders: the resources, and so the entry,
     # hold each name and atom once
-    names = SharedNames()
+    names = Names()
     resources = Resources(
         _load(kbmod.load_kb, manifest.kb_files, "--kb", names),
         _load(tagger.load_lexicon, manifest.lexicon_files, "--lexicon", names),
@@ -457,15 +456,21 @@ def evaluate(records: list, verdicts: dict, unit: str = "tokens") -> dict:
 
 
 def read_captions(path: str) -> list:
-    captions = []
+    """The (id, text) pairs of a captions file; ids must be distinct, or
+    two captions' verdicts would be one."""
+    captions: dict = {}
     for lineno, line in enumerate(_read_text(path, "captions").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "\t" not in line:
             raise ResourceError(f"{path}:{lineno}: expected 'id<TAB>text'")
         caption_id, text = line.split("\t", 1)
-        captions.append((caption_id.strip(), text))
-    return captions
+        caption_id = caption_id.strip()
+        if caption_id in captions:
+            raise ResourceError(f"{path}:{lineno}: duplicate caption id "
+                                f"{caption_id}")
+        captions[caption_id] = text
+    return list(captions.items())
 
 
 def read_verdicts(path: str, records: list) -> dict:
@@ -489,7 +494,11 @@ def read_verdicts(path: str, records: list) -> dict:
         if interp_id not in known[caption_id]:
             raise ResourceError(f"{path}:{lineno}: unknown interpretation id "
                                 f"{interp_id} for caption {caption_id}")
-        verdicts.setdefault(caption_id, {})[interp_id] = verdict
+        caption_verdicts = verdicts.setdefault(caption_id, {})
+        if interp_id in caption_verdicts:
+            raise ResourceError(f"{path}:{lineno}: second verdict for "
+                                f"{caption_id} {interp_id}")
+        caption_verdicts[interp_id] = verdict
     return verdicts
 
 

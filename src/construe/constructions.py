@@ -31,13 +31,12 @@ from typing import Iterable
 
 from . import sexpr, tagger
 from .kb import KnowledgeBase, constant_name
-from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, TYPED_VAR_RE, Constant, Expr,
-                    Names, QueryVar, TypedVar, free_vars, from_sexpr,
-                    print_expr, term_depth)
+from .logic import (MAX_TERM_DEPTH, TYPED_VAR_RE, Constant, Expr, Names,
+                    QueryVar, TypedVar, free_vars, from_sexpr, print_expr,
+                    term_depth)
 from .sexpr import Finding, FormError, LoadError
 from .value import Value, setters
 
-ConstructionLoadError = LoadError
 # A template slot is the logic template's typed variable itself.
 TypedSlot = TypedVar
 
@@ -242,7 +241,8 @@ def _chunk_alternative_strings(chunk: str) -> list | None:
 
 
 def parse_template(text: str, language: str,
-                   names: Names = PLAIN_NAMES) -> NlTemplate:
+                   names: Names | None = None) -> NlTemplate:
+    names = Names() if names is None else names
     elements: list = []
     for chunk in _split_chunks(text):
         alt_strings = _chunk_alternative_strings(chunk)
@@ -438,12 +438,10 @@ def _parse_form(form, names: Names) -> Construction:
 
 def parse_construction(dsl_text: str) -> Construction:
     """Parse one (construction ...) form, enforcing every invariant."""
-    repo, findings = load_constructions_lenient(text=dsl_text)
-    if not findings and len(repo.constructions) != 1:
-        findings = [Finding("cons-syntax", "expected exactly one form, found "
-                                           f"{len(repo.constructions)}")]
-    if findings:
-        raise ConstructionLoadError(findings)
+    repo = load_constructions(text=dsl_text)
+    if len(repo.constructions) != 1:
+        raise LoadError([Finding("cons-syntax", "expected exactly one form, "
+                                 f"found {len(repo.constructions)}")])
     [c] = repo.constructions.values()
     return c
 
@@ -465,11 +463,12 @@ class Repository:
         self.used_types: frozenset = frozenset()
         self.has_anaphora = False       # any construction with :anaphoric slots
 
-    def add(self, c: Construction, names: Names = PLAIN_NAMES):
+    def add(self, c: Construction, names: Names | None = None):
         """Store *c* and index its variants on the three tiers; a second
         construction with *c*'s id raises ``FormError``.  *names* makes
-        the constants of its slot types, so that under a load's
-        ``SharedNames`` they are the very constants of the KB."""
+        the constants of its slot types, so that under the table of the
+        KB's load they are the very constants of the KB."""
+        names = Names() if names is None else names
         if c.id in self.constructions:
             raise FormError("cons-duplicate-id",
                             f"construction {c.id} defined twice")
@@ -518,11 +517,11 @@ def _add_form(repo: Repository, names: Names, form, findings: list):
 
 def load_constructions_lenient(paths: Iterable | None = None, *,
                                text: str | None = None,
-                               names: Names = PLAIN_NAMES) -> tuple:
+                               names: Names | None = None) -> tuple:
     """Load and return (repository, findings); only an unreadable file
-    raises.  *names* makes the names and atoms read (see
-    ``logic.SharedNames``)."""
-    repo = Repository()
+    raises.  *names* is the load's name table (``logic.Names``), by default
+    its own."""
+    repo, names = Repository(), Names() if names is None else names
     return repo, sexpr.load_forms(
         paths, text, "cons",
         lambda form, found: _add_form(repo, names, form, found))
@@ -530,11 +529,9 @@ def load_constructions_lenient(paths: Iterable | None = None, *,
 
 def load_constructions(paths: Iterable | None = None, *,
                        text: str | None = None,
-                       names: Names = PLAIN_NAMES) -> Repository:
-    repo, findings = load_constructions_lenient(paths, text=text, names=names)
-    if findings:
-        raise ConstructionLoadError(findings)
-    return repo
+                       names: Names | None = None) -> Repository:
+    return sexpr.strict(
+        load_constructions_lenient(paths, text=text, names=names))
 
 
 def lint_constructions(repo: Repository, kb: KnowledgeBase) -> list:

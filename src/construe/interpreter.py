@@ -262,7 +262,7 @@ def _seed_tag_edges(graph: ParseGraph):
                 output_type: Expr = Constant(kb.numeral_type_name(concept.value))
             else:
                 output_type = concept
-            violations = kb.check_plausibility(concept, graph.config.context)
+            violations = kb.check_plausibility(concept)
             if violations:
                 graph.trace_discard("plausibility", LEXICAL_SOURCE,
                                     (span.start, span.end),
@@ -502,7 +502,7 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
             graph.trace_discard("composition", c.id, span, str(err))
             continue
         # every child passed the check when its edge was made
-        violations = kb.check_plausibility(logic, config.context, passed)
+        violations = kb.check_plausibility(logic, passed)
         if violations:
             graph.trace_discard("plausibility", c.id, span,
                                 "; ".join(f"{v.kind}: {v.message}" for v in violations))

@@ -28,10 +28,10 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import sexpr
-from .logic import (App, And, Constant, Exists, Expr, Kappa, Nat, Not,
-                    PLAIN_NAMES, Names, Numeral, Text, TheSetOf, TypedVar,
+from .logic import (App, And, Constant, Exists, Expr, ExprSyntaxError, Kappa,
+                    Nat, Not, Names, Numeral, Text, TheSetOf, TypedVar,
                     QueryVar, children, from_sexpr, is_ground, print_expr)
-from .sexpr import Finding, FormError, LoadError
+from .sexpr import Finding, FormError
 from .value import Value, setters
 
 TermLike = (Constant, Nat)
@@ -43,9 +43,6 @@ class UnknownTermError(Exception):
 
 class UntypedTermError(Exception):
     pass
-
-
-KbLoadError = LoadError
 
 
 class FunctionSignature(Value):
@@ -167,22 +164,23 @@ def _is_integer(item) -> bool:
 
 def constant_name(node: sexpr.Symbol, names: Names,
                   code: str = "kb-form") -> str:
-    """The name that the name-field symbol *node* gives, read the way
-    ``from_sexpr`` reads a constant: ``#$Foo`` is ``Foo``.  A bare ``#$``
-    is rejected as a *code* finding."""
-    text = str(node)
-    if text.startswith("#$"):
-        text = text[2:]
-        if not text:
-            raise FormError(code, "empty constant after #$")
-    return names.name(text)
+    """The name of the constant that the name-field symbol *node* denotes
+    as a term field (``#$Foo`` is ``Foo``).  A symbol that is no constant
+    (``#$``, ``?x``, ``$T#1``) is rejected as a *code* finding."""
+    try:
+        atom = names.atom(node)
+    except ExprSyntaxError as err:
+        raise FormError(code, err.message) from None
+    if atom.__class__ is not Constant:
+        raise FormError(code, f"{node} is a variable, not a constant name")
+    return atom.name
 
 
 class KnowledgeBase:
     def __init__(self):
-        self._declared: dict[str, str] = {}
-        self._collection_evidence: set[str] = set()
-        self._individual_evidence: set[str] = set()
+        # constant name -> 'individual' or 'collection' (the kind of a name
+        # not in it); fixed at load by ``_Loader.validate``
+        self._kinds: dict[str, str] = {}
         self._terms: set[str] = set()
         self._isa: dict[Expr, list] = {}
         self._genls: dict[Expr, list] = {}
@@ -191,7 +189,6 @@ class KnowledgeBase:
         self._arg_constraints: dict[str, list] = {}
         self._inter_arg: dict[str, list] = {}
         self._disjoint: set[frozenset] = set()
-        self._nats_seen: set[Nat] = set()
         self._genls_memo: dict[Expr, frozenset] = {}
         self._isa_memo: dict[Expr, frozenset] = {}
         self._match_memo: dict[Expr, frozenset] = {}
@@ -226,13 +223,7 @@ class KnowledgeBase:
     def kindedness(self, t: Expr) -> str:
         """'individual' or 'collection'; declarations win over inference."""
         if isinstance(t, Constant):
-            if t.name in self._declared:
-                return self._declared[t.name]
-            if t.name in self._collection_evidence:
-                return "collection"
-            if t.name in self._individual_evidence:
-                return "individual"
-            return "collection"
+            return self._kinds.get(t.name, "collection")
         if isinstance(t, Nat):
             if t in self._genls:
                 return "collection"
@@ -568,8 +559,7 @@ class KnowledgeBase:
             return
         out.append(Violation("structural", path, f"unexpected node {e!r}"))
 
-    def check_plausibility(self, e: Expr, ctx: ContextStack = DEFAULT_CONTEXT,
-                           passed: Iterable = ()) -> list:
+    def check_plausibility(self, e: Expr, passed: Iterable = ()) -> list:
         """Collect every constraint violation in *e*.  An empty list means
         the expression is plausible.
 
@@ -590,27 +580,30 @@ class KnowledgeBase:
 class _Loader:
     """Builds a KnowledgeBase one top-level form at a time (the handler
     given to ``sexpr.load_forms``), then ``validate`` checks it whole.
-    Its names and atoms are made by *names*."""
+    Its names and atoms are made by *names*.  What only ``validate``
+    reads (kind evidence, the function terms seen) stays here."""
 
     def __init__(self, names: Names):
         self.names = names
         self.kb = KnowledgeBase()
         self.findings: list[Finding] = []
+        self.declared: dict[str, str] = {}
+        self.evidence: dict[str, str] = {}     # collection evidence wins
+        self.nats_seen: set[Nat] = set()
 
     def error(self, code: str, message: str):
         self.findings.append(Finding(code, message))
 
     def register(self, e: Expr, evidence: str | None = None):
-        kb = self.kb
         if isinstance(e, Constant):
-            kb._terms.add(e.name)
+            self.kb._terms.add(e.name)
             if evidence == "collection":
-                kb._collection_evidence.add(e.name)
+                self.evidence[e.name] = evidence
             elif evidence == "individual":
-                kb._individual_evidence.add(e.name)
+                self.evidence.setdefault(e.name, evidence)
             return
         if isinstance(e, Nat):
-            kb._nats_seen.add(e)
+            self.nats_seen.add(e)
         for child in children(e):
             self.register(child)
 
@@ -744,24 +737,27 @@ class _Loader:
             if len(form) != 2 or not _symbols(form[1]):
                 raise FormError("kb-form", f"({head} Term) expected")
             name = constant_name(form[1], names)
-            prior = kb._declared.get(name)
-            if prior is not None and prior != head:
+            # the literal, so that every kind in the KB is one of two strings
+            kind = "individual" if head == "individual" else "collection"
+            prior = self.declared.get(name)
+            if prior is not None and prior != kind:
                 raise FormError("kb-conflict",
                                 f"{name} declared both individual and collection")
             self.register(names.constant(name))
-            kb._declared[name] = head
+            self.declared[name] = kind
         else:
             raise FormError("kb-form",
                             f"unknown form ({sexpr.to_text(form[0])} ...)")
 
     def validate(self):
         kb = self.kb
+        kb._kinds = {**self.evidence, **self.declared}    # declarations win
         # genls cycles would make closure queries diverge
         for cycle in _find_cycles(kb._genls):
             names = " -> ".join(print_expr(t) for t in cycle)
             self.error("kb-genls-cycle", f"genls cycle: {names}")
         # declared arities must match every use
-        for nat in sorted(kb._nats_seen, key=print_expr):
+        for nat in sorted(self.nats_seen, key=print_expr):
             if not isinstance(nat.functor, Constant):
                 continue
             sig = kb._signatures.get(nat.functor.name)
@@ -811,22 +807,19 @@ def _find_cycles(graph: dict) -> list:
 
 
 def load_kb_lenient(paths: Iterable | None = None, *, text: str | None = None,
-                    names: Names = PLAIN_NAMES) -> tuple:
+                    names: Names | None = None) -> tuple:
     """Load and return (kb, findings); only an unreadable file raises.
-    *names* makes the names and atoms read (see ``logic.SharedNames``)."""
-    loader = _Loader(names)
+    *names* is the load's name table (``logic.Names``), by default its own."""
+    loader = _Loader(Names() if names is None else names)
     loader.findings = sexpr.load_forms(paths, text, "kb", loader.load_form)
     loader.validate()
     return loader.kb, loader.findings
 
 
 def load_kb(paths: Iterable | None = None, *, text: str | None = None,
-            names: Names = PLAIN_NAMES) -> KnowledgeBase:
+            names: Names | None = None) -> KnowledgeBase:
     """Load a KB, rejecting any malformed input or genls cycle."""
-    kb, findings = load_kb_lenient(paths, text=text, names=names)
-    if findings:
-        raise KbLoadError(findings)
-    return kb
+    return sexpr.strict(load_kb_lenient(paths, text=text, names=names))
 
 
 def lint_kb(kb: KnowledgeBase) -> list:

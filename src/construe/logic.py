@@ -8,10 +8,16 @@ written ``(not ...)`` or with a prefixed negation sign.  A compound whose
 head constant starts with an uppercase letter denotes a function term
 (non-atomic term); a lowercase head is a predicate application.  ``and``,
 ``not``, ``exists``, ``Kappa`` and ``TheSetOf`` are structural forms.
+
+``from_sexpr`` reads a form of the ``sexpr`` reader, ``parse_expr`` text,
+and ``expr_from_json`` the form that a JSON encoding spells: one grammar,
+whose violations raise ``ExprSyntaxError``.  Each read makes its names and
+atoms through a ``Names`` table, its own unless the caller shares one.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from operator import is_
@@ -289,27 +295,12 @@ def _binder_vars(node, what: str, names: Names) -> tuple:
 
 
 class Names:
-    """How a loader makes the names and atoms it reads from symbols: each
-    one a new object.  ``SharedNames`` makes equal ones one object."""
-
-    __slots__ = ()
-    name = str              # the name string of a symbol
-    constant = Constant     # the Constant of a name
-
-    def atom(self, node: Symbol) -> Expr:
-        """The constant or variable that *node* denotes."""
-        return _symbol_atom(node, self)
-
-
-PLAIN_NAMES = Names()
-
-
-class SharedNames(Names):
-    """The table of one load: every name it gives is one string per value,
-    and every constant, query variable and typed variable one object per
-    value, so the loaded resources hold each once (and a pickled copy
-    stores each once).  The table lives only as long as this object: make
-    one per load and drop it after."""
+    """The name table of one read: every name it gives is one string per
+    value, and every constant, query variable and typed variable one
+    object per value, so what one load reads holds each once (and a
+    pickled copy stores each once).  The table lives only as long as this
+    object: make one per load, or pass one to several loaders to share
+    their atoms, and drop it after."""
 
     __slots__ = ("_names", "_constants", "_atoms")
 
@@ -330,6 +321,7 @@ class SharedNames(Names):
         return c
 
     def atom(self, node: Symbol) -> Expr:
+        """The constant or variable that *node* denotes."""
         a = self._atoms.get(node)
         if a is None:
             a = self._atoms[str(node)] = _symbol_atom(node, self)
@@ -414,10 +406,10 @@ def _convert(node, names: Names) -> Expr:
     raise ExprSyntaxError(f"cannot interpret {node!r}")
 
 
-def from_sexpr(node, names: Names = PLAIN_NAMES) -> Expr:
+def from_sexpr(node, names: Names | None = None) -> Expr:
     """The expression that the read form *node* denotes, its names and
-    atoms made by *names*."""
-    return _convert(node, names)
+    atoms made by *names* (a new table when none is given)."""
+    return _convert(node, Names() if names is None else names)
 
 
 def parse_expr(text: str) -> Expr:
@@ -425,7 +417,7 @@ def parse_expr(text: str) -> Expr:
         node = sexpr.parse_one(text)
     except SexprError as err:
         raise ExprSyntaxError(err.message, err.line, err.col) from err
-    return _convert(node, PLAIN_NAMES)
+    return _convert(node, Names())
 
 
 def print_expr(e: Expr) -> str:
@@ -803,48 +795,28 @@ def expr_to_json(e: Expr):
     raise TypeError(f"not an expression: {e!r}")
 
 
-_JSON_NUM_RE = re.compile(r"^-?\d+(/\d+)?$")
+def _json_form(obj):
+    """The read form that the JSON encoding *obj* spells: an array is a
+    list, a string the atom that ``sexpr.atom`` reads from it,
+    ``{"text": s}`` the string *s*, and a number its value."""
+    if isinstance(obj, list):
+        return SexprList(map(_json_form, obj))
+    if isinstance(obj, str):
+        try:
+            return sexpr.atom(obj)
+        except SexprError as err:
+            raise ExprSyntaxError(err.message) from None
+    if isinstance(obj, dict) and obj.keys() == {"text"} \
+            and isinstance(obj["text"], str):
+        return obj["text"]
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return Fraction(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return Fraction(obj).limit_denominator(10**12)
+    raise ExprSyntaxError(f"no expression is encoded as {obj!r}")
 
 
 def expr_from_json(obj) -> Expr:
-    if isinstance(obj, bool):
-        raise ExprSyntaxError("booleans have no expression reading")
-    if isinstance(obj, int):
-        return Numeral(Fraction(obj))
-    if isinstance(obj, float):
-        return Numeral(Fraction(obj).limit_denominator(10**12))
-    if isinstance(obj, str):
-        if obj.startswith("?"):
-            return QueryVar(obj[1:])
-        if obj.startswith("$"):
-            m = TYPED_VAR_RE.fullmatch(obj)
-            if not m:
-                raise ExprSyntaxError(f"unknown sigil in {obj!r}")
-            return TypedVar(m.group(1), int(m.group(2)))
-        if _JSON_NUM_RE.match(obj):
-            return Numeral(Fraction(obj))
-        return Constant(obj)
-    if isinstance(obj, dict):
-        if set(obj) == {"text"}:
-            return Text(obj["text"])
-        raise ExprSyntaxError(f"unknown object node {obj!r}")
-    if isinstance(obj, list):
-        if not obj:
-            raise ExprSyntaxError("empty array node")
-        head = obj[0]
-        if head == "and":
-            return And(tuple(expr_from_json(a) for a in obj[1:]))
-        if head == "not":
-            return Not(expr_from_json(obj[1]))
-        if head in ("exists", "Kappa"):
-            vars_ = tuple(expr_from_json(v) for v in obj[1])
-            node = Exists if head == "exists" else Kappa
-            return node(vars_, expr_from_json(obj[2]))
-        if head == "TheSetOf":
-            return TheSetOf(expr_from_json(obj[1]), expr_from_json(obj[2]))
-        head_expr = expr_from_json(head)
-        args = tuple(expr_from_json(a) for a in obj[1:])
-        if isinstance(head_expr, Constant) and head_expr.name[0].isupper():
-            return Nat(head_expr, args)
-        return App(head_expr, args)
-    raise ExprSyntaxError(f"cannot decode {obj!r}")
+    """The expression that *obj* encodes, read from the form it spells as
+    ``from_sexpr`` reads it."""
+    return _convert(_json_form(obj), Names())

@@ -15,14 +15,18 @@ exact after a string with escapes or with line breaks inside it, and a
 this one replaced got both wrong).  Errors are ``SexprError``: an
 unterminated string (reported first if the text has one), an unbalanced
 parenthesis, an unexpected ``)``, a dangling ``¬``, or a ratio with a
-zero denominator.  ``to_text`` writes a form back as one line of text,
-so that messages quote forms as a resource file writes them.
+zero denominator.  ``atom`` reads one whole atom by the same rules, for
+text that is not a source file (a JSON-encoded term).  ``to_text`` writes
+a form back as one line of text, so that messages quote forms as a
+resource file writes them.
 
 ``load_forms`` is the one way a resource file is read: it reads every
 source as UTF-8, parses it, hands each top-level form to a per-form
-handler and collects the ``Finding``s; ``LoadError`` carries them when a
-resource does not load.  A handler rejects its form by raising
-``FormError(code, message)``, which becomes one located finding.
+handler and collects the ``Finding``s.  A handler rejects its form by
+raising ``FormError(code, message)``, which becomes one located finding.
+A lenient loader returns ``(resource, findings)``; ``strict`` turns that
+into the resource, or raises ``LoadError`` carrying the findings, which is
+the one way a strict load fails.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE | re.DOTALL)
 _OPEN, _CLOSE, _ATOM, _NEWLINE, _STRING, _NEG, _UNTERMINATED = range(1, 8)
 _NUMBER_RE = re.compile(r"[+-]?\d+(?:/\d+|\.\d+)?")
+_ATOM_RE = re.compile(r'[^\s()";¬]+')     # the atom token of _TOKEN_RE
 _ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
@@ -130,7 +135,7 @@ def _error_at(text: str, offset: int, message: str) -> SexprError:
     return SexprError(message, *_position(text, offset))
 
 
-def parse_all(text: str, source: str = "<string>") -> list:
+def parse_all(text: str) -> list:
     """Read every top-level form in *text*."""
     forms: list = []
     cur, cur_neg = forms, False     # list receiving forms; is it a ¬ frame
@@ -198,6 +203,20 @@ def parse_all(text: str, source: str = "<string>") -> list:
     return forms
 
 
+def atom(text: str):
+    """The number or symbol (with no position) that *text* reads as when
+    it is one whole atom.  Any other text, or a ratio with a zero
+    denominator, raises ``SexprError`` with ``parse_all``'s message."""
+    if not _ATOM_RE.fullmatch(text):
+        raise SexprError(f"not one atom: {_quote(text)}")
+    if _NUMBER_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise SexprError(f"zero denominator in {text}") from None
+    return Symbol(text)
+
+
 def _quote(text: str) -> str:
     return '"%s"' % (text.replace("\\", "\\\\").replace('"', '\\"')
                      .replace("\n", "\\n").replace("\t", "\\t"))
@@ -228,12 +247,21 @@ def to_text(form) -> str:
     return "".join(parts)
 
 
-def parse_one(text: str, source: str = "<string>"):
+def parse_one(text: str):
     """Read exactly one form; trailing content is an error."""
-    forms = parse_all(text, source)
+    forms = parse_all(text)
     if len(forms) != 1:
         raise SexprError(f"expected exactly one form, found {len(forms)}", 1, 1)
     return forms[0]
+
+
+def strict(loaded: tuple):
+    """The resource of a lenient load's ``(resource, findings)``; a load
+    with findings raises ``LoadError`` with them."""
+    resource, findings = loaded
+    if findings:
+        raise LoadError(findings)
+    return resource
 
 
 def load_forms(paths: Iterable | None, text: str | None, prefix: str,
@@ -265,7 +293,7 @@ def load_forms(paths: Iterable | None, text: str | None, prefix: str,
     findings: list = []
     for name, content in sources:
         try:
-            forms = parse_all(content, name)
+            forms = parse_all(content)
         except SexprError as err:
             findings.append(Finding(f"{prefix}-syntax", f"{name}: {err}"))
             continue

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import sexpr
-from .logic import (MAX_TERM_DEPTH, PLAIN_NAMES, Constant, Expr, Names, Nat,
-                    Numeral, from_sexpr, print_expr, term_depth)
+from .logic import (MAX_TERM_DEPTH, Constant, Expr, Names, Nat, Numeral,
+                    from_sexpr, print_expr, term_depth)
 from .sexpr import FormError
 from .value import Value, setters
 
@@ -130,9 +130,6 @@ def _merged(first: tuple, second: tuple) -> tuple:
     return tuple(sorted(dict.fromkeys(first + second), key=print_expr))
 
 
-LexiconLoadError = sexpr.LoadError
-
-
 def _is_surface(item) -> bool:
     """A non-empty quoted string."""
     return isinstance(item, str) and not isinstance(item, sexpr.Symbol) \
@@ -182,21 +179,18 @@ def _load_entry(lex: Lexicon, names: Names, form, findings: list):
 
 def load_lexicon_lenient(paths: Iterable | None = None, *,
                          text: str | None = None,
-                         names: Names = PLAIN_NAMES) -> tuple:
+                         names: Names | None = None) -> tuple:
     """Load and return (lexicon, findings); only an unreadable file raises.
-    *names* makes the names and atoms read (see ``logic.SharedNames``)."""
-    lex = Lexicon()
+    *names* is the load's name table (``logic.Names``), by default its own."""
+    lex, names = Lexicon(), Names() if names is None else names
     return lex, sexpr.load_forms(
         paths, text, "lex",
         lambda form, found: _load_entry(lex, names, form, found))
 
 
 def load_lexicon(paths: Iterable | None = None, *, text: str | None = None,
-                 names: Names = PLAIN_NAMES) -> Lexicon:
-    lex, findings = load_lexicon_lenient(paths, text=text, names=names)
-    if findings:
-        raise LexiconLoadError(findings)
-    return lex
+                 names: Names | None = None) -> Lexicon:
+    return sexpr.strict(load_lexicon_lenient(paths, text=text, names=names))
 
 
 # ---------------------------------------------------------------------------

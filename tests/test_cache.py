@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import construe
-from conftest import RESOURCE_DIR
+from conftest import (DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES,
+                      RESOURCE_DIR)
 from construe import cli
 from construe import constructions as cons
 from construe import kb as kbmod
@@ -290,6 +291,17 @@ def test_entry_holds_each_name_and_atom_once(private_resource_cache):
         key = (Constant, Constant(name))
         assert all(part[key] is everything[key] for part in parts)
     assert len(kb.keys() & repo.keys()) > 50
+
+
+@pytest.mark.parametrize("load, files", [
+    (kbmod.load_kb, DEMO_KB_FILES), (tagger.load_lexicon, DEMO_LEX_FILES),
+    (cons.load_constructions, DEMO_CG_FILES)], ids=["kb", "lexicon",
+                                                    "constructions"])
+def test_library_load_holds_each_name_and_atom_once(load, files):
+    """A load given no table makes its own, so it too holds one object
+    per equal name and atom."""
+    atoms = _reachable_atoms(load(list(files)))
+    assert sum(kind is Constant for kind, _ in atoms) > 20
 
 
 def test_resource_changed_while_loading_is_not_cached(

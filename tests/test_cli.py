@@ -282,6 +282,7 @@ def test_long_genls_chain_interprets(tmp_path):
     (":output-var", "(and)", "cons-syntax"),
     (":output-type", '(slot "x")', "cons-form"),
     (":output-type", "(slot 1/2)", "cons-form"),
+    (":output-type", "?x", "cons-form"),
     (":id", "(a b)", "cons-form"),
     (":lang", "(en)", "cons-form")])
 def test_bad_construction_keyword_value_is_resource_error(tmp_path, capsys,
@@ -612,6 +613,31 @@ def test_eval_unknown_interpretation_id(tmp_path):
     rc, _ = run_cli(["eval", *demo_args(), str(captions),
                      "--verdicts", str(verdicts)])
     assert rc == 2
+
+
+def test_eval_rejects_a_repeated_caption_id(tmp_path, capsys):
+    """Two captions with one id would share one set of verdicts."""
+    captions = tmp_path / "captions.tsv"
+    captions.write_text("c1\tbig blue building\nc1\tbig blue building\n",
+                        encoding="utf-8")
+    verdicts = tmp_path / "verdicts.txt"
+    verdicts.write_text("c1 i0 correct\n", encoding="utf-8")
+    rc, out = run_cli(["eval", *demo_args(), str(captions),
+                       "--verdicts", str(verdicts)])
+    _assert_one_line_resource_error(capsys, rc, out,
+                                    f"{captions}:2: duplicate caption id c1")
+
+
+def test_eval_rejects_a_second_verdict_for_one_interpretation(tmp_path,
+                                                              capsys):
+    captions = _write_captions(tmp_path)
+    verdicts = tmp_path / "verdicts.txt"
+    verdicts.write_text("e1 i0 correct\ne2 i0 incorrect\ne1 i0 incorrect\n",
+                        encoding="utf-8")
+    rc, out = run_cli(["eval", *demo_args(), str(captions),
+                       "--verdicts", str(verdicts)])
+    _assert_one_line_resource_error(capsys, rc, out,
+                                    f"{verdicts}:3: second verdict for e1 i0")
 
 
 def test_eval_all_correct_degenerate(tmp_path):

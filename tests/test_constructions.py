@@ -1,14 +1,15 @@
 import pytest
 
 from conftest import DEMO_CG_FILES
-from construe.constructions import (SKELETON_SLOT, ConstructionLoadError,
-                                    Repository, TypedSlot, derive_keys,
-                                    expand_variants, load_constructions,
+from construe.constructions import (SKELETON_SLOT, Repository, TypedSlot,
+                                    derive_keys, expand_variants,
+                                    load_constructions,
                                     load_constructions_lenient,
                                     lint_constructions, parse_construction,
                                     typed_key)
 from construe.kb import load_kb
-from construe.logic import MAX_TERM_DEPTH, SharedNames, free_vars
+from construe.logic import MAX_TERM_DEPTH, Names, free_vars
+from construe.sexpr import LoadError
 
 
 COLOR_THING = """
@@ -62,13 +63,13 @@ def test_parse_color_of_thing():
 def test_two_logic_templates_is_load_error():
     text = COLOR_THING.replace(":output-type (slot 1)",
                                ":logic (p a)\n  :output-type (slot 1)")
-    with pytest.raises(ConstructionLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         parse_construction(text)
     assert any(f.code == "cons-two-logic" for f in exc.value.findings)
 
 
 def test_missing_logic_template_is_load_error():
-    with pytest.raises(ConstructionLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         parse_construction('(construction :id x :lang en :nl "hello" '
                            ':output-type Thing)')
     assert any(f.code == "cons-no-logic" for f in exc.value.findings)
@@ -81,7 +82,7 @@ def test_anaphoric_slot_loads():
 
 
 def test_duplicate_unifying_integer_is_error():
-    with pytest.raises(ConstructionLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         parse_construction('(construction :id x :lang en '
                            ':nl "$Color#0 $Food#0" :logic (p $Color#0) '
                            ':output-type Thing)')
@@ -90,7 +91,7 @@ def test_duplicate_unifying_integer_is_error():
 
 def test_clashing_unifying_integers_are_reported_in_slot_order():
     # not in set order, which changes with the hash seed
-    with pytest.raises(ConstructionLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         parse_construction('(construction :id x :nl "$F#0 $D#0 $B#0 $E#0 $C#0" '
                            ':logic (p $A#0))')
     assert [f.message.rpartition(": ")[2] for f in exc.value.findings
@@ -99,7 +100,7 @@ def test_clashing_unifying_integers_are_reported_in_slot_order():
 
 
 def test_template_slots_are_the_logic_template_variables():
-    repo = load_constructions(text=SEASON_END, names=SharedNames())
+    repo = load_constructions(text=SEASON_END, names=Names())
     c = repo.constructions["season-end"]
     logic_vars = {v: v for v in free_vars(c.logic_template)}
     slots = [s for v in c.variants for s in v.slots] + list(c.anaphoric_refs)
@@ -107,20 +108,20 @@ def test_template_slots_are_the_logic_template_variables():
 
 
 def test_logic_slot_missing_from_templates_is_error():
-    with pytest.raises(ConstructionLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         parse_construction('(construction :id x :lang en :nl "$Color#0" '
                            ':logic (p $Color#0 $Food#1) :output-type Thing)')
     assert any(f.code == "cons-unbound-slot" for f in exc.value.findings)
 
 
 def test_malformed_typed_variable_rejected():
-    with pytest.raises(ConstructionLoadError):
+    with pytest.raises(LoadError):
         parse_construction('(construction :id x :lang en :nl "$NoIndex red" '
                            ':logic (p a) :output-type Thing)')
 
 
 def test_nested_alternation_rejected():
-    with pytest.raises(ConstructionLoadError):
+    with pytest.raises(LoadError):
         parse_construction('(construction :id x :lang en :nl "[a[b|c]|d]" '
                            ':logic (p a) :output-type Thing)')
 
@@ -130,13 +131,13 @@ def test_nested_alternation_rejected():
                                                       "(and)"),
                                   "(construction :id x"])
 def test_parse_construction_syntax_errors(text):
-    with pytest.raises(ConstructionLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         parse_construction(text)
     assert [f.code for f in exc.value.findings] == ["cons-syntax"]
 
 
 def test_output_var_must_be_free_in_logic():
-    with pytest.raises(ConstructionLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         parse_construction('(construction :id x :lang en :nl "$Color#0" '
                            ':logic (p $Color#0) :output-var ?E '
                            ':output-type Thing)')
@@ -291,7 +292,7 @@ def test_slot_types_of_a_skeleton_key_are_its_variants(demo_repo):
 
 
 def test_used_types_are_the_loads_own_constants(demo_repo):
-    names = SharedNames()
+    names = Names()
     repo = load_constructions(DEMO_CG_FILES, names=names)
     assert repo.used_types == demo_repo.used_types
     assert all(t is names.constant(t.name) for t in repo.used_types)

@@ -12,7 +12,7 @@ from construe.constructions import (LEXICAL_SOURCE, TypedSlot,
 from construe.interpreter import (MAX_NESTING, EngineConfig, ParseGraph,
                                   compose, finalize, interpret,
                                   resolve_anaphora, retrieve, window_loop)
-from construe.kb import DEFAULT_CONTEXT, ContextStack, KnowledgeBase, load_kb
+from construe.kb import ContextStack, KnowledgeBase, load_kb
 from construe.logic import (Constant, QueryVar, children,
                             equal_modulo_renaming, free_query_vars,
                             is_sentence, parse_expr, print_expr)
@@ -263,9 +263,9 @@ def test_plausibility_skip_gives_the_full_walks_verdicts(monkeypatch, run,
     check = KnowledgeBase.check_plausibility
     skipped = []
 
-    def both(self, e, ctx=DEFAULT_CONTEXT, passed=()):
-        found = check(self, e, ctx, passed)
-        assert found == check(self, e, ctx), print_expr(e)
+    def both(self, e, passed=()):
+        found = check(self, e, passed)
+        assert found == check(self, e), print_expr(e)
         # compound children that composition kept as the very objects
         parts = list(subterms(e))
         skipped.extend(p for p in passed

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import BIO_KB_FILES, DEMO_KB_FILES
 from construe import sexpr
-from construe.kb import (ContextStack, KbLoadError, UnknownTermError,
-                         UntypedTermError, lint_kb, load_kb, load_kb_lenient)
+from construe.kb import (ContextStack, UnknownTermError, UntypedTermError,
+                         lint_kb, load_kb, load_kb_lenient)
 from construe.logic import And, Constant, Nat, Not, from_sexpr, parse_expr
+from construe.sexpr import LoadError
 
 
 # ---------------------------------------------------------------------------
@@ -16,7 +17,7 @@ from construe.logic import And, Constant, Nat, Not, from_sexpr, parse_expr
 def link_graph(paths):
     graph = {}
     for path in paths:
-        for form in sexpr.parse_all(path.read_text(encoding="utf-8"), str(path)):
+        for form in sexpr.parse_all(path.read_text(encoding="utf-8")):
             if isinstance(form, sexpr.SexprList) and len(form) == 3 \
                     and str(form[0]) in ("isa", "genls"):
                 s, g = from_sexpr(form[1]), from_sexpr(form[2])
@@ -335,19 +336,19 @@ def test_result_type_missing_signature(demo_kb):
 # Loading and linting
 
 def test_loader_rejects_genls_cycle():
-    with pytest.raises(KbLoadError) as exc:
+    with pytest.raises(LoadError) as exc:
         load_kb(text="(genls A B)\n(genls B A)")
     message = str(exc.value)
     assert "cycle" in message and "A" in message and "B" in message
 
 
 def test_loader_rejects_self_link():
-    with pytest.raises(KbLoadError):
+    with pytest.raises(LoadError):
         load_kb(text="(genls A A)")
 
 
 def test_loader_rejects_arity_mismatch():
-    with pytest.raises(KbLoadError):
+    with pytest.raises(LoadError):
         load_kb(text="(fn F 2 (resultIsa C))\n(fact base (p (F A)))")
 
 
@@ -475,7 +476,13 @@ def test_name_fields_read_constant_prefix_as_term_fields_do():
     assert findings == []
     assert kb.term_names == {"Foo", "Bar", "a", "p", "q", "F"}
     foo = Constant("Foo")
-    assert kb._declared == {"Foo": "collection", "a": "individual"}
+    assert kb.kindedness(foo) == "collection"
+    assert kb.kindedness(Constant("a")) == "individual"
+    # a declaration read through #$ wins over the links' evidence
+    declared = load_kb(text="(collection #$x)\n(isa x Thing)\n"
+                            "(individual #$y)\n(genls y Thing)\n")
+    assert declared.kindedness(Constant("x")) == "collection"
+    assert declared.kindedness(Constant("y")) == "individual"
     assert kb._arg_constraints["p"][0].required == Constant("Foo")
     assert kb._inter_arg["q"][0].then_type == Constant("Bar")
     assert kb._signatures["F"].rule_value == "Foo"
@@ -497,4 +504,17 @@ def test_bare_constant_prefix_in_a_name_field_is_a_located_finding(form):
     assert [(f.code, f.message) for f in findings] == [
         ("kb-form", "<string>: form at line 2, column 1: empty constant "
                     "after #$")]
+    assert kb.term_names == {"a", "C"}
+
+
+@pytest.mark.parametrize("form, message", [
+    ("(collection ?x)", "?x is a variable, not a constant name"),
+    ("(argIsa p 1 $T#1)", "$T#1 is a variable, not a constant name"),
+    ("(fact ?c (p a))", "?c is a variable, not a constant name"),
+    ("(individual $T)",
+     "unknown sigil in '$T' (typed variables are written $Type#k)")])
+def test_name_field_symbol_reads_as_a_term_field_reads_it(form, message):
+    kb, findings = load_kb_lenient(text="(isa a C)\n" + form)
+    assert [(f.code, f.message) for f in findings] == [
+        ("kb-form", f"<string>: form at line 2, column 1: {message}")]
     assert kb.term_names == {"a", "C"}

@@ -10,7 +10,7 @@ from conftest import DATA_DIR
 from helpers import random_facts, random_sentence, satisfying_projection
 from construe import logic
 from construe.logic import (And, App, Constant, Exists, ExprSyntaxError,
-                            Kappa, Nat, Not, Numeral, QueryVar, SharedNames,
+                            Kappa, Names, Nat, Not, Numeral, QueryVar,
                             Text, TheSetOf, TypedVar, canonical_form,
                             equal_modulo_renaming,
                             expr_from_json, expr_to_json, free_query_vars,
@@ -26,17 +26,20 @@ def corpus():
 
 
 def test_shared_names_share_within_one_table_only():
-    def read(text, names=logic.PLAIN_NAMES):
+    def read(text, names=None):
         return from_sexpr(parse_all(text)[0], names).args
 
-    one, other = SharedNames(), SharedNames()
+    one, other = Names(), Names()
     first, again = read("(p Foo ?x $T#1)", one), read("(q #$Foo ?x $T#1)", one)
     assert all(a is b for a, b in zip(first, again))
     elsewhere = read("(p Foo ?x $T#1)", other)
     assert elsewhere == first
     assert not any(a is b for a, b in zip(first, elsewhere))
+    # a read given no table makes one for the call
     plain = read("(p Foo ?x $T#1)"), read("(p Foo ?x $T#1)")
     assert plain[0] == first and not any(a is b for a, b in zip(*plain))
+    foo, again = read("(p Foo #$Foo)")
+    assert foo is again
 
 
 def test_reading_keeps_no_atom_alive():
@@ -44,7 +47,8 @@ def test_reading_keeps_no_atom_alive():
     read outlives the expressions it was read into."""
     for i in range(100):
         parse_expr(f'(and (leakp{i} ?leakv{i} $LeakT{i}#1) (not (#$LeakC{i} "s")))')
-        from_sexpr(parse_all(f"(leakq{i} LeakD{i} ?leakw{i})")[0], SharedNames())
+        from_sexpr(parse_all(f"(leakq{i} LeakD{i} ?leakw{i})")[0], Names())
+        expr_from_json([f"leakr{i}", f"LeakE{i}", f"?leakx{i}", f"$LeakU{i}#2"])
     gc.collect()
     assert [o for o in gc.get_objects()
             if isinstance(o, (Constant, QueryVar, TypedVar))
@@ -310,6 +314,36 @@ def test_json_round_trip_on_corpus():
     exprs, _ = corpus()
     for e in exprs:
         assert expr_from_json(expr_to_json(e)) == e
+
+
+@pytest.mark.parametrize("obj", [
+    "3/0",                                  # no such number
+    {"text": 5},                            # text that is not a string
+    ["not", "p", "q"],                      # not takes one argument
+    ["exists", "?X", ["p", "?X"]],          # a binder list that is no list
+    ["and"],                                # no conjunct
+    ["Kappa", ["Foo"], ["p", "Foo"]],       # binds a constant
+    ["TheSetOf", "Foo", ["p", "Foo"]],      # binds a constant
+    [["p"], "a"],                           # a sentence as head
+    "", "a b", True, None, float("nan"),    # no atom, no expression
+], ids=repr)
+def test_malformed_json_encoding_is_a_syntax_error(obj):
+    with pytest.raises(ExprSyntaxError):
+        expr_from_json(obj)
+
+
+def test_json_zero_denominator_is_reported_as_the_reader_reports_it():
+    with pytest.raises(ExprSyntaxError) as from_json:
+        expr_from_json(["p", "3/0"])
+    with pytest.raises(ExprSyntaxError) as from_text:
+        parse_expr("(p 3/0)")
+    assert from_json.value.message == from_text.value.message \
+        == "zero denominator in 3/0"
+
+
+def test_json_strings_read_as_the_atoms_they_spell():
+    assert expr_from_json(["p", "#$Foo", "2.5", "+3", {"text": "x y"}]) == \
+        parse_expr('(p Foo 2.5 3 "x y")')
 
 
 # ---------------------------------------------------------------------------
