@@ -36,9 +36,9 @@ from . import kb as kbmod
 from . import sexpr, tagger
 from .interpreter import (Edge, EngineConfig, Interpretation, ParseGraph,
                           finalize, interpret)
-from .kb import ContextStack, KnowledgeBase
+from .kb import ContextStack
 from .logic import Names, expr_to_json, print_expr
-from .value import Value, setters
+from .value import Value
 
 
 class UsageError(Exception):
@@ -52,32 +52,11 @@ class ResourceError(Exception):
 class RunManifest(Value):
     __slots__ = _fields = ("kb_files", "lexicon_files", "construction_files",
                            "config")
-
-    def __init__(self, kb_files: list, lexicon_files: list,
-                 construction_files: list,
-                 config: EngineConfig = EngineConfig()):
-        _set_manifest_kb_files(self, kb_files)
-        _set_manifest_lexicon_files(self, lexicon_files)
-        _set_manifest_construction_files(self, construction_files)
-        _set_manifest_config(self, config)
-
-
-(_set_manifest_kb_files, _set_manifest_lexicon_files,
- _set_manifest_construction_files, _set_manifest_config) = setters(RunManifest)
+    _defaults = {"config": EngineConfig()}
 
 
 class Resources(Value):
     __slots__ = _fields = ("kb", "lexicon", "repo")
-
-    def __init__(self, kb: KnowledgeBase, lexicon: tagger.Lexicon,
-                 repo: cons.Repository):
-        _set_resources_kb(self, kb)
-        _set_resources_lexicon(self, lexicon)
-        _set_resources_repo(self, repo)
-
-
-(_set_resources_kb, _set_resources_lexicon,
- _set_resources_repo) = setters(Resources)
 
 
 def _check_paths(manifest: RunManifest):
@@ -374,21 +353,10 @@ class EvalRecord(Value):
 
     __slots__ = _fields = ("caption_id", "text", "interpretations",
                            "token_count", "truncated_by")
-
-    def __init__(self, caption_id: str, text: str, interpretations: list,
-                 token_count: int, truncated_by: str = ""):
-        _set_record_caption_id(self, caption_id)
-        _set_record_text(self, text)
-        _set_record_interpretations(self, interpretations)
-        _set_record_token_count(self, token_count)
-        _set_record_truncated_by(self, truncated_by)
+    _defaults = {"truncated_by": ""}
 
     def interp_id(self, index: int) -> str:
         return f"i{index}"
-
-
-(_set_record_caption_id, _set_record_text, _set_record_interpretations,
- _set_record_token_count, _set_record_truncated_by) = setters(EvalRecord)
 
 
 def build_eval_records(resources: Resources, config: EngineConfig,
@@ -456,8 +424,9 @@ def evaluate(records: list, verdicts: dict, unit: str = "tokens") -> dict:
 
 
 def read_captions(path: str) -> list:
-    """The (id, text) pairs of a captions file; ids must be distinct, or
-    two captions' verdicts would be one."""
+    """The (id, text) pairs of a captions file.  An id must be one word,
+    since a verdict line names its caption by its first word, and ids must
+    be distinct, or two captions' verdicts would be one."""
     captions: dict = {}
     for lineno, line in enumerate(_read_text(path, "captions").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -466,6 +435,9 @@ def read_captions(path: str) -> list:
             raise ResourceError(f"{path}:{lineno}: expected 'id<TAB>text'")
         caption_id, text = line.split("\t", 1)
         caption_id = caption_id.strip()
+        if caption_id.split() != [caption_id]:
+            raise ResourceError(f"{path}:{lineno}: caption id {caption_id!r} "
+                                "is empty or holds whitespace")
         if caption_id in captions:
             raise ResourceError(f"{path}:{lineno}: duplicate caption id "
                                 f"{caption_id}")

@@ -46,35 +46,15 @@ class Literal(Value):
 
     __slots__ = _fields = ("text", "folded")
 
-    def __init__(self, text: str, folded: str):
-        _set_literal_text(self, text)
-        _set_literal_folded(self, folded)
-
-
-_set_literal_text, _set_literal_folded = setters(Literal)
-
 
 class Alternation(Value):
     """*alternatives* are element sequences; a sequence may be empty."""
 
     __slots__ = _fields = ("alternatives",)
 
-    def __init__(self, alternatives: tuple):
-        _set_alternation_alternatives(self, alternatives)
-
-
-_set_alternation_alternatives, = setters(Alternation)
-
 
 class NlTemplate(Value):
     __slots__ = _fields = ("language", "elements")
-
-    def __init__(self, language: str, elements: tuple):
-        _set_template_language(self, language)
-        _set_template_elements(self, elements)
-
-
-_set_template_language, _set_template_elements = setters(NlTemplate)
 
 
 class TemplateVariant(Value):

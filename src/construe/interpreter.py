@@ -89,30 +89,11 @@ class Edge(Value):
     __slots__ = _fields = ("id", "start", "end", "source", "logic",
                            "output_var", "output_type", "kind", "children",
                            "nesting")
-
-    def __init__(self, id: int, start: int, end: int, source: str,
-                 logic: Expr, output_var: QueryVar | None,
-                 output_type: Expr | None, kind: str, children: tuple = (),
-                 nesting: int = 0):
-        _set_edge_id(self, id)
-        _set_edge_start(self, start)
-        _set_edge_end(self, end)
-        _set_edge_source(self, source)
-        _set_edge_logic(self, logic)
-        _set_edge_output_var(self, output_var)
-        _set_edge_output_type(self, output_type)
-        _set_edge_kind(self, kind)
-        _set_edge_children(self, children)
-        _set_edge_nesting(self, nesting)
+    _defaults = {"children": (), "nesting": 0}
 
     @property
     def span(self) -> tuple:
         return (self.start, self.end)
-
-
-(_set_edge_id, _set_edge_start, _set_edge_end, _set_edge_source,
- _set_edge_logic, _set_edge_output_var, _set_edge_output_type, _set_edge_kind,
- _set_edge_children, _set_edge_nesting) = setters(Edge)
 
 
 class TraceEvent(Value):
@@ -120,26 +101,9 @@ class TraceEvent(Value):
 
     __slots__ = _fields = ("kind", "construction", "span", "detail")
 
-    def __init__(self, kind: str, construction: str, span: tuple, detail: str):
-        _set_event_kind(self, kind)
-        _set_event_construction(self, construction)
-        _set_event_span(self, span)
-        _set_event_detail(self, detail)
-
-
-(_set_event_kind, _set_event_construction, _set_event_span,
- _set_event_detail) = setters(TraceEvent)
-
 
 class Retrieval(Value):
     __slots__ = _fields = ("construction", "binding")
-
-    def __init__(self, construction: Construction, binding: dict):
-        _set_retrieval_construction(self, construction)
-        _set_retrieval_binding(self, binding)
-
-
-_set_retrieval_construction, _set_retrieval_binding = setters(Retrieval)
 
 
 class ParseGraph:
@@ -584,16 +548,6 @@ class Interpretation(Value):
     __slots__ = _fields = ("edge_id", "start", "end", "logic", "output_type",
                            "source", "text")
 
-    def __init__(self, edge_id: int, start: int, end: int, logic: Expr,
-                 output_type: Expr | None, source: str, text: str):
-        _set_interp_edge_id(self, edge_id)
-        _set_interp_start(self, start)
-        _set_interp_end(self, end)
-        _set_interp_logic(self, logic)
-        _set_interp_output_type(self, output_type)
-        _set_interp_source(self, source)
-        _set_interp_text(self, text)
-
     @property
     def span(self) -> tuple:
         return (self.start, self.end)
@@ -601,11 +555,6 @@ class Interpretation(Value):
     @property
     def token_length(self) -> int:
         return self.end - self.start
-
-
-(_set_interp_edge_id, _set_interp_start, _set_interp_end, _set_interp_logic,
- _set_interp_output_type, _set_interp_source,
- _set_interp_text) = setters(Interpretation)
 
 
 def _span_text(graph: ParseGraph, start: int, end: int) -> str:

@@ -32,7 +32,7 @@ from .logic import (App, And, Constant, Exists, Expr, ExprSyntaxError, Kappa,
                     Nat, Not, Names, Numeral, Text, TheSetOf, TypedVar,
                     QueryVar, children, from_sexpr, is_ground, print_expr)
 from .sexpr import Finding, FormError
-from .value import Value, setters
+from .value import Value
 
 TermLike = (Constant, Nat)
 
@@ -51,50 +51,16 @@ class FunctionSignature(Value):
 
     __slots__ = _fields = ("functor", "arity", "rule_kind", "rule_value")
 
-    def __init__(self, functor: str, arity: int, rule_kind: str,
-                 rule_value: object):
-        _set_sig_functor(self, functor)
-        _set_sig_arity(self, arity)
-        _set_sig_rule_kind(self, rule_kind)
-        _set_sig_rule_value(self, rule_value)
-
-
-(_set_sig_functor, _set_sig_arity, _set_sig_rule_kind,
- _set_sig_rule_value) = setters(FunctionSignature)
-
 
 class ArgConstraint(Value):
     """*kind* is argIsa or argGenls."""
 
     __slots__ = _fields = ("owner", "position", "kind", "required")
 
-    def __init__(self, owner: str, position: int, kind: str,
-                 required: Constant):
-        _set_arg_owner(self, owner)
-        _set_arg_position(self, position)
-        _set_arg_kind(self, kind)
-        _set_arg_required(self, required)
-
-
-(_set_arg_owner, _set_arg_position, _set_arg_kind,
- _set_arg_required) = setters(ArgConstraint)
-
 
 class InterArgConstraint(Value):
     __slots__ = _fields = ("owner", "if_position", "if_type", "then_position",
                            "then_type")
-
-    def __init__(self, owner: str, if_position: int, if_type: Constant,
-                 then_position: int, then_type: Constant):
-        _set_inter_owner(self, owner)
-        _set_inter_if_position(self, if_position)
-        _set_inter_if_type(self, if_type)
-        _set_inter_then_position(self, then_position)
-        _set_inter_then_type(self, then_type)
-
-
-(_set_inter_owner, _set_inter_if_position, _set_inter_if_type,
- _set_inter_then_position, _set_inter_then_type) = setters(InterArgConstraint)
 
 
 class ContextStack(Value):
@@ -102,16 +68,10 @@ class ContextStack(Value):
     inherits everything in the base."""
 
     __slots__ = _fields = ("base", "overlay")
-
-    def __init__(self, base: str = "base", overlay: str | None = None):
-        _set_context_base(self, base)
-        _set_context_overlay(self, overlay)
+    _defaults = {"base": "base", "overlay": None}
 
     def stack(self) -> tuple:
         return (self.overlay, self.base) if self.overlay else (self.base,)
-
-
-_set_context_base, _set_context_overlay = setters(ContextStack)
 
 
 DEFAULT_CONTEXT = ContextStack()
@@ -136,15 +96,6 @@ class Violation(Value):
     inter-arg or known-false."""
 
     __slots__ = _fields = ("kind", "path", "message")
-
-    def __init__(self, kind: str, path: tuple, message: str):
-        _set_violation_kind(self, kind)
-        _set_violation_path(self, path)
-        _set_violation_message(self, message)
-
-
-(_set_violation_kind, _set_violation_path,
- _set_violation_message) = setters(Violation)
 
 
 def _is_term(e: Expr) -> bool:

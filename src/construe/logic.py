@@ -25,7 +25,7 @@ from typing import Mapping
 
 from . import sexpr
 from .sexpr import SexprError, SexprList, Symbol
-from .value import Value, setters
+from .value import Value
 
 
 class ExprSyntaxError(SexprError):
@@ -44,9 +44,6 @@ class Expr(Value):
 class Constant(Expr):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str):
-        _set_constant_name(self, name)
-
     def __eq__(self, other):
         if other.__class__ is Constant:
             return self.name == other.name
@@ -56,14 +53,8 @@ class Constant(Expr):
         return hash((self.name,))
 
 
-_set_constant_name, = setters(Constant)
-
-
 class Numeral(Expr):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Fraction):
-        _set_numeral_value(self, value)
 
     def __eq__(self, other):
         if other.__class__ is Numeral:
@@ -74,14 +65,8 @@ class Numeral(Expr):
         return hash((self.value,))
 
 
-_set_numeral_value, = setters(Numeral)
-
-
 class Text(Expr):
     __slots__ = _fields = ("value",)
-
-    def __init__(self, value: str):
-        _set_text_value(self, value)
 
     def __eq__(self, other):
         if other.__class__ is Text:
@@ -92,15 +77,8 @@ class Text(Expr):
         return hash((self.value,))
 
 
-_set_text_value, = setters(Text)
-
-
 class TypedVar(Expr):
     __slots__ = _fields = ("type", "index")
-
-    def __init__(self, type: str, index: int):
-        _set_typed_var_type(self, type)
-        _set_typed_var_index(self, index)
 
     def __eq__(self, other):
         if other.__class__ is TypedVar:
@@ -111,14 +89,8 @@ class TypedVar(Expr):
         return hash((self.type, self.index))
 
 
-_set_typed_var_type, _set_typed_var_index = setters(TypedVar)
-
-
 class QueryVar(Expr):
     __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str):
-        _set_query_var_name(self, name)
 
     def __eq__(self, other):
         if other.__class__ is QueryVar:
@@ -129,17 +101,10 @@ class QueryVar(Expr):
         return hash((self.name,))
 
 
-_set_query_var_name, = setters(QueryVar)
-
-
 class Nat(Expr):
     """Non-atomic term: a function application denoting a concept."""
 
     __slots__ = _fields = ("functor", "args")
-
-    def __init__(self, functor: Expr, args: tuple):
-        _set_nat_functor(self, functor)
-        _set_nat_args(self, args)
 
     def __eq__(self, other):
         if other.__class__ is Nat:
@@ -150,17 +115,10 @@ class Nat(Expr):
         return hash((self.functor, self.args))
 
 
-_set_nat_functor, _set_nat_args = setters(Nat)
-
-
 class App(Expr):
     """Predicate application (an atomic sentence)."""
 
     __slots__ = _fields = ("predicate", "args")
-
-    def __init__(self, predicate: Expr, args: tuple):
-        _set_app_predicate(self, predicate)
-        _set_app_args(self, args)
 
     def __eq__(self, other):
         if other.__class__ is App:
@@ -171,14 +129,8 @@ class App(Expr):
         return hash((self.predicate, self.args))
 
 
-_set_app_predicate, _set_app_args = setters(App)
-
-
 class And(Expr):
     __slots__ = _fields = ("args",)
-
-    def __init__(self, args: tuple):
-        _set_and_args(self, args)
 
     def __eq__(self, other):
         if other.__class__ is And:
@@ -189,14 +141,8 @@ class And(Expr):
         return hash((self.args,))
 
 
-_set_and_args, = setters(And)
-
-
 class Not(Expr):
     __slots__ = _fields = ("arg",)
-
-    def __init__(self, arg: Expr):
-        _set_not_arg(self, arg)
 
     def __eq__(self, other):
         if other.__class__ is Not:
@@ -207,17 +153,10 @@ class Not(Expr):
         return hash((self.arg,))
 
 
-_set_not_arg, = setters(Not)
-
-
 class Kappa(Expr):
     """Binder forming a predicate from an open sentence."""
 
     __slots__ = _fields = ("vars", "body")
-
-    def __init__(self, vars: tuple, body: Expr):
-        _set_kappa_vars(self, vars)
-        _set_kappa_body(self, body)
 
     def __eq__(self, other):
         if other.__class__ is Kappa:
@@ -228,15 +167,8 @@ class Kappa(Expr):
         return hash((self.vars, self.body))
 
 
-_set_kappa_vars, _set_kappa_body = setters(Kappa)
-
-
 class TheSetOf(Expr):
     __slots__ = _fields = ("var", "body")
-
-    def __init__(self, var: QueryVar, body: Expr):
-        _set_the_set_of_var(self, var)
-        _set_the_set_of_body(self, body)
 
     def __eq__(self, other):
         if other.__class__ is TheSetOf:
@@ -247,15 +179,8 @@ class TheSetOf(Expr):
         return hash((self.var, self.body))
 
 
-_set_the_set_of_var, _set_the_set_of_body = setters(TheSetOf)
-
-
 class Exists(Expr):
     __slots__ = _fields = ("vars", "body")
-
-    def __init__(self, vars: tuple, body: Expr):
-        _set_exists_vars(self, vars)
-        _set_exists_body(self, body)
 
     def __eq__(self, other):
         if other.__class__ is Exists:
@@ -264,9 +189,6 @@ class Exists(Expr):
 
     def __hash__(self):
         return hash((self.vars, self.body))
-
-
-_set_exists_vars, _set_exists_body = setters(Exists)
 
 
 # ``$Type#k``: the one spelling of a typed variable, in logic text and in
@@ -426,7 +348,7 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, Numeral):
         return str(e.value)
     if isinstance(e, Text):
-        return '"%s"' % e.value.replace("\\", "\\\\").replace('"', '\\"')
+        return sexpr.quote(e.value)
     if isinstance(e, TypedVar):
         return f"${e.type}#{e.index}"
     if isinstance(e, QueryVar):

@@ -36,20 +36,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .value import Value, setters
+from .value import Value
 
 
 class Finding(Value):
     """One diagnostic from loading or linting."""
 
     __slots__ = _fields = ("code", "message")
-
-    def __init__(self, code: str, message: str):
-        _set_finding_code(self, code)
-        _set_finding_message(self, message)
-
-
-_set_finding_code, _set_finding_message = setters(Finding)
 
 
 class LoadError(Exception):
@@ -208,7 +201,7 @@ def atom(text: str):
     it is one whole atom.  Any other text, or a ratio with a zero
     denominator, raises ``SexprError`` with ``parse_all``'s message."""
     if not _ATOM_RE.fullmatch(text):
-        raise SexprError(f"not one atom: {_quote(text)}")
+        raise SexprError(f"not one atom: {quote(text)}")
     if _NUMBER_RE.fullmatch(text):
         try:
             return Fraction(text)
@@ -217,7 +210,10 @@ def atom(text: str):
     return Symbol(text)
 
 
-def _quote(text: str) -> str:
+def quote(text: str) -> str:
+    """*text* as an s-expression string literal that ``parse_all`` reads
+    back as *text*, on one line: ``\\``, ``"``, newline and tab
+    escaped."""
     return '"%s"' % (text.replace("\\", "\\\\").replace('"', '\\"')
                      .replace("\n", "\\n").replace("\t", "\\t"))
 
@@ -238,7 +234,7 @@ def to_text(form) -> str:
                 stack.append(iter(item))
                 break
             parts.append(item if isinstance(item, Symbol)
-                         else _quote(item) if isinstance(item, str)
+                         else quote(item) if isinstance(item, str)
                          else str(item))
         else:
             stack.pop()

@@ -29,34 +29,16 @@ class Token(Value):
     set on sub-word tokens."""
 
     __slots__ = _fields = ("surface", "start", "end", "parent")
-
-    def __init__(self, surface: str, start: int, end: int,
-                 parent: Token | None = None):
-        _set_token_surface(self, surface)
-        _set_token_start(self, start)
-        _set_token_end(self, end)
-        _set_token_parent(self, parent)
+    _defaults = {"parent": None}
 
     def __repr__(self):
         return f"Token({self.surface!r}, {self.start}, {self.end})"
-
-
-(_set_token_surface, _set_token_start, _set_token_end,
- _set_token_parent) = setters(Token)
 
 
 class TagSpan(Value):
     """The concepts of the tokens [start, end)."""
 
     __slots__ = _fields = ("start", "end", "concepts")
-
-    def __init__(self, start: int, end: int, concepts: tuple):
-        _set_span_start(self, start)
-        _set_span_end(self, end)
-        _set_span_concepts(self, concepts)
-
-
-_set_span_start, _set_span_end, _set_span_concepts = setters(TagSpan)
 
 
 class TagChart(Value):

@@ -628,6 +628,43 @@ def test_eval_rejects_a_repeated_caption_id(tmp_path, capsys):
                                     f"{captions}:2: duplicate caption id c1")
 
 
+@pytest.mark.parametrize("caption_id", ["c 1", ""])
+def test_eval_rejects_a_caption_id_no_verdict_can_name(tmp_path, capsys,
+                                                       caption_id):
+    """A verdict line names its caption by its first word, so an id that
+    is empty or holds whitespace is refused where it is read."""
+    captions = tmp_path / "captions.tsv"
+    captions.write_text(f"c0\t2 sandwiches\n{caption_id}\tbig blue building\n",
+                        encoding="utf-8")
+    rc, out = run_cli(["eval", *demo_args(), str(captions)])
+    _assert_one_line_resource_error(
+        capsys, rc, out, f"{captions}:2: caption id {caption_id!r} is empty "
+        "or holds whitespace")
+
+
+def test_a_tab_or_newline_in_a_string_stays_inside_its_line(tmp_path):
+    """cycl output has one line per interpretation and the worksheet six
+    tab-separated columns per interpretation row, whatever a string of the
+    logic holds."""
+    cg = tmp_path / "tower.cg"
+    cg.write_text('(construction :id old-tower :nl "the tower"\n'
+                  '  :logic (nameString ?B "Old\\tTower\\nNew")\n'
+                  '  :output-var ?B)\n', encoding="utf-8")
+    captions = tmp_path / "captions.tsv"
+    captions.write_text("t1\tthe tower\n", encoding="utf-8")
+    args = _demo_args_with("--constructions", cg)
+    rc, out = run_cli(["interpret", *args, "the tower"])
+    assert rc == 0
+    assert out == ('[0:2] (exists (?B) (nameString ?B "Old\\tTower\\nNew"))'
+                   "\n")
+    rc, out = run_cli(["eval", *args, str(captions)])
+    assert rc == 0
+    rows = [line.split("\t") for line in out.splitlines()
+            if line.startswith("interp\t")]
+    assert len(rows) == 1 and len(rows[0]) == 6
+    assert rows[0][-1] == '(exists (?B) (nameString ?B "Old\\tTower\\nNew"))'
+
+
 def test_eval_rejects_a_second_verdict_for_one_interpretation(tmp_path,
                                                               capsys):
     captions = _write_captions(tmp_path)

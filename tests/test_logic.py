@@ -106,6 +106,15 @@ def test_corpus_round_trips():
         assert parse_expr(print_expr(e)) == e
 
 
+@pytest.mark.parametrize("value", ["Old\tTower", "two\nlines",
+                                   'say "hi" \\ bye'])
+def test_text_prints_on_one_line_and_reads_back(value):
+    e = App(Constant("nameString"), (QueryVar("B"), Text(value)))
+    printed = print_expr(e)
+    assert "\t" not in printed and "\n" not in printed
+    assert parse_expr(printed) == e
+
+
 def test_corpus_byte_round_trip_after_whitespace_normalization():
     exprs, text = corpus()
     sources = [" ".join(chunk.split())
@@ -355,7 +364,7 @@ _qvars = st.sampled_from([QueryVar(n) for n in ("X", "Y", "LONG_NAME")])
 _tvars = st.sampled_from([TypedVar("Color", 0), TypedVar("Food-Type", 12)])
 _numerals = st.sampled_from([Numeral(Fraction(0)), Numeral(Fraction(7)),
                              Numeral(Fraction(-3)), Numeral(Fraction(1, 3))])
-_texts = st.builds(Text, st.text(alphabet="abc \"\\", max_size=6))
+_texts = st.builds(Text, st.text(alphabet="abc \"\\\t\n", max_size=6))
 _leaves = st.one_of(_constants, _qvars, _tvars, _numerals, _texts)
 
 

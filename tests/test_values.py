@@ -3,6 +3,7 @@ semantics: dataclass ``repr`` text (load messages print it), equality and
 hashing by class and field tuple, no assignment, and a pickle round trip
 (the CLI cache pickles them)."""
 
+import inspect
 import os
 import pickle
 import subprocess
@@ -146,6 +147,57 @@ CASES = [
 IDS = [case[0].__name__ for case in CASES]
 
 
+# The constructor parameters of each class, in order, all positional or
+# keyword: a name alone has no default, a (name, default) pair has one.
+SIGNATURES = {
+    Expr: (),
+    Constant: ("name",),
+    Numeral: ("value",),
+    Text: ("value",),
+    TypedVar: ("type", "index"),
+    QueryVar: ("name",),
+    Nat: ("functor", "args"),
+    App: ("predicate", "args"),
+    And: ("args",),
+    Not: ("arg",),
+    Kappa: ("vars", "body"),
+    TheSetOf: ("var", "body"),
+    Exists: ("vars", "body"),
+    Finding: ("code", "message"),
+    FunctionSignature: ("functor", "arity", "rule_kind", "rule_value"),
+    ArgConstraint: ("owner", "position", "kind", "required"),
+    InterArgConstraint: ("owner", "if_position", "if_type", "then_position",
+                         "then_type"),
+    ContextStack: (("base", "base"), ("overlay", None)),
+    Violation: ("kind", "path", "message"),
+    EngineConfig: (("max_window", 12), ("language", "en"),
+                   ("outermost_policy", "statement"), ("max_edges", 50000),
+                   ("context", ContextStack())),
+    Edge: ("id", "start", "end", "source", "logic", "output_var",
+           "output_type", "kind", ("children", ()), ("nesting", 0)),
+    TraceEvent: ("kind", "construction", "span", "detail"),
+    Retrieval: ("construction", "binding"),
+    Interpretation: ("edge_id", "start", "end", "logic", "output_type",
+                     "source", "text"),
+    Literal: ("text", "folded"),
+    Alternation: ("alternatives",),
+    NlTemplate: ("language", "elements"),
+    TemplateVariant: ("construction_id", "language", "elements"),
+    Construction: ("id", "nl_templates", "logic_template",
+                   ("anaphoric_refs", ()), ("output_var", None),
+                   ("output_type", None), ("tests_positive", ()),
+                   ("tests_negative", ())),
+    Token: ("surface", "start", "end", ("parent", None)),
+    TagSpan: ("start", "end", "concepts"),
+    TagChart: ("text", "tokens", "spans"),
+    cli.RunManifest: ("kb_files", "lexicon_files", "construction_files",
+                      ("config", EngineConfig())),
+    cli.Resources: ("kb", "lexicon", "repo"),
+    cli.EvalRecord: ("caption_id", "text", "interpretations", "token_count",
+                     ("truncated_by", "")),
+}
+
+
 def fields(value) -> tuple:
     return tuple(getattr(value, name) for name in type(value)._fields)
 
@@ -181,6 +233,33 @@ def test_equality_and_hash_follow_the_field_tuple(cls, args, other, text):
             hash(value)
     else:
         assert hash(value) == hash(same) == hash(args)
+
+
+@pytest.mark.parametrize("cls, args, other, text", CASES, ids=IDS)
+def test_constructor_signature(cls, args, other, text):
+    params = inspect.signature(cls).parameters.values()
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    expected = [(p, inspect.Parameter.empty) if isinstance(p, str) else p
+                for p in SIGNATURES[cls]]
+    assert [(p.name, p.default) for p in params] == expected
+    assert [name for name, _ in expected] == list(cls._fields)
+
+
+def test_fields_may_be_given_by_keyword():
+    assert ContextStack(overlay="x") == ContextStack("base", "x")
+    sub = Token("a", 0, 1, parent=TOKEN)
+    assert sub.parent is TOKEN and Token("a", 0, 1).parent is None
+    edge = Edge(id=3, start=0, end=2, source="c", logic=DOG, output_var=None,
+                output_type=DOG, kind="collection", children=((0, 1),),
+                nesting=1)
+    assert edge == Edge(3, 0, 2, "c", DOG, None, DOG, "collection",
+                        ((0, 1),), 1)
+    assert Edge(3, 0, 2, "c", DOG, None, DOG, "collection").children == ()
+    assert cli.EvalRecord("c1", "t", [], 2).truncated_by == ""
+    with pytest.raises(TypeError):
+        Constant("Dog", name="Cat")
+    with pytest.raises(TypeError):
+        TagSpan(0, 1)
 
 
 def test_atoms_of_different_kinds_are_unequal():
