@@ -426,7 +426,8 @@ def evaluate(records: list, verdicts: dict, unit: str = "tokens") -> dict:
 def read_captions(path: str) -> list:
     """The (id, text) pairs of a captions file.  An id must be one word,
     since a verdict line names its caption by its first word, and ids must
-    be distinct, or two captions' verdicts would be one."""
+    be distinct, or two captions' verdicts would be one.  The text holds
+    no tab, or its worksheet row would have more than three columns."""
     captions: dict = {}
     for lineno, line in enumerate(_read_text(path, "captions").splitlines(), 1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -434,6 +435,8 @@ def read_captions(path: str) -> list:
         if "\t" not in line:
             raise ResourceError(f"{path}:{lineno}: expected 'id<TAB>text'")
         caption_id, text = line.split("\t", 1)
+        if "\t" in text:
+            raise ResourceError(f"{path}:{lineno}: caption text holds a tab")
         caption_id = caption_id.strip()
         if caption_id.split() != [caption_id]:
             raise ResourceError(f"{path}:{lineno}: caption id {caption_id!r} "

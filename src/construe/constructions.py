@@ -35,7 +35,7 @@ from .logic import (MAX_TERM_DEPTH, TYPED_VAR_RE, Constant, Expr, Names,
                     QueryVar, TypedVar, free_vars, from_sexpr, print_expr,
                     term_depth)
 from .sexpr import Finding, FormError, LoadError
-from .value import Value, setters
+from .value import Value
 
 # A template slot is the logic template's typed variable itself.
 TypedSlot = TypedVar
@@ -64,16 +64,9 @@ class TemplateVariant(Value):
     _fields = ("construction_id", "language", "elements")
     __slots__ = _fields + ("slots",)
 
-    def __init__(self, construction_id: str, language: str, elements: tuple):
-        _set_variant_construction_id(self, construction_id)
-        _set_variant_language(self, language)
-        _set_variant_elements(self, elements)
-        _set_variant_slots(self, tuple([e for e in elements
-                                        if isinstance(e, TypedVar)]))
-
-
-(_set_variant_construction_id, _set_variant_language, _set_variant_elements,
- _set_variant_slots) = setters(TemplateVariant)
+    def _derive(self) -> tuple:
+        return (tuple([e for e in self.elements
+                       if isinstance(e, TypedVar)]),)
 
 
 SKELETON_SLOT = None  # placeholder marking a collapsed typed variable
@@ -106,37 +99,19 @@ class Construction(Value):
     _fields = ("id", "nl_templates", "logic_template", "anaphoric_refs",
                "output_var", "output_type", "tests_positive", "tests_negative")
     __slots__ = _fields + ("variants", "logic_slots")
+    _defaults = {"anaphoric_refs": (), "output_var": None,
+                 "output_type": None, "tests_positive": (),
+                 "tests_negative": ()}
 
-    def __init__(self, id: str, nl_templates: tuple, logic_template: Expr,
-                 anaphoric_refs: tuple = (),
-                 output_var: QueryVar | None = None,
-                 output_type: object = None, tests_positive: tuple = (),
-                 tests_negative: tuple = ()):
-        _set_construction_id(self, id)
-        _set_construction_nl_templates(self, nl_templates)
-        _set_construction_logic_template(self, logic_template)
-        _set_construction_anaphoric_refs(self, anaphoric_refs)
-        _set_construction_output_var(self, output_var)
-        _set_construction_output_type(self, output_type)
-        _set_construction_tests_positive(self, tests_positive)
-        _set_construction_tests_negative(self, tests_negative)
-        _set_construction_variants(self, tuple(expand_variants(self)))
-        _set_construction_logic_slots(
-            self, frozenset(_slot_occurrences(logic_template)))
+    def _derive(self) -> tuple:
+        return (tuple(expand_variants(self)),
+                frozenset(_slot_occurrences(self.logic_template)))
 
     def nl_slots(self) -> set:
         return set().union(*(v.slots for v in self.variants))
 
     def all_slots(self) -> set:
         return self.nl_slots() | set(self.anaphoric_refs)
-
-
-(_set_construction_id, _set_construction_nl_templates,
- _set_construction_logic_template, _set_construction_anaphoric_refs,
- _set_construction_output_var, _set_construction_output_type,
- _set_construction_tests_positive, _set_construction_tests_negative,
- _set_construction_variants,
- _set_construction_logic_slots) = setters(Construction)
 
 
 # ---------------------------------------------------------------------------

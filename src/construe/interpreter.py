@@ -36,7 +36,7 @@ from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
                     quantify_existential, rename_query_vars, simplify,
                     substitute)
 from .tagger import Lexicon, TagChart, tag
-from .value import Value, setters
+from .value import Value
 
 
 class CompositionError(Exception):
@@ -59,25 +59,18 @@ MAX_NESTING = 32
 class EngineConfig(Value):
     __slots__ = _fields = ("max_window", "language", "outermost_policy",
                            "max_edges", "context")
+    _defaults = {"max_window": 12, "language": "en",
+                 "outermost_policy": "statement", "max_edges": 50_000,
+                 "context": DEFAULT_CONTEXT}
 
-    def __init__(self, max_window: int = 12, language: str = "en",
-                 outermost_policy: str = "statement", max_edges: int = 50_000,
-                 context: ContextStack = DEFAULT_CONTEXT):
-        if max_window < 1:
+    def _derive(self) -> tuple:
+        if self.max_window < 1:
             raise ValueError("max_window must be at least 1")
-        if max_edges < 1:
+        if self.max_edges < 1:
             raise ValueError("max_edges must be at least 1")
-        if outermost_policy not in _POLICIES:
+        if self.outermost_policy not in _POLICIES:
             raise ValueError(f"outermost_policy must be one of {_POLICIES}")
-        _set_config_max_window(self, max_window)
-        _set_config_language(self, language)
-        _set_config_outermost_policy(self, outermost_policy)
-        _set_config_max_edges(self, max_edges)
-        _set_config_context(self, context)
-
-
-(_set_config_max_window, _set_config_language, _set_config_outermost_policy,
- _set_config_max_edges, _set_config_context) = setters(EngineConfig)
+        return ()
 
 
 class Edge(Value):

@@ -11,8 +11,10 @@ head constant starts with an uppercase letter denotes a function term
 
 ``from_sexpr`` reads a form of the ``sexpr`` reader, ``parse_expr`` text,
 and ``expr_from_json`` the form that a JSON encoding spells: one grammar,
-whose violations raise ``ExprSyntaxError``.  Each read makes its names and
-atoms through a ``Names`` table, its own unless the caller shares one.
+whose violations raise ``ExprSyntaxError``, as does a term that
+``parse_expr`` or ``expr_from_json`` finds nested too deeply to read.
+Each read makes its names and atoms through a ``Names`` table, its own
+unless the caller shares one.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ class ExprSyntaxError(SexprError):
 
 
 class Expr(Value):
-    """Base class for all expression nodes.  Each node class writes its
-    own ``__eq__`` and ``__hash__``, since terms are compared and hashed
-    on every path of the engine."""
+    """Base class for all expression nodes.  Terms are compared and hashed
+    on every path of the engine; each node class's ``__eq__`` and
+    ``__hash__`` are compiled from its ``_fields`` when it is made, with
+    the code a hand-written pair would have (see ``value``)."""
 
     __slots__ = ()
 
@@ -44,61 +47,21 @@ class Expr(Value):
 class Constant(Expr):
     __slots__ = _fields = ("name",)
 
-    def __eq__(self, other):
-        if other.__class__ is Constant:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
-
 
 class Numeral(Expr):
     __slots__ = _fields = ("value",)
-
-    def __eq__(self, other):
-        if other.__class__ is Numeral:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
 
 
 class Text(Expr):
     __slots__ = _fields = ("value",)
 
-    def __eq__(self, other):
-        if other.__class__ is Text:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class TypedVar(Expr):
     __slots__ = _fields = ("type", "index")
 
-    def __eq__(self, other):
-        if other.__class__ is TypedVar:
-            return (self.type, self.index) == (other.type, other.index)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.type, self.index))
-
 
 class QueryVar(Expr):
     __slots__ = _fields = ("name",)
-
-    def __eq__(self, other):
-        if other.__class__ is QueryVar:
-            return self.name == other.name
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name,))
 
 
 class Nat(Expr):
@@ -106,51 +69,19 @@ class Nat(Expr):
 
     __slots__ = _fields = ("functor", "args")
 
-    def __eq__(self, other):
-        if other.__class__ is Nat:
-            return (self.functor, self.args) == (other.functor, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.functor, self.args))
-
 
 class App(Expr):
     """Predicate application (an atomic sentence)."""
 
     __slots__ = _fields = ("predicate", "args")
 
-    def __eq__(self, other):
-        if other.__class__ is App:
-            return (self.predicate, self.args) == (other.predicate, other.args)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.predicate, self.args))
-
 
 class And(Expr):
     __slots__ = _fields = ("args",)
 
-    def __eq__(self, other):
-        if other.__class__ is And:
-            return self.args == other.args
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.args,))
-
 
 class Not(Expr):
     __slots__ = _fields = ("arg",)
-
-    def __eq__(self, other):
-        if other.__class__ is Not:
-            return (self.arg,) == (other.arg,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.arg,))
 
 
 class Kappa(Expr):
@@ -158,37 +89,13 @@ class Kappa(Expr):
 
     __slots__ = _fields = ("vars", "body")
 
-    def __eq__(self, other):
-        if other.__class__ is Kappa:
-            return (self.vars, self.body) == (other.vars, other.body)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vars, self.body))
-
 
 class TheSetOf(Expr):
     __slots__ = _fields = ("var", "body")
 
-    def __eq__(self, other):
-        if other.__class__ is TheSetOf:
-            return (self.var, self.body) == (other.var, other.body)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.var, self.body))
-
 
 class Exists(Expr):
     __slots__ = _fields = ("vars", "body")
-
-    def __eq__(self, other):
-        if other.__class__ is Exists:
-            return (self.vars, self.body) == (other.vars, other.body)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.vars, self.body))
 
 
 # ``$Type#k``: the one spelling of a typed variable, in logic text and in
@@ -339,7 +246,10 @@ def parse_expr(text: str) -> Expr:
         node = sexpr.parse_one(text)
     except SexprError as err:
         raise ExprSyntaxError(err.message, err.line, err.col) from err
-    return _convert(node, Names())
+    try:
+        return _convert(node, Names())
+    except RecursionError:
+        raise ExprSyntaxError("nested too deeply") from None
 
 
 def print_expr(e: Expr) -> str:
@@ -741,4 +651,7 @@ def _json_form(obj):
 def expr_from_json(obj) -> Expr:
     """The expression that *obj* encodes, read from the form it spells as
     ``from_sexpr`` reads it."""
-    return _convert(_json_form(obj), Names())
+    try:
+        return _convert(_json_form(obj), Names())
+    except RecursionError:
+        raise ExprSyntaxError("nested too deeply") from None

@@ -18,7 +18,7 @@ from . import sexpr
 from .logic import (MAX_TERM_DEPTH, Constant, Expr, Names, Nat, Numeral,
                     from_sexpr, print_expr, term_depth)
 from .sexpr import FormError
-from .value import Value, setters
+from .value import Value
 
 _BOUNDARY_CHARS = set("-()[]{}.,;:!?")
 _MAX_SEGMENT_LEN = 64
@@ -48,24 +48,17 @@ class TagChart(Value):
     _fields = ("text", "tokens", "spans")
     __slots__ = _fields + ("by_span",)
 
-    def __init__(self, text: str, tokens: list, spans: list):
-        _set_chart_text(self, text)
-        _set_chart_tokens(self, tokens)
-        _set_chart_spans(self, spans)
+    def _derive(self) -> tuple:
         by_span: dict = {}
-        for span in spans:
+        for span in self.spans:
             by_span.setdefault((span.start, span.end), span.concepts)
-        _set_chart_by_span(self, by_span)
+        return (by_span,)
 
     def concepts_at(self, start: int, end: int) -> tuple:
         return self.by_span.get((start, end), ())
 
     def token_concepts(self, i: int) -> tuple:
         return self.concepts_at(i, i + 1)
-
-
-(_set_chart_text, _set_chart_tokens, _set_chart_spans,
- _set_chart_by_span) = setters(TagChart)
 
 
 class Lexicon:

@@ -9,25 +9,29 @@ descriptor's ``__set__``, at about half the cost of an
 built once, when the class is made, and kept in a table keyed by the class
 itself, so a subclass never reads its base's.
 
-When the class is made, the base also compiles its ``__init__``, once:
-one parameter per field, in ``_fields`` order, defaulting to the object
-that ``_defaults`` maps it to, and one slot ``__set__`` call per field,
-the code a hand-written constructor would have.  A class that validates
-its arguments or derives slots writes its own ``__init__`` instead, and
-fills its slots through ``setters(cls)``: ``_x, _y = setters(Point)``
-after the class, then ``_x(self, x)`` in its ``__init__``.
+When the class is made, the base also compiles its ``__init__``,
+``__eq__`` and ``__hash__`` in one ``exec``, the code a hand-written
+method would have:
 
-The base gives the dataclass semantics: ``repr`` is ``Name(field=value,
-...)``, two values are equal when they are of one class and their field
-tuples are equal, and the hash is the hash of the field tuple.  A class
-compared or hashed on a hot path writes its own ``__eq__`` and
-``__hash__`` with the same meaning.
+- ``__init__`` takes one parameter per field, in ``_fields`` order,
+  defaulting to the object that ``_defaults`` maps it to, and makes one
+  slot ``__set__`` call per field.  A class that checks its arguments or
+  derives slots defines one hook, ``_derive(self) -> tuple``, which
+  ``__init__`` calls once the fields are filled: it may raise, and the
+  values it returns fill the slots after the fields, in ``__slots__``
+  order.  No subclass writes these three methods itself.
+- ``__eq__`` is true for a value of the same class whose fields are equal
+  (one field compared directly, several as tuples), and returns
+  ``NotImplemented`` for any other class.
+- ``__hash__`` is the hash of the field tuple.
+
+``repr`` is the dataclass text, ``Name(field=value, ...)``.
 
 A value pickles as its class and field tuple, and loads through
 ``__init__``.  A value with derived slots pickles every slot instead, and
 loads through ``_restore``: a bare instance whose slots are filled from the
-class's setter table, so loading a cached value derives nothing and builds
-no table.
+class's setter table, so loading a cached value calls no ``_derive`` and
+builds no table.
 """
 
 from __future__ import annotations
@@ -37,14 +41,9 @@ class FrozenInstanceError(AttributeError):
     """An assignment to, or deletion of, a field of a value."""
 
 
-# ``setters(cls)`` of every value class, filled as each class is made
+# the ``__set__`` of each of a value class's own slots, in ``__slots__``
+# order, filled as each class is made
 _SETTERS: dict[type, tuple] = {}
-
-
-def setters(cls: type) -> tuple:
-    """The ``__set__`` of each of *cls*'s own slots, in ``__slots__``
-    order."""
-    return _SETTERS[cls]
 
 
 def _restore(cls: type, values: tuple):
@@ -56,26 +55,50 @@ def _restore(cls: type, values: tuple):
     return obj
 
 
-def _make_init(cls: type):
-    """*cls*'s ``__init__``: a parameter per field, with its ``_defaults``
-    object if it has one, and a call of the field's slot ``__set__`` per
-    field, each setter a global of the function's own namespace."""
-    namespace = {}
+def _tuple(items) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _compile_methods(cls: type):
+    """Give *cls* its ``__init__``, ``__eq__`` and ``__hash__``, compiled
+    from its ``_fields``, ``_defaults`` and ``_derive``.  Its slot setters,
+    its defaults and the class itself (under its own name) are globals of
+    the functions' own namespace."""
+    fields = cls._fields
+    namespace = {f"_s{i}": set_slot
+                 for i, set_slot in enumerate(_SETTERS[cls])}
+    namespace[cls.__name__] = cls
     params, body = ["self"], []
-    for i, (name, set_slot) in enumerate(zip(cls._fields, _SETTERS[cls])):
-        namespace[f"_s{i}"] = set_slot
+    for i, name in enumerate(fields):
         if name in cls._defaults:
             namespace[f"_d{i}"] = cls._defaults[name]
             params.append(f"{name}=_d{i}")
         else:
             params.append(name)
         body.append(f"    _s{i}(self, {name})\n")
+    if hasattr(cls, "_derive"):
+        derived = range(len(fields), len(cls.__slots__))
+        unpack = _tuple(f"_v{i}" for i in derived)
+        body.append(f"    {unpack} = self._derive()\n")
+        body += [f"    _s{i}(self, _v{i})\n" for i in derived]
+    mine = [f"self.{name}" for name in fields]
+    theirs = [f"other.{name}" for name in fields]
+    equal = (f"{mine[0]} == {theirs[0]}" if len(fields) == 1
+             else f"{_tuple(mine)} == {_tuple(theirs)}")
     exec(f"def __init__({', '.join(params)}):\n"
-         + ("".join(body) or "    pass\n"), namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    init.__module__ = cls.__module__
-    return init
+         + ("".join(body) or "    pass\n")
+         + "def __eq__(self, other):\n"
+         + f"    if other.__class__ is {cls.__name__}:\n"
+         + f"        return {equal}\n"
+         + "    return NotImplemented\n"
+         + "def __hash__(self):\n"
+         + f"    return hash({_tuple(mine)})\n",
+         namespace)
+    for name in ("__init__", "__eq__", "__hash__"):
+        method = namespace[name]
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        method.__module__ = cls.__module__
+        setattr(cls, name, method)
 
 
 class Value:
@@ -86,10 +109,13 @@ class Value:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        own = {"__init__", "__eq__", "__hash__"} & cls.__dict__.keys()
+        if own:
+            raise TypeError(f"{cls.__qualname__} defines {sorted(own)}, "
+                            "which a value class compiles from its _fields")
         _SETTERS[cls] = tuple([cls.__dict__[name].__set__
                                for name in cls.__slots__])
-        if "__init__" not in cls.__dict__:
-            cls.__init__ = _make_init(cls)
+        _compile_methods(cls)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -97,26 +123,15 @@ class Value:
     def __delattr__(self, name):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
             f"{name}={getattr(self, name)!r}" for name in self._fields))
 
     def __reduce__(self):
         cls = type(self)
+        values = tuple([getattr(self, name) for name in cls.__slots__])
         if cls.__slots__ == cls._fields:
-            return cls, self._values()
+            return cls, values
         # derived slots travel with the fields, so loading a pickle
         # derives nothing again
-        return _restore, (cls, tuple([getattr(self, name)
-                                      for name in cls.__slots__]))
+        return _restore, (cls, values)

@@ -350,23 +350,27 @@ def test_entry_reads_the_same_under_another_hash_seed(
 
 def test_entry_loads_through_the_setter_tables_alone(private_resource_cache,
                                                      monkeypatch):
-    """Loading an entry builds no setter tuple: each value class's table
-    was built with the class.  What loads equals a fresh load, derived
-    slots included."""
-    from construe import value
-    from construe.constructions import load_constructions
+    """Loading an entry derives nothing: each value with derived slots is
+    filled from its class's setter table, built with the class, and no
+    ``_derive`` hook runs, on the load or on the warm call.  What loads
+    equals a fresh load, derived slots included."""
+    from construe.constructions import (Construction, TemplateVariant,
+                                        load_constructions)
     argv = ["interpret", *demo_args(), "--format", "json", "2 sandwiches"]
     cold = call(argv)
     assert cold[0] == 0
     [entry] = entries(private_resource_cache)
     data = entry.read_bytes()
-
-    def no_setters(cls):
-        raise AssertionError(f"setters({cls.__name__}) called")
-
-    monkeypatch.setattr(value, "setters", no_setters)
-    _, _, resources = pickle.loads(data)
     fresh = load_constructions([RESOURCE_DIR / "demo.cg"])
+
+    def no_derive(self):
+        raise AssertionError(f"{type(self).__name__}._derive called")
+
+    monkeypatch.setattr(Construction, "_derive", no_derive)
+    monkeypatch.setattr(TemplateVariant, "_derive", no_derive)
+    with pytest.raises(AssertionError, match="_derive called"):
+        load_constructions([RESOURCE_DIR / "demo.cg"])
+    _, _, resources = pickle.loads(data)
     repo = resources.repo
     assert repo.constructions == fresh.constructions
     assert repo.variants == fresh.variants

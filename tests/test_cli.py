@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (BIO_CG_FILES, BIO_KB_FILES, BIO_LEX_FILES,
                       DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES,
@@ -642,6 +646,17 @@ def test_eval_rejects_a_caption_id_no_verdict_can_name(tmp_path, capsys,
         "or holds whitespace")
 
 
+def test_eval_rejects_a_tab_in_a_caption_text(tmp_path, capsys):
+    """A worksheet caption row is three tab-separated columns, so a
+    caption's text may hold no tab."""
+    captions = tmp_path / "captions.tsv"
+    captions.write_text("c0\t2 sandwiches\nc1\tbig blue\tbuilding\n",
+                        encoding="utf-8")
+    rc, out = run_cli(["eval", *demo_args(), str(captions)])
+    _assert_one_line_resource_error(capsys, rc, out,
+                                    f"{captions}:2: caption text holds a tab")
+
+
 def test_a_tab_or_newline_in_a_string_stays_inside_its_line(tmp_path):
     """cycl output has one line per interpretation and the worksheet six
     tab-separated columns per interpretation row, whatever a string of the
@@ -713,3 +728,40 @@ def test_byte_identical_output_across_hash_seeds():
         proc = subprocess.run(cmd, capture_output=True, env=env, check=True)
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any interpret or tag call exits with a documented code
+
+_LEXICON_WORDS = sorted({
+    word for surface in re.findall(
+        r'\(lex "([^"]+)"', DEMO_LEX_FILES[0].read_text(encoding="utf-8"))
+    for word in surface.split()})
+_OTHER_TOKENS = ["the", "a", "has", "6", "2015", ",", "(", ")", "#$", "?X",
+         "$Thing#1", "\u00ac", "-", "--", "-x", "--mode", "\t", "\u00fc",
+         "G12V", "K-Ras", '"', ";", "1/0", "0.5", "", " "]
+_FLAG_VALUES = {
+    "--max-window": ["1", "3", "12", "0", "-1", "x", ""],
+    "--max-edges": ["1", "40", "50000", "0", "-5", "1e3"],
+    "--mode": ["statement", "question", "check", "bogus"],
+    "--format": ["cycl", "json", "trace", "table", "text", "bogus"],
+}
+_TEXTS = st.lists(st.one_of(st.sampled_from(_LEXICON_WORDS + _OTHER_TOKENS),
+                            st.text(max_size=4)),
+                  max_size=6).map(" ".join)
+_FLAGS = st.lists(st.sampled_from(sorted(_FLAG_VALUES)).flatmap(
+    lambda flag: st.sampled_from(_FLAG_VALUES[flag]).map(
+        lambda value: [flag, value])), max_size=3).map(
+    lambda pairs: [arg for pair in pairs for arg in pair])
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["interpret", "tag"]), text=_TEXTS,
+       flags=_FLAGS)
+def test_any_interpret_or_tag_call_exits_with_a_documented_code(
+        command, text, flags):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main([command, *demo_args(), *flags, text], out=io.StringIO())
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -350,6 +350,27 @@ def test_json_zero_denominator_is_reported_as_the_reader_reports_it():
         == "zero denominator in 3/0"
 
 
+def _nested(depth: int, leaf):
+    for _ in range(depth):
+        leaf = ["p", leaf]
+    return leaf
+
+
+def test_text_nested_too_deeply_is_a_syntax_error():
+    depth = 1000
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr("(p " * depth + "a" + ")" * depth)
+    assert exc.value.message == "nested too deeply"
+    assert isinstance(parse_expr("(p " * 50 + "a" + ")" * 50), App)
+
+
+def test_json_nested_too_deeply_is_a_syntax_error():
+    with pytest.raises(ExprSyntaxError) as exc:
+        expr_from_json(_nested(900, "a"))
+    assert exc.value.message == "nested too deeply"
+    assert isinstance(expr_from_json(_nested(50, "a")), App)
+
+
 def test_json_strings_read_as_the_atoms_they_spell():
     assert expr_from_json(["p", "#$Foo", "2.5", "+3", {"text": "x y"}]) == \
         parse_expr('(p Foo 2.5 3 "x y")')

@@ -25,7 +25,7 @@ from construe.logic import (And, App, Constant, Exists, Expr, Kappa, Nat, Not,
                             Numeral, QueryVar, Text, TheSetOf, TypedVar)
 from construe.sexpr import Finding
 from construe.tagger import TagChart, TagSpan, Token
-from construe.value import FrozenInstanceError
+from construe.value import FrozenInstanceError, Value
 
 X, Y = QueryVar("X"), QueryVar("Y")
 DOG, CAR = Constant("Dog"), Constant("Car")
@@ -300,6 +300,48 @@ def test_derived_values_are_made_with_the_value():
     chart = TagChart("G12V", [TOKEN], [TagSpan(0, 1, (DOG,)),
                                        TagSpan(0, 1, (CAR,))])
     assert chart.by_span == {(0, 1): (DOG,)}
+
+
+class Interval(Value):
+    """A value whose ``_derive`` checks its fields and derives a slot."""
+
+    _fields = ("start", "end")
+    __slots__ = _fields + ("length",)
+    _defaults = {"end": 0}
+
+    def _derive(self) -> tuple:
+        if self.end < self.start:
+            raise ValueError("end before start")
+        return (self.end - self.start,)
+
+
+def test_derive_checks_the_fields_and_fills_the_derived_slots():
+    assert Interval(1, 4) == Interval(start=1, end=4) == Interval(1, end=4)
+    assert Interval(1, 4).length == 3 and Interval(-2).length == 2
+    assert repr(Interval(1, 4)) == "Interval(start=1, end=4)"
+    with pytest.raises(ValueError, match="end before start"):
+        Interval(4, 1)
+
+
+def test_a_pickle_restores_derived_slots_without_deriving(monkeypatch):
+    data = pickle.dumps(Interval(1, 4), pickle.HIGHEST_PROTOCOL)
+
+    def no_derive(self):
+        raise AssertionError("_derive called")
+
+    monkeypatch.setattr(Interval, "_derive", no_derive)
+    copy = pickle.loads(data)
+    assert type(copy) is Interval
+    assert (copy.start, copy.end, copy.length) == (1, 4, 3)
+    with pytest.raises(AssertionError, match="_derive called"):
+        Interval(1, 4)
+
+
+@pytest.mark.parametrize("method", ["__init__", "__eq__", "__hash__"])
+def test_a_value_class_may_not_write_a_compiled_method(method):
+    with pytest.raises(TypeError, match=method):
+        type("Point", (Value,), {"__slots__": ("x",), "_fields": ("x",),
+                                 method: lambda self, *args: None})
 
 
 def test_importing_the_cli_loads_no_dataclasses():
