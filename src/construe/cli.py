@@ -254,7 +254,7 @@ def _edge_tree(graph: ParseGraph, edge: Edge) -> dict:
         "source": edge.source,
         "span": [edge.start, edge.end],
         "logic": expr_to_json(edge.logic),
-        "output_var": f"?{edge.output_var.name}" if edge.output_var else None,
+        "output_var": expr_to_json(edge.output_var) if edge.output_var else None,
         "output_type": expr_to_json(edge.output_type)
                        if edge.output_type is not None else None,
         "kind": edge.kind,

@@ -32,8 +32,8 @@ from typing import Iterable
 from . import sexpr, tagger
 from .kb import KnowledgeBase, constant_name
 from .logic import (MAX_TERM_DEPTH, TYPED_VAR_RE, Constant, Expr, Names,
-                    QueryVar, TypedVar, free_vars, from_sexpr, print_expr,
-                    term_depth)
+                    QueryVar, TypedVar, free_vars, from_sexpr, iter_free_vars,
+                    print_expr, term_depth)
 from .sexpr import Finding, FormError, LoadError
 from .value import Value
 
@@ -85,9 +85,12 @@ def derive_keys(variant: TemplateVariant) -> tuple:
     return skeleton, lexical
 
 
-def typed_key(variant: TemplateVariant) -> tuple:
-    return tuple(("type", e.type) if isinstance(e, TypedVar)
-                 else ("lit", e.folded) for e in variant.elements)
+def typed_key(skeleton: tuple, slot_types) -> tuple:
+    """The typed-tier key of a skeleton key whose slots take
+    *slot_types*, in order."""
+    types = iter(slot_types)
+    return tuple(("type", next(types)) if k is SKELETON_SLOT else ("lit", k)
+                 for k in skeleton)
 
 
 class Construction(Value):
@@ -233,7 +236,7 @@ def expand_variants(c: Construction) -> list:
 # DSL loading
 
 def _slot_occurrences(e: Expr) -> set:
-    return {v for v in free_vars(e) if isinstance(v, TypedVar)}
+    return {v for v in iter_free_vars(e) if v.__class__ is TypedVar}
 
 
 def _validate(c: Construction, sink: list) -> bool:
@@ -270,7 +273,7 @@ def _validate(c: Construction, sink: list) -> bool:
     if c.output_var is not None:
         if c.output_var not in free_vars(c.logic_template):
             err("cons-output-var",
-                f"output variable ?{c.output_var.name} does not occur free in "
+                f"output variable {print_expr(c.output_var)} does not occur free in "
                 "the logic template")
     if isinstance(c.output_type, tuple):
         k = c.output_type[1]
@@ -436,8 +439,9 @@ class Repository:
         # alternations can spell a variant twice
         for v in dict.fromkeys(c.variants):
             skeleton, lexical = derive_keys(v)
+            typed = typed_key(skeleton, [s.type for s in v.slots])
             for tier, key in (("lexical", lexical), ("skeleton", skeleton),
-                              ("typed", typed_key(v))):
+                              ("typed", typed)):
                 index, key = self._tiers[tier], (v.language, key)
                 index[key] = index.get(key, ()) + (v,)
             key = (v.language, skeleton)

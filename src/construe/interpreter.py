@@ -27,7 +27,7 @@ import itertools
 import math
 
 from .constructions import (LEXICAL_SOURCE, SKELETON_SLOT, Construction,
-                            Repository)
+                            Repository, typed_key)
 from .kb import (ContextStack, DEFAULT_CONTEXT, KnowledgeBase,
                  UnknownTermError)
 from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
@@ -291,10 +291,7 @@ def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
                for named, type_map in zip(repo.slot_types(skeleton, lang),
                                           type_maps)]
     for combo in itertools.product(*choices):
-        it = iter(combo)
-        tkey = tuple(("type", next(it)) if k is SKELETON_SLOT else ("lit", k)
-                     for k in skeleton)
-        variants = repo.lookup("typed", tkey, lang)
+        variants = repo.lookup("typed", typed_key(skeleton, combo), lang)
         edge_lists = [type_maps[j][name] for j, name in enumerate(combo)]
         for variant in variants:
             slots = variant.slots
@@ -388,7 +385,7 @@ def compose(matrix: Construction, binding: dict, fresh) -> tuple:
     result = simplify(result)
     if output_var is not None and output_var not in free_query_vars(result):
         raise CompositionError(
-            f"output variable ?{output_var.name} was simplified away")
+            f"output variable {print_expr(output_var)} was simplified away")
     if isinstance(matrix.output_type, tuple):
         ref = matrix.output_type[1]
         ref_slot = next(s for s in binding if s.index == ref)
@@ -400,11 +397,25 @@ def compose(matrix: Construction, binding: dict, fresh) -> tuple:
     return result, output_var, output_type, passed
 
 
+def _failed_test(graph: ParseGraph, c: Construction, test_sub: dict):
+    """(trace kind, detail) of the first semantic test of *c* that the
+    filled slots *test_sub* fail, or None when all pass: a ``:test+``
+    must hold, a ``:test-`` must not."""
+    for tests, must_hold, kind, label in (
+            (c.tests_positive, True, "positive-test", "pos{} failed"),
+            (c.tests_negative, False, "negative-test", "neg{} held")):
+        for idx, t in enumerate(tests, 1):
+            atom = substitute(t, test_sub)
+            if graph.kb.holds(atom, graph.config.context) != must_hold:
+                return kind, f"{c.id}/{label.format(idx)}: {print_expr(atom)}"
+    return None
+
+
 def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
                        span: tuple) -> list:
     """Resolve anaphora, run the semantic tests, compose, and check
     plausibility.  Survivors become edges; failures are traced."""
-    kb, config = graph.kb, graph.config
+    kb = graph.kb
     bindings = [dict(binding)]
     for slot in sorted(c.anaphoric_refs, key=lambda s: s.index):
         candidates = resolve_anaphora(graph, slot, span[0])
@@ -433,24 +444,9 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
             value = _test_value(e)
             if value is not None:
                 test_sub[s] = value
-        discarded = False
-        for idx, t in enumerate(c.tests_positive, 1):
-            atom = substitute(t, test_sub)
-            if not kb.holds(atom, config.context):
-                graph.trace_discard("positive-test", c.id, span,
-                                    f"{c.id}/pos{idx} failed: {print_expr(atom)}")
-                discarded = True
-                break
-        if discarded:
-            continue
-        for idx, t in enumerate(c.tests_negative, 1):
-            atom = substitute(t, test_sub)
-            if kb.holds(atom, config.context):
-                graph.trace_discard("negative-test", c.id, span,
-                                    f"{c.id}/neg{idx} held: {print_expr(atom)}")
-                discarded = True
-                break
-        if discarded:
+        failed = _failed_test(graph, c, test_sub)
+        if failed:
+            graph.trace_discard(failed[0], c.id, span, failed[1])
             continue
         try:
             logic, output_var, output_type, passed = compose(c, b,

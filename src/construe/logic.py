@@ -15,6 +15,12 @@ whose violations raise ``ExprSyntaxError``, as does a term that
 ``parse_expr`` or ``expr_from_json`` finds nested too deeply to read.
 Each read makes its names and atoms through a ``Names`` table, its own
 unless the caller shares one.
+
+One walk answers each question about a term.  ``_write`` spells a term
+in its JSON encoding, which ``expr_to_json`` returns, ``print_expr``
+renders as text and ``canonical_form`` writes with its query variables
+renamed in scope.  ``iter_free_vars`` yields its free variables on an
+explicit stack, for ``free_vars``, ``free_query_vars`` and ``is_ground``.
 """
 
 from __future__ import annotations
@@ -252,34 +258,91 @@ def parse_expr(text: str) -> Expr:
         raise ExprSyntaxError("nested too deeply") from None
 
 
-def print_expr(e: Expr) -> str:
-    if isinstance(e, Constant):
+_BINDER_HEADS = {Kappa: "Kappa", Exists: "exists", TheSetOf: "TheSetOf"}
+
+
+class _Renamer(dict):
+    """Query variable -> canonical spelling ``?v<n>``, numbered from one
+    counter where the writer first meets it: a free variable at its first
+    occurrence, a bound one when the writer enters its binder."""
+
+    count = 0
+
+    def __missing__(self, v: QueryVar) -> str:
+        self[v] = spelled = f"?v{self.count}"
+        self.count += 1
+        return spelled
+
+
+def _write(e: Expr, names: _Renamer | None):
+    """The JSON encoding of *e*: a constant is a string, a numeral a
+    number (a "p/q" string when not integral), text ``{"text": ...}``, a
+    compound an array headed by its operator.  *names* spells the query
+    variables, or each is spelled by its own name when it is None."""
+    cls = e.__class__
+    if cls is App or cls is Nat:
+        return [_write(e.predicate if cls is App else e.functor, names),
+                *[_write(a, names) for a in e.args]]
+    if cls is Constant:
         return e.name
-    if isinstance(e, Numeral):
-        return str(e.value)
-    if isinstance(e, Text):
-        return sexpr.quote(e.value)
-    if isinstance(e, TypedVar):
+    if cls is QueryVar:
+        return f"?{e.name}" if names is None else names[e]
+    if cls is TypedVar:
         return f"${e.type}#{e.index}"
-    if isinstance(e, QueryVar):
-        return f"?{e.name}"
-    if isinstance(e, Nat):
-        return "(%s)" % " ".join([print_expr(e.functor)] + [print_expr(a) for a in e.args])
-    if isinstance(e, App):
-        return "(%s)" % " ".join([print_expr(e.predicate)] + [print_expr(a) for a in e.args])
-    if isinstance(e, And):
-        return "(and %s)" % " ".join(print_expr(a) for a in e.args)
-    if isinstance(e, Not):
-        return "(not %s)" % print_expr(e.arg)
-    if isinstance(e, Kappa):
-        return "(Kappa (%s) %s)" % (" ".join(print_expr(v) for v in e.vars),
-                                    print_expr(e.body))
-    if isinstance(e, TheSetOf):
-        return "(TheSetOf %s %s)" % (print_expr(e.var), print_expr(e.body))
-    if isinstance(e, Exists):
-        return "(exists (%s) %s)" % (" ".join(print_expr(v) for v in e.vars),
-                                     print_expr(e.body))
+    if cls is And:
+        return ["and", *[_write(a, names) for a in e.args]]
+    if cls is Not:
+        return ["not", _write(e.arg, names)]
+    if cls is Numeral:
+        return int(e.value) if e.value.denominator == 1 else str(e.value)
+    if cls is Text:
+        return {"text": e.value}
+    if cls in _BINDER_HEADS:
+        bvars = (e.var,) if cls is TheSetOf else e.vars
+        # its variables get new numbers inside it, their old ones after
+        outer = {} if names is None else \
+            {v: names.pop(v) for v in bvars if v in names}
+        spelled = [_write(v, names) for v in bvars]
+        body = _write(e.body, names)
+        if names is not None:
+            for v in bvars:
+                names.pop(v, None)
+            names.update(outer)
+        return [_BINDER_HEADS[cls], spelled[0] if cls is TheSetOf else spelled,
+                body]
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _render(obj) -> str:
+    """The text of a JSON encoding: a string as it is, an integer in
+    decimal, ``{"text": s}`` quoted, an array in parentheses."""
+    cls = obj.__class__
+    if cls is str:
+        return obj
+    if cls is list:
+        return f"({' '.join(map(_render, obj))})"
+    if cls is int:
+        return str(obj)
+    return sexpr.quote(obj["text"])
+
+
+def expr_to_json(e: Expr):
+    return _write(e, None)
+
+
+def print_expr(e: Expr) -> str:
+    return _render(_write(e, None))
+
+
+def canonical_form(e: Expr) -> str:
+    """*e* printed with its query variables renamed by first occurrence,
+    respecting binder scopes.  Two expressions are alpha-equivalent iff
+    their canonical forms coincide."""
+    return _render(_write(e, _Renamer()))
+
+
+def equal_modulo_renaming(a: Expr, b: Expr) -> bool:
+    return canonical_form(a) == canonical_form(b)
 
 
 def children(e: Expr) -> tuple:
@@ -314,57 +377,40 @@ def term_depth(e: Expr) -> int:
     return deepest
 
 
-def free_vars(e: Expr, bound: frozenset = frozenset()) -> set:
-    """Free variables of *e*: query variables not captured by a binder,
-    plus every typed variable (template holes are never bound)."""
-    if isinstance(e, QueryVar):
-        return set() if e in bound else {e}
-    if isinstance(e, TypedVar):
-        return {e}
-    if isinstance(e, Kappa):
-        return free_vars(e.body, bound | frozenset(e.vars))
-    if isinstance(e, TheSetOf):
-        return free_vars(e.body, bound | frozenset((e.var,)))
-    if isinstance(e, Exists):
-        return free_vars(e.body, bound | frozenset(e.vars))
-    out: set = set()
-    for child in children(e):
-        out |= free_vars(child, bound)
-    return out
-
-
-def is_ground(e: Expr) -> bool:
-    """``not free_vars(e)``, found without building sets: the walk stops
-    at the first free variable."""
+def iter_free_vars(e: Expr):
+    """Each free occurrence of a variable in *e*: query variables no
+    binder captures, and every typed variable (template holes are never
+    bound).  An explicit stack, so a term of any depth is walked, and a
+    caller that stops early walks no further."""
     stack = [(e, frozenset())]
     while stack:
         x, bound = stack.pop()
         cls = x.__class__
         if cls is Constant or cls is Numeral or cls is Text:
             continue
-        if cls is TypedVar:
-            return False
         if cls is QueryVar:
             if x not in bound:
-                return False
+                yield x
+        elif cls is TypedVar:
+            yield x
         elif cls is Kappa or cls is Exists:
-            stack.append((x.body, bound | frozenset(x.vars)))
+            stack.append((x.body, bound.union(x.vars)))
         elif cls is TheSetOf:
             stack.append((x.body, bound | {x.var}))
         else:
             stack.extend([(part, bound) for part in children(x)])
-    return True
+
+
+def free_vars(e: Expr) -> set:
+    return set(iter_free_vars(e))
 
 
 def free_query_vars(e: Expr) -> set:
-    return {v for v in free_vars(e) if isinstance(v, QueryVar)}
+    return {v for v in iter_free_vars(e) if v.__class__ is QueryVar}
 
 
-def _fresh_name(base: str, taken: set) -> str:
-    name = base
-    while name in taken:
-        name += "'"
-    return name
+def is_ground(e: Expr) -> bool:
+    return next(iter_free_vars(e), None) is None
 
 
 def _subst_binder(e, binding, make):
@@ -380,16 +426,16 @@ def _subst_binder(e, binding, make):
     # rename bound variables that would capture a free variable of a
     # replacement term; fresh names must also avoid everything already
     # free in the body
-    incoming = set()
-    for v in live.values():
-        incoming |= {x.name for x in free_query_vars(v)}
+    incoming = {x.name for v in live.values() for x in free_query_vars(v)}
+    taken = incoming | {x.name for x in (*bvars, *free) if x.__class__ is QueryVar}
     renames = {}
-    taken = incoming | {b.name for b in bvars}
-    taken |= {x.name for x in free if isinstance(x, QueryVar)}
     for b in bvars:
         if b.name in incoming:
-            renames[b] = QueryVar(_fresh_name(b.name, taken))
-            taken.add(renames[b].name)
+            name = b.name
+            while name in taken:
+                name += "'"
+            renames[b] = QueryVar(name)
+            taken.add(name)
     body = e.body
     if renames:
         body = substitute(body, renames)
@@ -520,16 +566,12 @@ def _eliminate_equals(e: Expr):
 
 def simplify(e: Expr) -> Expr:
     """Substitute terms for variables they equal and clean up redundant
-    conjunctive structure.  The result is a fixed point."""
-    while True:
-        e2 = _structural(e)
-        reduced = _eliminate_equals(e2)
-        if reduced is not None:
-            e = reduced
-            continue
-        if e2 is e:
-            return e
-        e = e2
+    conjunctive structure.  The result is a fixed point: ``_structural``
+    is idempotent, so it runs once per eliminated equality."""
+    e = _structural(e)
+    while (reduced := _eliminate_equals(e)) is not None:
+        e = _structural(reduced)
+    return e
 
 
 def quantify_existential(e: Expr) -> Expr:
@@ -542,89 +584,6 @@ def quantify_existential(e: Expr) -> Expr:
 
 def conjunct_count(e: Expr) -> int:
     return len(e.args) if isinstance(e, And) else 1
-
-
-def canonical_form(e: Expr) -> str:
-    """Print with query variables renamed by first occurrence, respecting
-    binder scopes.  Two expressions are alpha-equivalent iff their
-    canonical forms coincide."""
-    free_map: dict = {}
-    counter = [0]
-
-    def name_for(v: QueryVar, scopes) -> str:
-        for scope in reversed(scopes):
-            if v in scope:
-                return scope[v]
-        if v not in free_map:
-            free_map[v] = f"v{counter[0]}"
-            counter[0] += 1
-        return free_map[v]
-
-    def rec(x: Expr, scopes) -> str:
-        if isinstance(x, QueryVar):
-            return "?" + name_for(x, scopes)
-        if isinstance(x, (Kappa, Exists, TheSetOf)):
-            bvars = (x.var,) if isinstance(x, TheSetOf) else x.vars
-            scope = {}
-            for b in bvars:
-                scope[b] = f"v{counter[0]}"
-                counter[0] += 1
-            inner = rec(x.body, scopes + [scope])
-            names = " ".join("?" + scope[b] for b in bvars)
-            tag = type(x).__name__
-            if isinstance(x, TheSetOf):
-                return f"({tag} {names} {inner})"
-            return f"({tag} ({names}) {inner})"
-        if isinstance(x, Nat):
-            return "(%s)" % " ".join([rec(x.functor, scopes)] + [rec(a, scopes) for a in x.args])
-        if isinstance(x, App):
-            return "(%s)" % " ".join([rec(x.predicate, scopes)] + [rec(a, scopes) for a in x.args])
-        if isinstance(x, And):
-            return "(and %s)" % " ".join(rec(a, scopes) for a in x.args)
-        if isinstance(x, Not):
-            return "(not %s)" % rec(x.arg, scopes)
-        return print_expr(x)
-
-    return rec(e, [])
-
-
-def equal_modulo_renaming(a: Expr, b: Expr) -> bool:
-    return canonical_form(a) == canonical_form(b)
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding: constants are plain strings, numerals are numbers (or
-# "p/q" strings when non-integral), text is {"text": ...}, compounds are
-# arrays headed by the operator.
-
-def expr_to_json(e: Expr):
-    if isinstance(e, Constant):
-        return e.name
-    if isinstance(e, Numeral):
-        if e.value.denominator == 1:
-            return int(e.value)
-        return str(e.value)
-    if isinstance(e, Text):
-        return {"text": e.value}
-    if isinstance(e, TypedVar):
-        return f"${e.type}#{e.index}"
-    if isinstance(e, QueryVar):
-        return f"?{e.name}"
-    if isinstance(e, Nat):
-        return [expr_to_json(e.functor)] + [expr_to_json(a) for a in e.args]
-    if isinstance(e, App):
-        return [expr_to_json(e.predicate)] + [expr_to_json(a) for a in e.args]
-    if isinstance(e, And):
-        return ["and"] + [expr_to_json(a) for a in e.args]
-    if isinstance(e, Not):
-        return ["not", expr_to_json(e.arg)]
-    if isinstance(e, Kappa):
-        return ["Kappa", [expr_to_json(v) for v in e.vars], expr_to_json(e.body)]
-    if isinstance(e, TheSetOf):
-        return ["TheSetOf", expr_to_json(e.var), expr_to_json(e.body)]
-    if isinstance(e, Exists):
-        return ["exists", [expr_to_json(v) for v in e.vars], expr_to_json(e.body)]
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def _json_form(obj):

@@ -319,6 +319,15 @@ def test_canonical_form_respects_scopes():
     assert canonical_form(a) == canonical_form(b)
 
 
+def test_canonical_form_keeps_free_variables_apart_across_scopes():
+    # numbering variables by scope depth would give ?a, numbered inside
+    # the binder, and ?b, numbered outside it, the same name
+    a = parse_expr("(and (exists (?z) (p ?z ?a)) (q ?b))")
+    b = parse_expr("(and (exists (?z) (p ?z ?a)) (q ?a))")
+    assert canonical_form(a) != canonical_form(b)
+    assert not equal_modulo_renaming(a, b)
+
+
 def test_json_round_trip_on_corpus():
     exprs, _ = corpus()
     for e in exprs:
@@ -403,7 +412,12 @@ def _compound(children):
     nots = st.builds(Not, apps)
     kappas = st.builds(lambda b: Kappa((QueryVar("V1"), QueryVar("V2")), b), apps)
     sets = st.builds(lambda b: TheSetOf(QueryVar("S"), b), apps)
-    return st.one_of(apps, nats, ands, nots, kappas, sets)
+    # binders over the variables that also occur free
+    exists = st.builds(lambda vs, b: Exists(tuple(vs), b),
+                       st.lists(_qvars, min_size=1, max_size=2, unique=True),
+                       children)
+    free_sets = st.builds(TheSetOf, _qvars, apps)
+    return st.one_of(apps, nats, ands, nots, kappas, sets, exists, free_sets)
 
 
 _exprs = st.recursive(_leaves, _compound, max_leaves=12)
@@ -413,6 +427,35 @@ _exprs = st.recursive(_leaves, _compound, max_leaves=12)
 @given(_exprs)
 def test_print_parse_round_trip(e):
     assert parse_expr(print_expr(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs)
+def test_json_round_trip(e):
+    assert expr_from_json(expr_to_json(e)) == e
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs)
+def test_canonical_form_ignores_variable_names(e):
+    """Renaming the free query variables, or a binder's variable, leaves
+    the canonical form as it is."""
+    assert canonical_form(rename_query_vars(e, 3)) == canonical_form(e)
+    x, fresh = QueryVar("X"), QueryVar("FRESH")
+    for bind in (lambda v, b: Exists((v,), b), TheSetOf,
+                 lambda v, b: Kappa((QueryVar("V1"), v), b)):
+        assert canonical_form(bind(fresh, substitute(e, {x: fresh}))) \
+            == canonical_form(bind(x, e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_exprs)
+def test_canonical_form_tells_merged_free_variables_apart(e):
+    t = And((e, App(Constant("p"), (QueryVar("A"), QueryVar("B")))))
+    free = sorted(free_query_vars(t), key=lambda v: v.name)
+    for i, a in enumerate(free):
+        for b in free[i + 1:]:
+            assert canonical_form(substitute(t, {b: a})) != canonical_form(t)
 
 
 @settings(max_examples=100, deadline=None)
@@ -456,6 +499,28 @@ def _shared_parts(e):
     return out
 
 
+def _kept_subterms(t, binding):
+    """The largest subterms of *t* that ``substitute(t, binding)`` must
+    keep: those in which no variable is replaced and no variable of an
+    enclosing binder is renamed, as one is when a replacement's free
+    variable would otherwise be captured."""
+    kept, stack = [], [(t, binding, frozenset())]
+    while stack:
+        sub, live, renamed = stack.pop()
+        free = free_vars(sub)
+        if not (free & (live.keys() | renamed)):
+            kept.append(sub)
+            continue
+        if isinstance(sub, (Exists, Kappa, TheSetOf)):
+            bound = (sub.var,) if isinstance(sub, TheSetOf) else sub.vars
+            live = {k: v for k, v in live.items() if k in free}
+            incoming = {v.name for r in live.values() for v in free_query_vars(r)}
+            renamed = renamed.difference(bound).union(
+                b for b in bound if b.name in incoming)
+        stack.extend((part, live, renamed) for part in logic.children(sub))
+    return kept
+
+
 @settings(max_examples=200, deadline=None)
 @given(_exprs, st.sampled_from([{QueryVar("X"): Constant("A")},
                                 {QueryVar("X"): QueryVar("V1")},
@@ -471,14 +536,8 @@ def test_substitute_keeps_unchanged_subterms(e, binding):
     for t in (e, Exists((x,), e), Kappa((x,), e), TheSetOf(x, e)):
         s = substitute(t, binding)
         parts = _shared_parts(s)
-        stack = [t]
-        while stack:
-            sub = stack.pop()
-            if not (free_vars(sub) & binding.keys()):
-                assert id(sub) in parts and parts[id(sub)] is sub, \
-                    print_expr(sub)
-            else:
-                stack.extend(logic.children(sub))
+        for sub in _kept_subterms(t, binding):
+            assert parts.get(id(sub)) is sub, print_expr(sub)
         if not (free_vars(t) & binding.keys()):
             assert s is t
     assert substitute(e, {}) is e
