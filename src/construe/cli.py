@@ -86,7 +86,7 @@ def _load(loader, paths, flag: str, names: Names | None = None):
 
 
 # Bumped whenever the layout of a cache entry changes.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 # A write removes the other entries not written for this long.
 CACHE_MAX_AGE_S = 30 * 24 * 3600
 

@@ -28,8 +28,7 @@ import math
 
 from .constructions import (LEXICAL_SOURCE, SKELETON_SLOT, Construction,
                             Repository, typed_key)
-from .kb import (ContextStack, DEFAULT_CONTEXT, KnowledgeBase,
-                 UnknownTermError)
+from .kb import DEFAULT_CONTEXT, KnowledgeBase, UnknownTermError
 from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
                     Text, TypedVar, canonical_form, conjunct_count,
                     free_query_vars, is_sentence, print_expr,
@@ -308,24 +307,16 @@ def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
 # Application
 
 def resolve_anaphora(graph: ParseGraph, slot: TypedVar, window_start: int) -> list:
-    """Antecedent candidates for an anaphoric slot: edges entirely left of
-    the window whose type satisfies the slot, nearest first, at most
-    ``MAX_ANAPHOR_CANDIDATES``."""
-    kb = graph.kb
-    slot_type = Constant(slot.type)
-    candidates: list = []
-    pool = [e for e in graph.edges
-            if e.end <= window_start and e.output_type is not None]
+    """Antecedent candidates for *slot*, an anaphoric slot of the graph's
+    repository: edges entirely left of the window whose type satisfies the
+    slot, nearest first, at most ``MAX_ANAPHOR_CANDIDATES``.  The slot's
+    type is a used slot type, so the filler index holds exactly those
+    edges under it."""
+    pool = [e for ends in graph._fillers.values()
+            for end, type_map in ends.items() if end <= window_start
+            for e in type_map.get(slot.type, ())]
     pool.sort(key=lambda e: (-e.end, -e.start, e.id))
-    for edge in pool:
-        try:
-            if kb.subsumes(slot_type, edge.output_type, "auto"):
-                candidates.append(edge)
-        except UnknownTermError:
-            continue
-        if len(candidates) >= MAX_ANAPHOR_CANDIDATES:
-            break
-    return candidates
+    return pool[:MAX_ANAPHOR_CANDIDATES]
 
 
 def _test_value(edge: Edge) -> Expr | None:

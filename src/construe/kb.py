@@ -16,9 +16,11 @@ The KB file format is an s-expression file.  Top-level forms:
     (individual t)
     (collection t)
 
-Comments start with ';'.  A KB is observably immutable once loaded:
-``genls_closure``, ``isa_closure``, ``match_types`` and
-``numeral_instance_types`` fill idempotent memos, which no query's result
+Comments start with ';'.  A number is typed by the KB alone, as an
+instance of its own collection (``numeral_type_name``) and of every
+collection above it.  A KB is observably immutable once loaded:
+``genls_closure``, ``isa_closure`` and ``match_types`` (behind
+``numeral_instance_types``) fill idempotent memos, which no query's result
 depends on, so every query is safe for concurrent use.
 """
 
@@ -79,16 +81,6 @@ DEFAULT_CONTEXT = ContextStack()
 _ISA = Constant("isa")
 _GENLS = Constant("genls")
 _EQUALS = Constant("equals")
-_POSITIVE_INTEGER = Constant("PositiveInteger")
-_INTEGER = Constant("Integer")
-_RATIONAL_NUMBER = Constant("RationalNumber")
-# numeral_type_name -> the collections a number of that kind is an
-# instance of before genls links: its own, then the ones containing it
-_NUMERAL_SEEDS = {
-    "PositiveInteger": (_POSITIVE_INTEGER, _INTEGER, _RATIONAL_NUMBER),
-    "Integer": (_INTEGER, _RATIONAL_NUMBER),
-    "RationalNumber": (_RATIONAL_NUMBER,),
-}
 
 
 class Violation(Value):
@@ -143,7 +135,6 @@ class KnowledgeBase:
         self._genls_memo: dict[Expr, frozenset] = {}
         self._isa_memo: dict[Expr, frozenset] = {}
         self._match_memo: dict[Expr, frozenset] = {}
-        self._numeral_memo: dict[str, frozenset] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -282,15 +273,12 @@ class KnowledgeBase:
         return "RationalNumber"
 
     def numeral_instance_types(self, value: Fraction) -> frozenset:
-        """The collections a number is an instance of: one answer per
-        ``numeral_type_name``, each made once."""
+        """The collections a number is an instance of: ``match_types`` of
+        its own collection, the type of its seed edge, or none where the
+        KB does not know that collection."""
         kind = self.numeral_type_name(value)
-        cached = self._numeral_memo.get(kind)
-        if cached is None:
-            cached = self._numeral_memo[kind] = frozenset().union(*(
-                self.genls_closure(seed) for seed in _NUMERAL_SEEDS[kind]
-                if seed.name in self._terms))
-        return cached
+        return self.match_types(Constant(kind)) if kind in self._terms \
+            else frozenset()
 
     # -- facts -------------------------------------------------------------
 
@@ -388,46 +376,36 @@ class KnowledgeBase:
                                      f"{owner} needs at least {c.position} arguments"))
                 continue
             arg = args[c.position - 1]
-            if not is_ground(arg):
-                continue
+            isa = c.kind == "argIsa"
             apath = path + (c.position,)
             if isinstance(arg, Numeral):
-                if c.kind == "argIsa":
-                    if c.required in self.numeral_instance_types(arg.value):
-                        continue
-                out.append(Violation("arg-isa" if c.kind == "argIsa" else "arg-genls",
-                                     apath,
-                                     f"argument {c.position} of {owner} must be "
-                                     f"{'an instance' if c.kind == 'argIsa' else 'a specialization'} "
-                                     f"of {c.required.name}, got the number {arg.value}"))
-                continue
-            if not _is_term(arg):
-                out.append(Violation("structural", apath,
-                                     f"argument {c.position} of {owner} is not a term"))
-                continue
-            if not self.known(arg):
-                continue
-            # the loader registered every constraint type and the argument
-            # is known, so each subsumption test here is membership in one
-            # of the argument's closures
-            if c.kind == "argIsa":
-                if c.required not in self.isa_closure(arg):
-                    out.append(Violation("arg-isa", apath,
-                                         f"argument {c.position} of {owner} must be "
-                                         f"an instance of {c.required.name}, got {print_expr(arg)}"))
-            else:
-                if c.required in self.genls_closure(arg):
+                # a number is an instance of its types, and specializes none
+                if isa and c.required in self.numeral_instance_types(arg.value):
                     continue
-                if c.required in self.isa_closure(arg):
-                    out.append(Violation(
-                        "instance-vs-specialization", apath,
-                        f"argument {c.position} of {owner} must be a specialization "
-                        f"of {c.required.name}; {print_expr(arg)} is an instance of it"))
-                else:
-                    out.append(Violation("arg-genls", apath,
-                                         f"argument {c.position} of {owner} must be "
-                                         f"a specialization of {c.required.name}, "
-                                         f"got {print_expr(arg)}"))
+                got = f"the number {arg.value}"
+            elif not _is_term(arg):
+                if is_ground(arg):
+                    out.append(Violation("structural", apath, f"argument "
+                                         f"{c.position} of {owner} is not a term"))
+                continue
+            # a known term is ground, and the loader registered every
+            # constraint type, so the test is membership in one closure
+            elif not self.known(arg) or c.required in (
+                    self.isa_closure if isa else self.genls_closure)(arg):
+                continue
+            else:
+                got = print_expr(arg)
+            if not isa and _is_term(arg) and c.required in self.isa_closure(arg):
+                out.append(Violation(
+                    "instance-vs-specialization", apath,
+                    f"argument {c.position} of {owner} must be a specialization "
+                    f"of {c.required.name}; {got} is an instance of it"))
+            else:
+                out.append(Violation(
+                    "arg-isa" if isa else "arg-genls", apath,
+                    f"argument {c.position} of {owner} must be "
+                    f"{'an instance' if isa else 'a specialization'} "
+                    f"of {c.required.name}, got {got}"))
         for c in self._inter_arg.get(owner, ()):
             if c.if_position > len(args) or c.then_position > len(args):
                 out.append(Violation("structural", path,
@@ -436,11 +414,9 @@ class KnowledgeBase:
                 continue
             if_arg = args[c.if_position - 1]
             then_arg = args[c.then_position - 1]
-            if not (is_ground(if_arg) and is_ground(then_arg)):
-                continue
-            if not (_is_term(if_arg) and self.known(if_arg)):
-                continue
-            if c.if_type not in self.genls_closure(if_arg):
+            if not (_is_term(if_arg) and self.known(if_arg)
+                    and c.if_type in self.genls_closure(if_arg)
+                    and is_ground(then_arg)):
                 continue
             if (_is_term(then_arg) and self.known(then_arg)
                     and c.then_type in self.genls_closure(then_arg)):
@@ -471,41 +447,31 @@ class KnowledgeBase:
         if isinstance(e, (Kappa, TheSetOf, Exists)):
             self._walk_plausibility(e.body, path + (0,), positive, out, skip)
             return
-        if isinstance(e, App):
-            pred = e.predicate
-            if isinstance(pred, Nat):
-                self._walk_plausibility(pred, path + (0,), positive, out, skip)
-            elif not isinstance(pred, Constant):
-                out.append(Violation("structural", path + (0,),
-                                     "predicate must be a constant or function term"))
-            if positive and isinstance(pred, Constant) and len(e.args) == 2:
-                a, b = e.args
-                if pred == _GENLS and self.disjoint_known(a, b):
-                    out.append(Violation("known-false", path,
-                                         f"{print_expr(e)} contradicts a disjointness "
-                                         "declaration"))
-                elif pred == _ISA and _is_term(a) and self.known(a):
-                    if any(self.disjoint_known(p, b) for p in self.isa_parents(a)):
-                        out.append(Violation("known-false", path,
-                                             f"{print_expr(e)} contradicts a "
-                                             "disjointness declaration"))
-            if isinstance(pred, Constant):
-                self._check_owner_args(pred.name, e.args, path, out)
-            for i, a in enumerate(e.args, start=1):
-                self._walk_plausibility(a, path + (i,), positive, out, skip)
-            return
-        if isinstance(e, Nat):
-            if not isinstance(e.functor, Constant):
-                out.append(Violation("structural", path + (0,),
-                                     "function term head must be a constant"))
-            else:
-                sig = self._signatures.get(e.functor.name)
-                if sig is not None and sig.arity != len(e.args):
+        if isinstance(e, (App, Nat)):
+            app = isinstance(e, App)
+            head, args = e.predicate if app else e.functor, e.args
+            if isinstance(head, Constant):
+                sig = None if app else self._signatures.get(head.name)
+                if sig is not None and sig.arity != len(args):
                     out.append(Violation("structural", path,
-                                         f"{e.functor.name} takes {sig.arity} "
-                                         f"arguments, got {len(e.args)}"))
-                self._check_owner_args(e.functor.name, e.args, path, out)
-            for i, a in enumerate(e.args, start=1):
+                                         f"{head.name} takes {sig.arity} "
+                                         f"arguments, got {len(args)}"))
+                if app and positive and len(args) == 2 and (
+                        head == _GENLS and self.disjoint_known(*args)
+                        or head == _ISA and _is_term(args[0]) and self.known(args[0])
+                        and any(self.disjoint_known(p, args[1])
+                                for p in self.isa_parents(args[0]))):
+                    out.append(Violation("known-false", path,
+                                         f"{print_expr(e)} contradicts a "
+                                         "disjointness declaration"))
+                self._check_owner_args(head.name, args, path, out)
+            elif app and isinstance(head, Nat):
+                self._walk_plausibility(head, path + (0,), positive, out, skip)
+            else:
+                out.append(Violation("structural", path + (0,),
+                                     "predicate must be a constant or function term"
+                                     if app else "function term head must be a constant"))
+            for i, a in enumerate(args, start=1):
                 self._walk_plausibility(a, path + (i,), positive, out, skip)
             return
         out.append(Violation("structural", path, f"unexpected node {e!r}"))

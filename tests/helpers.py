@@ -10,8 +10,8 @@ import re
 from fractions import Fraction
 
 from construe.constructions import Literal, load_constructions
-from construe.interpreter import (EngineConfig, ParseGraph, apply_construction,
-                                  retrieve)
+from construe.interpreter import (MAX_ANAPHOR_CANDIDATES, EngineConfig,
+                                  ParseGraph, apply_construction, retrieve)
 from construe.kb import UnknownTermError, load_kb
 from construe.logic import (And, App, Constant, EQUALS, Not, QueryVar,
                             free_query_vars, print_expr)
@@ -57,6 +57,23 @@ def brute_force_matches(graph, start, end):
 
         match(0, start, [])
     return out
+
+
+def reference_antecedents(graph, slot, start):
+    """Antecedent candidates for the anaphoric *slot* by their definition:
+    every edge ending at or before *start* whose type the slot's type
+    subsumes in auto mode, nearest first (latest end, then latest start,
+    then the edge made first), at most ``MAX_ANAPHOR_CANDIDATES``."""
+    out = []
+    for e in sorted(graph.edges, key=lambda e: (-e.end, -e.start, e.id)):
+        if e.end > start or e.output_type is None:
+            continue
+        try:
+            if graph.kb.subsumes(Constant(slot.type), e.output_type, "auto"):
+                out.append(e)
+        except UnknownTermError:
+            continue
+    return out[:MAX_ANAPHOR_CANDIDATES]
 
 
 def retrieval_signatures(retrievals):

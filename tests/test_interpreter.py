@@ -5,7 +5,8 @@ import pytest
 
 import helpers
 from helpers import (brute_force_matches, full_sweep_window_loop,
-                     graph_outcome, random_instance, retrieval_signatures)
+                     graph_outcome, random_instance, reference_antecedents,
+                     retrieval_signatures)
 from construe import interpreter
 from construe.constructions import (LEXICAL_SOURCE, TypedSlot,
                                     load_constructions)
@@ -521,6 +522,39 @@ def test_anaphora_cap_is_five(run):
     assert "WimbledonTournament" not in kinds  # furthest left is dropped
     interpretations = finalize(graph)
     assert len(interpretations) == 5
+
+
+def assert_antecedents_match_reference(graph):
+    """``resolve_anaphora`` equals its definition for every anaphoric slot
+    of the graph's repository and every window start."""
+    slots = [s for c in graph.repo.constructions.values()
+             for s in c.anaphoric_refs]
+    for slot in slots:
+        for start in range(len(graph.tokens) + 1):
+            assert resolve_anaphora(graph, slot, start) \
+                == reference_antecedents(graph, slot, start), (slot, start)
+    return len(slots)
+
+
+@pytest.mark.parametrize("text", [
+    "wimbledon , the end of the 2015 season",
+    "wimbledon olympics , the end of the 2015 season",
+    "wimbledon olympics superbowl daytona masters euro , "
+    "the end of the 2015 season",
+    "the end of the 2015 season", "big blue building", "2 sandwiches",
+    "Barack Obama eats a sandwich", "the song has 6 notes"])
+def test_antecedents_match_reference_on_demo_phrases(run, text):
+    assert assert_antecedents_match_reference(run(text)) == 1
+
+
+def test_antecedents_match_reference_on_feeding_instances():
+    """Before and after the window loop, with more antecedents than the
+    cap in half the instances."""
+    for seed in range(150):
+        graph, _ = random_instance(random.Random(seed), feeding=True)
+        assert assert_antecedents_match_reference(graph) == 1, seed
+        window_loop(graph)
+        assert_antecedents_match_reference(graph)
 
 
 # ---------------------------------------------------------------------------

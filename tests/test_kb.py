@@ -5,10 +5,14 @@ import pytest
 
 from conftest import BIO_KB_FILES, DEMO_KB_FILES
 from construe import sexpr
+from construe.constructions import load_constructions
+from construe.interpreter import interpret
 from construe.kb import (ContextStack, UnknownTermError, UntypedTermError,
                          lint_kb, load_kb, load_kb_lenient)
-from construe.logic import And, Constant, Nat, Not, from_sexpr, parse_expr
+from construe.logic import (And, App, Constant, Nat, Not, QueryVar,
+                            from_sexpr, parse_expr)
 from construe.sexpr import LoadError
+from construe.tagger import load_lexicon
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,25 @@ def test_numeral_instance_types_one_answer_per_kind(demo_kb):
     assert types(Fraction(6)) == closure(Constant("PositiveInteger"))
     assert load_kb(text="(collection Thing)").numeral_instance_types(
         Fraction(6)) == frozenset()
+
+
+@pytest.mark.parametrize("kb_text, typed", [
+    ("(collection Integer)", False),
+    ("(collection Integer) (collection PositiveInteger)", False),
+    ("(collection Integer) (collection PositiveInteger) "
+     "(genls PositiveInteger Integer)", True)])
+def test_a_number_has_one_type_answer(kb_text, typed):
+    """A test, an argument constraint and retrieval all type "6" through
+    the KB's own links: it is an Integer only where the KB puts its own
+    collection, PositiveInteger, below Integer."""
+    kb = load_kb(text=kb_text + " (argIsa p 1 Integer)")
+    repo = load_constructions(text='(construction :id n :nl "$Integer#0" '
+                                   ':logic (p $Integer#0))')
+    graph = interpret("6", kb, repo, load_lexicon(text=""))
+    fills = any(e.source == "n" for e in graph.edges)
+    assert kb.holds(parse_expr("(isa 6 Integer)")) == typed
+    assert (kb.check_plausibility(parse_expr("(p 6)")) == []) == typed
+    assert fills == typed
 
 
 def test_subsumption_partial_order_on_collections(demo_kb):
@@ -299,6 +322,83 @@ def test_passed_subterm_is_skipped_at_positive_polarity_only(demo_kb):
     # an equal copy is not the passed term itself, so it is walked
     copy = parse_expr("(genls Bank-Topographical Business)")
     assert demo_kb.check_plausibility(copy, passed=(false,)) != []
+
+
+PIN_KB = """
+  (collection Animal) (collection Dog) (genls Dog Animal)
+  (collection Rock) (collection Food) (disjoint Animal Rock)
+  (individual Fido) (isa Fido Dog) (individual Pebble) (isa Pebble Rock)
+  (collection Integer) (collection PositiveInteger)
+  (genls PositiveInteger Integer)
+  (argIsa owns 1 Animal) (argGenls kindOf 1 Animal) (argIsa pair 2 Animal)
+  (argIsa numbered 1 Integer) (argGenls genls 1 Animal)
+  (interArgGenls feeds 1 Animal 2 Food)
+  (fn PackFn 1 (resultIsa Animal)) (argIsa PackFn 1 Animal)
+"""
+_FIDO, _PACK, _ROCK = Constant("Fido"), Constant("PackFn"), Constant("Rock")
+_OWNS_1 = "argument 1 of owns must be an instance of Animal, got "
+_KIND_1 = "argument 1 of kindOf must be a specialization of Animal"
+_PACK_1 = "argument 1 of PackFn must be an instance of Animal, got "
+_KNOWN_FALSE = "contradicts a disjointness declaration"
+
+# expression (text, or the term itself where no text reads as it) -> every
+# violation as (kind, path, message), in order
+VIOLATION_PINS = [
+    ("(owns Fido)", []),
+    ("(owns ?X)", []),
+    ("(owns Unknown)", []),
+    ("(numbered 6)", []),
+    ("(owns Pebble)", [("arg-isa", (1,), _OWNS_1 + "Pebble")]),
+    ("(owns 6)", [("arg-isa", (1,), _OWNS_1 + "the number 6")]),
+    ("(numbered 1/2)", [("arg-isa", (1,), "argument 1 of numbered must be "
+                         "an instance of Integer, got the number 1/2")]),
+    ("(kindOf Rock)", [("arg-genls", (1,), _KIND_1 + ", got Rock")]),
+    ("(kindOf 1/2)", [("arg-genls", (1,), _KIND_1 + ", got the number 1/2")]),
+    ("(kindOf Fido)", [("instance-vs-specialization", (1,),
+                        _KIND_1 + "; Fido is an instance of it")]),
+    ('(owns "x")', [("structural", (1,), "argument 1 of owns is not a term")]),
+    ("(pair Fido)", [("structural", (), "pair needs at least 2 arguments")]),
+    ("(feeds Dog Rock)", [("inter-arg", (2,), "feeds: argument 1 specializes "
+                           "Animal, so argument 2 must specialize Food; "
+                           "got Rock")]),
+    ("(feeds Dog)", [("structural", (), "feeds is missing arguments required "
+                      "by an inter-argument constraint")]),
+    ("(genls Dog Rock)", [("known-false", (), "(genls Dog Rock) " + _KNOWN_FALSE)]),
+    ("(isa Fido Rock)", [("known-false", (), "(isa Fido Rock) " + _KNOWN_FALSE)]),
+    ("(genls Rock Dog)", [
+        ("known-false", (), "(genls Rock Dog) " + _KNOWN_FALSE),
+        ("arg-genls", (1,), "argument 1 of genls must be a specialization of "
+                            "Animal, got Rock")]),
+    ("(PackFn Fido Rock)", [("structural", (), "PackFn takes 1 arguments, "
+                             "got 2")]),
+    ("(PackFn Pebble (PackFn Rock))", [
+        ("structural", (), "PackFn takes 1 arguments, got 2"),
+        ("arg-isa", (1,), _PACK_1 + "Pebble"),
+        ("arg-isa", (2, 1), _PACK_1 + "Rock")]),
+    (Nat(Nat(_PACK, (_FIDO,)), (_ROCK,)), [
+        ("structural", (0,), "function term head must be a constant")]),
+    (App(QueryVar("P"), (_FIDO,)), [
+        ("structural", (0,), "predicate must be a constant or function term")]),
+    ("((PackFn Pebble) Fido)", [("arg-isa", (0, 1), _PACK_1 + "Pebble")]),
+    ("(and (owns Fido) 7)", [("structural", (1,),
+                              "conjunct is not a sentence")]),
+    ("(and (owns Pebble) (not (genls Dog Rock)) "
+     "(feeds Dog (PackFn Pebble)))", [
+        ("arg-isa", (0, 1), _OWNS_1 + "Pebble"),
+        ("inter-arg", (2, 2), "feeds: argument 1 specializes Animal, so "
+                              "argument 2 must specialize Food; got "
+                              "(PackFn Pebble)"),
+        ("arg-isa", (2, 2, 1), _PACK_1 + "Pebble")]),
+]
+
+
+@pytest.mark.parametrize("expr, expected", VIOLATION_PINS,
+                         ids=[str(i) for i in range(len(VIOLATION_PINS))])
+def test_violations_pinned(expr, expected):
+    kb = load_kb(text=PIN_KB)
+    e = parse_expr(expr) if isinstance(expr, str) else expr
+    assert [(v.kind, v.path, v.message)
+            for v in kb.check_plausibility(e)] == expected
 
 
 # ---------------------------------------------------------------------------
