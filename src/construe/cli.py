@@ -703,10 +703,9 @@ def main(argv=None, out=None) -> int:
                                  args.format, out)
         if args.command == "tag":
             return cmd_tag(resources, args.text, args.format, out)
-        if args.command == "eval":
-            return cmd_eval(resources, manifest.config, args.captions,
-                            args.verdicts, args.length_unit, args.format, out)
-        raise UsageError(f"unknown command {args.command}")
+        # the parsers admit no other command
+        return cmd_eval(resources, manifest.config, args.captions,
+                        args.verdicts, args.length_unit, args.format, out)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

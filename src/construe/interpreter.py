@@ -28,7 +28,7 @@ import math
 
 from .constructions import (LEXICAL_SOURCE, SKELETON_SLOT, Construction,
                             Repository, typed_key)
-from .kb import DEFAULT_CONTEXT, KnowledgeBase, UnknownTermError
+from .kb import DEFAULT_CONTEXT, KnowledgeBase
 from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
                     Text, TypedVar, canonical_form, conjunct_count,
                     free_query_vars, is_sentence, print_expr,
@@ -144,22 +144,21 @@ class ParseGraph:
 
     def add_edge(self, span: tuple, source: str, logic: Expr,
                  output_var: QueryVar | None, output_type: Expr | None,
-                 kind: str, children: tuple = ()) -> tuple:
-        """(edge, added): the new edge, or the equal one already on the
-        span; (None, False) when a cap stops it."""
+                 kind: str, children: tuple = ()) -> Edge | None:
+        """The new edge, or the equal one already on the span; None when a
+        cap stops it."""
         marker = App(_EDGE_MARKER,
                      (logic, output_var if output_var is not None else _NO_VAR))
         key = (span, source, canonical_form(marker),
                print_expr(output_type) if output_type is not None else "")
         existing = self._dedup.get(key)
         if existing is not None:
-            return existing, False
+            return existing
         edge = self.insert_edge(span, source, logic, output_var, output_type,
                                 kind, children)
-        if edge is None:
-            return None, False
-        self._dedup[key] = edge
-        return edge, True
+        if edge is not None:
+            self._dedup[key] = edge
+        return edge
 
     def insert_edge(self, span: tuple, source: str, logic: Expr,
                     output_var: QueryVar | None, output_type: Expr | None,
@@ -186,10 +185,7 @@ class ParseGraph:
         type, so retrieval asks the KB once per edge, not once per tiling."""
         if edge.output_type is None:
             return
-        try:
-            types = self.kb.match_types(edge.output_type) & self._used_types
-        except UnknownTermError:
-            return
+        types = self.kb.match_types(edge.output_type) & self._used_types
         if types:
             type_map = self._fillers.setdefault(edge.start, {}) \
                 .setdefault(edge.end, {})
@@ -452,9 +448,9 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
                                 "; ".join(f"{v.kind}: {v.message}" for v in violations))
             continue
         children = tuple(sorted((s.index, e.id) for s, e in b.items()))
-        edge, _ = graph.add_edge(span, c.id, logic, output_var, output_type,
-                                 _edge_kind(kb, logic) if output_var is None
-                                 else "sentential", children)
+        edge = graph.add_edge(span, c.id, logic, output_var, output_type,
+                              _edge_kind(kb, logic) if output_var is None
+                              else "sentential", children)
         if edge is not None:
             out.append(edge)
             graph._tried[sig] = edge

@@ -18,10 +18,13 @@ The KB file format is an s-expression file.  Top-level forms:
 
 Comments start with ';'.  A number is typed by the KB alone, as an
 instance of its own collection (``numeral_type_name``) and of every
-collection above it.  A KB is observably immutable once loaded:
-``genls_closure``, ``isa_closure`` and ``match_types`` (behind
-``numeral_instance_types``) fill idempotent memos, which no query's result
-depends on, so every query is safe for concurrent use.
+collection above it, and specializes none.  Queries ask the taxonomy one
+way, ``known`` and then membership in a closure; only ``subsumes`` and
+``generalizations`` raise ``UnknownTermError``.  A KB is observably
+immutable once loaded: ``genls_closure``, ``isa_closure`` and
+``match_types`` (behind ``numeral_instance_types``) fill idempotent memos,
+which no query's result depends on, so every query is safe for concurrent
+use.
 """
 
 from __future__ import annotations
@@ -245,9 +248,9 @@ class KnowledgeBase:
         closure); auto picks by what *specific* is declared to be, which
         is ``match_types``."""
         self._require_known(general)
+        self._require_known(specific)
         if mode == "auto":
             return general in self.match_types(specific)
-        self._require_known(specific)
         if mode == "genls":
             return general in self.genls_closure(specific)
         if mode == "isa":
@@ -256,10 +259,12 @@ class KnowledgeBase:
 
     def match_types(self, t: Expr) -> frozenset:
         """Exactly the terms g with subsumes(g, t, auto): the candidate
-        slot types an interpretation of type *t* can fill."""
+        slot types an interpretation of type *t* can fill, and none when
+        the KB does not know *t*."""
         cached = self._match_memo.get(t)
         if cached is None:
-            self._require_known(t)
+            if not self.known(t):
+                return frozenset()
             cached = self._match_memo[t] = (
                 self.genls_closure(t) if self.kindedness(t) == "collection"
                 else self.isa_closure(t))
@@ -276,23 +281,17 @@ class KnowledgeBase:
         """The collections a number is an instance of: ``match_types`` of
         its own collection, the type of its seed edge, or none where the
         KB does not know that collection."""
-        kind = self.numeral_type_name(value)
-        return self.match_types(Constant(kind)) if kind in self._terms \
-            else frozenset()
+        return self.match_types(Constant(self.numeral_type_name(value)))
 
     # -- facts -------------------------------------------------------------
 
     def _arg_match(self, fact_arg: Expr, query_arg: Expr) -> bool:
         if fact_arg == query_arg:
             return True
-        if _is_term(fact_arg) and _is_term(query_arg):
-            try:
-                return self.subsumes(fact_arg, query_arg, "auto")
-            except UnknownTermError:
-                return False
-        if isinstance(fact_arg, Constant) and isinstance(query_arg, Numeral):
-            return fact_arg in self.numeral_instance_types(query_arg.value)
-        return False
+        if isinstance(query_arg, Numeral):
+            return isinstance(fact_arg, Constant) and \
+                fact_arg in self.numeral_instance_types(query_arg.value)
+        return self.known(fact_arg) and fact_arg in self.match_types(query_arg)
 
     def holds(self, atom: Expr, ctx: ContextStack = DEFAULT_CONTEXT) -> bool:
         """Evaluate a ground test expression.  Conjunctions go atom by
@@ -310,15 +309,13 @@ class KnowledgeBase:
             return args[0] == args[1]
         if pred in (_ISA, _GENLS) and len(args) == 2:
             specific, general = args
-            if isinstance(specific, Numeral) and isinstance(general, Constant):
-                return general in self.numeral_instance_types(specific.value)
-            if not (_is_term(specific) and _is_term(general)):
-                return False
-            mode = "isa" if pred == _ISA else "genls"
-            try:
-                return self.subsumes(general, specific, mode)
-            except UnknownTermError:
-                return False
+            if isinstance(specific, Numeral):
+                # a number is an instance of its types, and specializes none
+                return pred == _ISA and isinstance(general, Constant) and \
+                    general in self.numeral_instance_types(specific.value)
+            closure = self.isa_closure if pred == _ISA else self.genls_closure
+            return self.known(general) and self.known(specific) \
+                and general in closure(specific)
         key = print_expr(pred)
         contexts = ctx.stack()
         for fctx, fargs in self._facts.get(key, ()):
@@ -359,10 +356,7 @@ class KnowledgeBase:
     def disjoint_known(self, a: Expr, b: Expr) -> bool:
         if not (_is_term(a) and _is_term(b)):
             return False
-        try:
-            ca, cb = self.genls_closure(a), self.genls_closure(b)
-        except UnknownTermError:
-            return False
+        ca, cb = self.genls_closure(a), self.genls_closure(b)
         for pair in self._disjoint:
             x, y = tuple(pair)
             if (x in ca and y in cb) or (y in ca and x in cb):
@@ -414,12 +408,10 @@ class KnowledgeBase:
                 continue
             if_arg = args[c.if_position - 1]
             then_arg = args[c.then_position - 1]
-            if not (_is_term(if_arg) and self.known(if_arg)
-                    and c.if_type in self.genls_closure(if_arg)
-                    and is_ground(then_arg)):
+            if not (self.known(if_arg) and is_ground(then_arg)
+                    and c.if_type in self.genls_closure(if_arg)):
                 continue
-            if (_is_term(then_arg) and self.known(then_arg)
-                    and c.then_type in self.genls_closure(then_arg)):
+            if self.known(then_arg) and c.then_type in self.genls_closure(then_arg):
                 continue
             out.append(Violation(
                 "inter-arg", path + (c.then_position,),
@@ -458,7 +450,7 @@ class KnowledgeBase:
                                          f"arguments, got {len(args)}"))
                 if app and positive and len(args) == 2 and (
                         head == _GENLS and self.disjoint_known(*args)
-                        or head == _ISA and _is_term(args[0]) and self.known(args[0])
+                        or head == _ISA and self.known(args[0])
                         and any(self.disjoint_known(p, args[1])
                                 for p in self.isa_parents(args[0]))):
                     out.append(Violation("known-false", path,
@@ -741,11 +733,12 @@ def load_kb(paths: Iterable | None = None, *, text: str | None = None,
 
 def lint_kb(kb: KnowledgeBase) -> list:
     """Consistency checks beyond load validation: no declared disjointness
-    may contradict the subsumption order."""
+    of known terms may contradict the subsumption order."""
     findings = []
     for pair in sorted(kb.disjoint_pairs, key=lambda p: sorted(print_expr(t) for t in p)):
         a, b = sorted(pair, key=print_expr)
-        if (kb.subsumes(a, b, "genls") or kb.subsumes(b, a, "genls")):
+        if kb.known(a) and kb.known(b) and (
+                a in kb.genls_closure(b) or b in kb.genls_closure(a)):
             findings.append(Finding(
                 "kb-disjoint-subsumption",
                 f"{print_expr(a)} and {print_expr(b)} are declared disjoint but "

@@ -12,9 +12,9 @@ from fractions import Fraction
 from construe.constructions import Literal, load_constructions
 from construe.interpreter import (MAX_ANAPHOR_CANDIDATES, EngineConfig,
                                   ParseGraph, apply_construction, retrieve)
-from construe.kb import UnknownTermError, load_kb
-from construe.logic import (And, App, Constant, EQUALS, Not, QueryVar,
-                            free_query_vars, print_expr)
+from construe.kb import DEFAULT_CONTEXT, UnknownTermError, load_kb
+from construe.logic import (And, App, Constant, EQUALS, Nat, Not, Numeral,
+                            QueryVar, free_query_vars, print_expr)
 from construe.sexpr import SexprError, SexprList, Symbol
 from construe.tagger import TagChart, Token
 
@@ -74,6 +74,64 @@ def reference_antecedents(graph, slot, start):
         except UnknownTermError:
             continue
     return out[:MAX_ANAPHOR_CANDIDATES]
+
+
+# ---------------------------------------------------------------------------
+# Ground-atom truth through ``subsumes`` (test oracle)
+
+_ISA, _GENLS = Constant("isa"), Constant("genls")
+
+
+def _reference_subsumes(kb, general, specific, mode):
+    """``kb.subsumes``, with a term the KB does not know covering and
+    covered by nothing."""
+    try:
+        return kb.subsumes(general, specific, mode)
+    except UnknownTermError:
+        return False
+
+
+def reference_holds(kb, atom, ctx=DEFAULT_CONTEXT):
+    """``KnowledgeBase.holds`` as written on ``subsumes``, which raises for
+    an unknown term: conjunction, negation as failure, ``equals`` as
+    identity, isa/genls atoms by subsumption in that mode, and facts of
+    the context stack matched argument by argument in auto mode.  A number
+    is an instance of what covers its own collection
+    (``numeral_type_name``) and a specialization of nothing."""
+    if isinstance(atom, And):
+        return all(reference_holds(kb, a, ctx) for a in atom.args)
+    if isinstance(atom, Not):
+        return not reference_holds(kb, atom.arg, ctx)
+    if not isinstance(atom, App):
+        return False
+    pred, args = atom.predicate, atom.args
+    if pred == EQUALS and len(args) == 2:
+        return args[0] == args[1]
+    terms = (Constant, Nat)
+    if pred in (_ISA, _GENLS) and len(args) == 2:
+        specific, general = args
+        if isinstance(specific, Numeral) and isinstance(general, Constant):
+            own = Constant(kb.numeral_type_name(specific.value))
+            return pred == _ISA and _reference_subsumes(kb, general, own,
+                                                        "auto")
+        if not (isinstance(specific, terms) and isinstance(general, terms)):
+            return False
+        return _reference_subsumes(kb, general, specific,
+                                   "isa" if pred == _ISA else "genls")
+
+    def arg_match(fact_arg, query_arg):
+        if fact_arg == query_arg:
+            return True
+        if isinstance(fact_arg, terms) and isinstance(query_arg, terms):
+            return _reference_subsumes(kb, fact_arg, query_arg, "auto")
+        if isinstance(fact_arg, Constant) and isinstance(query_arg, Numeral):
+            own = Constant(kb.numeral_type_name(query_arg.value))
+            return _reference_subsumes(kb, fact_arg, own, "auto")
+        return False
+
+    return any(fctx in ctx.stack() and len(fargs) == len(args)
+               and all(map(arg_match, fargs, args))
+               for fctx, fargs in kb._facts.get(print_expr(pred), ()))
 
 
 def retrieval_signatures(retrievals):

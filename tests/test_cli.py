@@ -7,6 +7,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -514,6 +516,15 @@ def test_tag_table_matches_reading_sets():
     assert rows["-"] == set()
 
 
+def test_tag_table_lists_multi_token_spans_after_the_tokens():
+    rc, out = run_cli(["tag", *demo_args(), "barack obama at the white house"])
+    assert rc == 0
+    assert out == ("0:1\tbarack\t\n1:2\tobama\t\n2:3\tat\t\n3:4\tthe\t\n"
+                   "4:5\twhite\t\n5:6\thouse\t\n"
+                   "0:2\tbarack obama\tBarackObama\n"
+                   "4:6\twhite house\tTheWhiteHouse\n")
+
+
 def test_tag_json():
     rc, raw = run_cli(["tag", *bio_args(), "G12V-K-Ras", "--format", "json"])
     assert rc == 0
@@ -590,6 +601,22 @@ def test_eval_metrics_match_hand_computation(tmp_path):
     assert abs(metrics["coverage"] - (1.0 + 0.4 + 0.0) / 3) < 1e-12
     assert abs(metrics["precision"] - 0.5) < 1e-12
     assert abs(metrics["mean_correct_length"] - 2.5) < 1e-12
+
+
+def test_eval_metrics_as_text(tmp_path):
+    captions = _write_captions(tmp_path)
+    verdicts = tmp_path / "verdicts.txt"
+    verdicts.write_text("e1 i0 correct\n"
+                        "e2 i0 incorrect\n"
+                        "e2 i1 correct\n"
+                        "e2 i2 incorrect\n", encoding="utf-8")
+    rc, out = run_cli(["eval", *demo_args(), str(captions),
+                       "--verdicts", str(verdicts)])
+    assert rc == 0
+    assert out == ("captions 3\n"
+                   "coverage 0.466666667\n"
+                   "precision 0.500000000\n"
+                   "mean-correct-length 2.500000000 (tokens)\n")
 
 
 def test_eval_metrics_invariant_to_caption_order(tmp_path):
@@ -764,4 +791,92 @@ def test_any_interpret_or_tag_call_exits_with_a_documented_code(
     with contextlib.redirect_stderr(err):
         rc = main([command, *demo_args(), *flags, text], out=io.StringIO())
     assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any lint or eval call on random resources exits with a
+# documented code
+
+# FooFn is declared by some KBs, BarFn by none
+_NAMES = st.sampled_from(["A", "B", "Thing", "Integer", "PositiveInteger"])
+_TERMS = st.recursive(
+    st.one_of(_NAMES, st.sampled_from(["6", "-2", "1/2", '"s"'])),
+    lambda inner: st.builds("({} {})".format,
+                            st.sampled_from(["FooFn", "BarFn"]), inner),
+    max_leaves=3)
+_KB_FORMS = st.one_of(
+    st.builds("({} {})".format, st.sampled_from(["collection", "individual"]),
+              _NAMES),
+    st.builds("({} {} {})".format,
+              st.sampled_from(["isa", "genls", "disjoint"]), _TERMS, _TERMS),
+    st.builds("(fn FooFn 1 ({} {}))".format,
+              st.sampled_from(["resultIsa", "resultGenls"]), _NAMES),
+    st.just("(fn FooFn 1 (resultGenlsArg 1))"),
+    st.builds("({} p {} {})".format, st.sampled_from(["argIsa", "argGenls"]),
+              st.sampled_from(["1", "2"]), _NAMES),
+    st.builds("(interArgGenls p 1 {} 2 {})".format, _NAMES, _NAMES),
+    st.builds("(fact base (p {} {}))".format, _TERMS, _TERMS))
+_WORDS = ["a", "b", "foo", "6", "2", "six"]
+_LEX_FORMS = st.one_of(
+    st.builds('(lex "{}" {})'.format, st.sampled_from(_WORDS), _NAMES),
+    st.builds('(lex-nat "{}" {})'.format, st.sampled_from(_WORDS), _TERMS))
+
+
+@st.composite
+def _construction_forms(draw):
+    forms = []
+    for i in range(draw(st.integers(0, 3))):
+        slot = f"${draw(_NAMES)}#0"
+        word = draw(st.sampled_from(["", " foo", " a"]))
+        head = draw(st.sampled_from(["p", "FooFn", "BarFn"]))
+        tests = "".join(
+            f" :test{sign} ({pred} {slot} {draw(_NAMES)})"
+            for sign, pred in draw(st.lists(st.tuples(
+                st.sampled_from("+-"), st.sampled_from(["isa", "genls"])),
+                max_size=2)))
+        forms.append(f'(construction :id c{i} :lang en :nl "{slot}{word}" '
+                     f":logic ({head} {slot}) :output-type {draw(_NAMES)}"
+                     f"{tests})")
+    return forms
+
+
+_CAPTIONS = st.lists(st.lists(st.sampled_from(_WORDS), min_size=1,
+                              max_size=4).map(" ".join), max_size=3)
+_VERDICTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3),
+                               st.sampled_from(["correct", "incorrect"])),
+                     max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["lint", "eval"]),
+       kb=st.lists(_KB_FORMS, max_size=8), lexicon=st.lists(_LEX_FORMS,
+                                                            max_size=4),
+       constructions=_construction_forms(), captions=_CAPTIONS,
+       verdicts=st.none() | _VERDICTS, json_format=st.booleans())
+def test_any_lint_or_eval_call_exits_with_a_documented_code(
+        command, kb, lexicon, constructions, captions, verdicts, json_format):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {}
+        for name, lines in (
+                ("kb", kb), ("lexicon", lexicon),
+                ("constructions", constructions),
+                ("captions", [f"c{i}\t{t}" for i, t in enumerate(captions)]),
+                ("verdicts",
+                 [f"c{c} i{i} {v}" for c, i, v in verdicts or ()])):
+            files[name] = Path(tmp, name)
+            files[name].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = [command, "--kb", str(files["kb"]),
+                "--lexicon", str(files["lexicon"]),
+                "--constructions", str(files["constructions"])]
+        if command == "eval":
+            argv.append(str(files["captions"]))
+            if verdicts is not None:
+                argv += ["--verdicts", str(files["verdicts"])]
+        if json_format:
+            argv += ["--format", "json"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv, out=io.StringIO())
+    assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()

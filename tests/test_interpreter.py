@@ -11,8 +11,9 @@ from construe import interpreter
 from construe.constructions import (LEXICAL_SOURCE, TypedSlot,
                                     load_constructions)
 from construe.interpreter import (MAX_NESTING, EngineConfig, ParseGraph,
-                                  compose, finalize, interpret,
-                                  resolve_anaphora, retrieve, window_loop)
+                                  TraceEvent, apply_construction, compose,
+                                  finalize, interpret, resolve_anaphora,
+                                  retrieve, window_loop)
 from construe.kb import ContextStack, KnowledgeBase, load_kb
 from construe.logic import (Constant, QueryVar, children,
                             equal_modulo_renaming, free_query_vars,
@@ -259,8 +260,8 @@ def subterms(e):
 def test_plausibility_skip_gives_the_full_walks_verdicts(monkeypatch, run,
                                                         run_bio):
     """A composition's check skips the term children it substitutes and
-    the renamed sentential children it conjoins; on the demo, bio and
-    random sets every verdict is the full walk's."""
+    the renamed sentential children it conjoins; on the demo, bio, random
+    and feeding random sets every verdict is the full walk's."""
     check = KnowledgeBase.check_plausibility
     skipped = []
 
@@ -283,8 +284,9 @@ def test_plausibility_skip_gives_the_full_walks_verdicts(monkeypatch, run,
                  "electron transport"):
         run_bio(text)
     for seed in range(100):
-        graph, _ = random_instance(random.Random(seed))
-        window_loop(graph)
+        for feeding in (False, True):
+            graph, _ = random_instance(random.Random(seed), feeding=feeding)
+            window_loop(graph)
     assert skipped
     assert any(is_sentence(p) for p in skipped)
 
@@ -483,6 +485,101 @@ def test_composing_same_child_twice_renames_apart(demo_kb, demo_repo):
     # output variable equated with the term
     assert ovar is not None
     assert f"(equals ?{ovar.name} (PairFn ?X_1 ?X_2))" in print_expr(logic)
+
+
+def _graph_over(text, kb, repo, lexicon, **config):
+    return ParseGraph(text, tag(text, lexicon), kb, repo,
+                      EngineConfig(**config))
+
+
+COMPOSITION_ERRORS = {
+    "no output variable": (
+        '(construction :id wrap :nl "$Food#0" :logic (WrapFn $Food#0) '
+        ':output-type Thing)',
+        ("(isa ?X Sandwich)", "sentential"),
+        "sentential edge without an output variable cannot fill $Food#0"),
+    "unfilled slot": (
+        '(construction :id pair :nl "$Food#0 and $Food#1" '
+        ':logic (PairFn $Food#0 $Food#1) :output-type Thing)',
+        ("Sandwich", "collection"),
+        "unfilled logic-template slots: $Food#1"),
+    "output variable simplified away": (
+        '(construction :id served :nl "$Food#0 served" '
+        ':logic (and (equals ?E $Food#0) (servedOn ?E Plate)) '
+        ':output-var ?E :output-type Food)',
+        ("Sandwich", "collection"),
+        "output variable ?E was simplified away"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSITION_ERRORS))
+def test_a_composition_error_is_traced(demo_kb, demo_repo, demo_lexicon, case):
+    from construe.constructions import parse_construction
+    text, (logic, kind), detail = COMPOSITION_ERRORS[case]
+    c = parse_construction(text)
+    graph = _graph_over("sandwich", demo_kb, demo_repo, demo_lexicon)
+    # no child has an output variable
+    child = graph.insert_edge((0, 1), "child", parse_expr(logic), None,
+                              Constant("Sandwich"), kind)
+    assert apply_construction(graph, c, {TypedSlot("Food", 0): child},
+                              (0, 1)) == []
+    assert graph.trace == [TraceEvent("composition", c.id, (0, 1), detail)]
+    assert graph.edges == [child]
+
+
+def test_a_conjunctive_child_passes_its_conjuncts(demo_kb):
+    """A sentential child whose renamed logic is a conjunction is passed
+    whole and conjunct by conjunct: ``simplify`` splices those very
+    conjuncts into the composed logic, where the check skips them."""
+    from construe.constructions import parse_construction
+    from construe.interpreter import Edge
+    matrix = parse_construction(
+        '(construction :id eaten :nl "$Food#0 eaten" '
+        ':logic (and (isa ?E EatingEvent) (consumedObject ?E $Food#0)) '
+        ':output-var ?E :output-type EatingEvent)')
+    child = Edge(0, 0, 1, "indefinite-instance",
+                 parse_expr("(and (isa ?X Sandwich) (isa ?X Food))"),
+                 QueryVar("X"), Constant("Sandwich"), "sentential")
+    counter = iter(range(1, 10))
+    logic, _, _, passed = compose(matrix, {TypedSlot("Food", 0): child},
+                                  lambda: next(counter))
+    renamed, *conjuncts = passed
+    assert list(renamed.args) == conjuncts
+    assert all(any(a is c for a in logic.args) for c in conjuncts)
+    assert demo_kb.check_plausibility(logic, passed) == \
+        demo_kb.check_plausibility(logic) == []
+
+
+def test_an_implausible_lexical_reading_is_traced_not_seeded():
+    kb = load_kb(text="(collection Agent) (collection Rock) "
+                      "(fn OwnerFn 1 (resultIsa Agent)) "
+                      "(argIsa OwnerFn 1 Agent)")
+    lexicon = load_lexicon(text='(lex-nat "owner" (OwnerFn Rock)) '
+                                '(lex "rock" Rock)')
+    graph = interpret("owner rock", kb, load_constructions(text=""), lexicon)
+    assert [(e.span, print_expr(e.logic)) for e in graph.edges] == \
+        [((1, 2), "Rock")]
+    assert graph.trace == [TraceEvent(
+        "plausibility", LEXICAL_SOURCE, (0, 1),
+        "argument 1 of OwnerFn must be an instance of Agent, got Rock")]
+
+
+def test_add_edge_returns_the_edge_or_its_equal(demo_kb, demo_repo,
+                                                demo_lexicon):
+    graph = _graph_over("sandwich", demo_kb, demo_repo, demo_lexicon,
+                        max_edges=1)
+
+    def add(logic, var, source="s"):
+        return graph.add_edge((0, 1), source, parse_expr(logic),
+                              QueryVar(var), Constant("Sandwich"),
+                              "sentential")
+
+    edge = add("(isa ?X Sandwich)", "X")
+    assert graph.edges == [edge]
+    # an alpha-variant is the edge already there; a cap stops a new one
+    assert add("(isa ?Y Sandwich)", "Y") is edge
+    assert add("(isa ?X Sandwich)", "X", source="t") is None
+    assert graph.truncated_by == "edge limit"
 
 
 # ---------------------------------------------------------------------------

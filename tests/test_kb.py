@@ -1,16 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import BIO_KB_FILES, DEMO_KB_FILES
+from helpers import reference_holds
 from construe import sexpr
 from construe.constructions import load_constructions
 from construe.interpreter import interpret
 from construe.kb import (ContextStack, UnknownTermError, UntypedTermError,
                          lint_kb, load_kb, load_kb_lenient)
 from construe.logic import (And, App, Constant, Nat, Not, QueryVar,
-                            from_sexpr, parse_expr)
+                            from_sexpr, parse_expr, print_expr)
 from construe.sexpr import LoadError
 from construe.tagger import load_lexicon
 
@@ -254,6 +256,117 @@ def test_context_overlay_inherits_base():
     assert not kb.holds(tire_atom, base_only)
     assert kb.holds(tire_atom, with_overlay)
     assert kb.holds(candle_atom, with_overlay)  # overlay inherits the base
+
+
+def _random_holds_case(rng):
+    """A random taxonomy with facts in two contexts, and atoms over known
+    and unknown constants, function terms and numbers."""
+    collections = ["RationalNumber", "Integer", "PositiveInteger"] + [
+        f"C{i}" for i in range(rng.randint(2, 5))]
+    rng.shuffle(collections)
+    individuals = [f"I{i}" for i in range(rng.randint(0, 3))]
+    lines = [f"(collection {c})" for c in collections[:rng.randint(2, 7)]]
+    for i, c in enumerate(collections[1:], 1):
+        for _ in range(rng.randint(0, 2)):
+            lines.append(f"(genls {c} {collections[rng.randrange(i)]})")
+    for ind in individuals:
+        lines.append(f"(isa {ind} {rng.choice(collections)})")
+    # FooFn is declared; BarFn never is, so a BarFn term is known only
+    # where a link names it as the specific term
+    rule = rng.choice(["(resultGenlsArg 1)", "(resultIsa C0)",
+                       "(resultGenls C0)"])
+    lines.append(f"(fn FooFn 1 {rule})")
+    if rng.random() < 0.5:
+        lines.append(f"(genls (BarFn C0) {rng.choice(collections)})")
+    if rng.random() < 0.5:
+        lines.append(f"(genls {rng.choice(collections)} (BarFn C1))")
+    pool = collections + individuals + ["Unknown", "6", "0", "1/2"]
+
+    def term():
+        roll = rng.random()
+        if roll < 0.15:
+            return f"(FooFn {rng.choice(pool)})"
+        if roll < 0.25:
+            return f"(BarFn {rng.choice(['C0', 'C1', 'Unknown'])})"
+        return rng.choice(pool)
+
+    for _ in range(rng.randint(0, 5)):
+        ctx = rng.choice(["base", "base", "overlay"])
+        lines.append(f"(fact {ctx} (p {term()} {term()}))")
+    kb = load_kb(text="\n".join(lines))
+
+    def atom():
+        roll = rng.random()
+        if roll < 0.5:
+            return f"({rng.choice(['isa', 'genls'])} {term()} {term()})"
+        if roll < 0.6:
+            return f"(equals {term()} {term()})"
+        if roll < 0.7:
+            return f"(not {atom()})"
+        if roll < 0.75:
+            return f"(and {atom()} {atom()})"
+        return f"(p {term()} {term()})"
+
+    return kb, [parse_expr(atom()) for _ in range(30)]
+
+
+def test_holds_equals_the_reference_on_random_taxonomies():
+    """``holds`` reads the closures of known terms; the reference asks
+    ``subsumes`` and treats its ``UnknownTermError`` as false."""
+    contexts = (ContextStack(), ContextStack(overlay="overlay"))
+    compared = {True: 0, False: 0}
+    for seed in range(300):
+        kb, atoms = _random_holds_case(random.Random(seed))
+        for atom in atoms:
+            for ctx in contexts:
+                want = reference_holds(kb, atom, ctx)
+                assert kb.holds(atom, ctx) == want, (seed, print_expr(atom))
+                compared[want] += 1
+    assert min(compared.values()) > 1000
+
+
+def test_a_number_is_a_specialization_of_nothing(demo_kb):
+    """``(genls N C)`` never holds for a number, as an argGenls constraint
+    never accepts one: a ``:test+`` and a constraint reject "6" alike,
+    and accept a collection below Integer alike."""
+    assert demo_kb.holds(parse_expr("(isa 6 Integer)"))
+    for number in ("6", "0", "-2", "1/2"):
+        for general in ("Integer", "RationalNumber", "Thing"):
+            assert not demo_kb.holds(parse_expr(f"(genls {number} {general})"))
+    kb = load_kb(text="(collection Integer) (collection PositiveInteger) "
+                      "(genls PositiveInteger Integer) (argGenls q 1 Integer)")
+    repo = load_constructions(text="""
+      (construction :id tested :nl "$Integer#0" :logic (r $Integer#0)
+        :test+ (genls $Integer#0 Integer))
+      (construction :id constrained :nl "$Integer#0" :logic (q $Integer#0))
+    """)
+    lexicon = load_lexicon(text='(lex "ints" PositiveInteger)')
+    for text, applies in (("6", False), ("ints", True)):
+        graph = interpret(text, kb, repo, lexicon)
+        assert {e.source for e in graph.edges} - {"lex"} == (
+            {"tested", "constrained"} if applies else set())
+        if not applies:
+            assert sorted((ev.construction, ev.kind) for ev in graph.trace) \
+                == [("constrained", "plausibility"),
+                    ("tested", "positive-test")]
+
+
+def test_a_term_the_kb_does_not_know_satisfies_nothing():
+    """``match_types`` answers an unknown term with no type; only the
+    library queries ``subsumes`` and ``generalizations`` raise."""
+    kb = load_kb(text="(collection Bar) (collection Baz) "
+                      "(disjoint (FooFn Bar) Baz)")
+    unknown = Nat(Constant("FooFn"), (Constant("Bar"),))
+    assert not kb.known(unknown)
+    assert kb.match_types(unknown) == frozenset()
+    assert kb.match_types(Constant("Nothing")) == frozenset()
+    for mode in ("auto", "isa", "genls"):
+        with pytest.raises(UnknownTermError):
+            kb.subsumes(Constant("Baz"), unknown, mode)
+        with pytest.raises(UnknownTermError):
+            kb.subsumes(unknown, Constant("Baz"), mode)
+    assert not kb.holds(App(Constant("genls"), (unknown, Constant("Baz"))))
+    assert lint_kb(kb) == []
 
 
 # ---------------------------------------------------------------------------
