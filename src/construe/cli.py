@@ -151,14 +151,9 @@ def _cache_get(path: str, key: tuple, sources: tuple) -> Resources | None:
 
 def _cache_put(path: str, entry: tuple):
     """Write *entry* to *path* through a private temporary file, then evict
-    stale entries; an entry that cannot be pickled (a term nested a few
-    hundred levels deep loads but exceeds the pickler's recursion limit)
-    or written is skipped."""
+    stale entries; an entry that cannot be written is skipped."""
     import pickle
-    try:
-        data = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
-    except (pickle.PicklingError, RecursionError):
-        return
+    data = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
     tmp = f"{path}.tmp"
     directory = os.path.dirname(path)
     try:

@@ -49,9 +49,8 @@ MAX_ANAPHOR_CANDIDATES = 5
 # dedup key is the canonical form of.
 _EDGE_MARKER = Constant("edge")
 _NO_VAR = Constant("-")
-# How deep an edge's children may nest.  Deeper logic would take the
-# recursive term walks near Python's stack limit; a fixed constant stops
-# every Python version at the same edge.
+# How deep an edge's children may nest: with logic.MAX_TERM_DEPTH, what
+# keeps composed logic within logic.MAX_READ_DEPTH.
 MAX_NESTING = 32
 
 

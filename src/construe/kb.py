@@ -354,7 +354,7 @@ class KnowledgeBase:
     # -- plausibility ------------------------------------------------------
 
     def disjoint_known(self, a: Expr, b: Expr) -> bool:
-        if not (_is_term(a) and _is_term(b)):
+        if not (self.known(a) and self.known(b)):
             return False
         ca, cb = self.genls_closure(a), self.genls_closure(b)
         for pair in self._disjoint:

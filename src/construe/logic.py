@@ -11,10 +11,16 @@ head constant starts with an uppercase letter denotes a function term
 
 ``from_sexpr`` reads a form of the ``sexpr`` reader, ``parse_expr`` text,
 and ``expr_from_json`` the form that a JSON encoding spells: one grammar,
-whose violations raise ``ExprSyntaxError``, as does a term that
-``parse_expr`` or ``expr_from_json`` finds nested too deeply to read.
-Each read makes its names and atoms through a ``Names`` table, its own
-unless the caller shares one.
+whose violations raise ``ExprSyntaxError``.  Each read makes its names and
+atoms through a ``Names`` table, its own unless the caller shares one.
+
+Depth is a contract: the grammar refuses a term nested deeper than
+``MAX_READ_DEPTH`` levels, naming the bound.  Templates and readings nest
+at most ``MAX_TERM_DEPTH`` levels, and edges at most
+``interpreter.MAX_NESTING`` edges, so no term the engine reads or builds is
+deeper, and every term it writes reads back.  The walks that recurse on a
+term take at most three stack levels per level of it, so at the bound they
+answer alike from any caller less than 400 frames deep.
 
 One walk answers each question about a term.  ``_write`` spells a term
 in its JSON encoding, which ``expr_to_json`` returns, ``print_expr``
@@ -115,13 +121,13 @@ def is_sentence(e: Expr) -> bool:
     return isinstance(e, (App, And, Not, Exists))
 
 
-def _binder_vars(node, what: str, names: Names) -> tuple:
+def _binder_vars(node, what: str, names: Names, room: int) -> tuple:
     if not isinstance(node, SexprList):
         raise ExprSyntaxError(f"{what} needs a variable list",
                               getattr(node, "line", 0), getattr(node, "col", 0))
     out = []
     for item in node:
-        v = _convert(item, names)
+        v = _convert(item, names, room)
         if not isinstance(v, QueryVar):
             raise ExprSyntaxError(f"{what} binds query variables only",
                                   node.line, node.col)
@@ -184,7 +190,8 @@ def _symbol_atom(node: Symbol, names: Names) -> Expr:
     return names.constant(name)
 
 
-def _convert(node, names: Names) -> Expr:
+def _convert(node, names: Names, room: int) -> Expr:
+    """The expression *node* denotes, which may nest *room* levels."""
     if isinstance(node, Symbol):
         return names.atom(node)
     if isinstance(node, Fraction):
@@ -194,6 +201,9 @@ def _convert(node, names: Names) -> Expr:
     if isinstance(node, SexprList):
         if not node:
             raise ExprSyntaxError("empty form", node.line, node.col)
+        if not room:
+            raise ExprSyntaxError(_TOO_DEEP, node.line, node.col)
+        room -= 1
         head = node[0]
         if isinstance(head, Symbol):
             h = str(head)
@@ -201,35 +211,30 @@ def _convert(node, names: Names) -> Expr:
                 if len(node) < 2:
                     raise ExprSyntaxError("and needs at least one conjunct",
                                           node.line, node.col)
-                return And(tuple(_convert(x, names) for x in node[1:]))
+                return And(tuple(_convert(x, names, room) for x in node[1:]))
             if h == "not":
                 if len(node) != 2:
                     raise ExprSyntaxError("not takes exactly one argument",
                                           node.line, node.col)
-                return Not(_convert(node[1], names))
-            if h == "exists":
+                return Not(_convert(node[1], names, room))
+            if h == "exists" or h == "Kappa":
                 if len(node) != 3:
-                    raise ExprSyntaxError("exists takes a variable list and a body",
+                    raise ExprSyntaxError(f"{h} takes a variable list and a body",
                                           node.line, node.col)
-                return Exists(_binder_vars(node[1], "exists", names),
-                              _convert(node[2], names))
-            if h == "Kappa":
-                if len(node) != 3:
-                    raise ExprSyntaxError("Kappa takes a variable list and a body",
-                                          node.line, node.col)
-                return Kappa(_binder_vars(node[1], "Kappa", names),
-                             _convert(node[2], names))
+                return (Exists if h == "exists" else Kappa)(
+                    _binder_vars(node[1], h, names, room),
+                    _convert(node[2], names, room))
             if h == "TheSetOf":
                 if len(node) != 3:
                     raise ExprSyntaxError("TheSetOf takes one variable and a body",
                                           node.line, node.col)
-                var = _convert(node[1], names)
+                var = _convert(node[1], names, room)
                 if not isinstance(var, QueryVar):
                     raise ExprSyntaxError("TheSetOf binds a query variable",
                                           node.line, node.col)
-                return TheSetOf(var, _convert(node[2], names))
-        head_expr = _convert(head, names)
-        args = tuple(_convert(x, names) for x in node[1:])
+                return TheSetOf(var, _convert(node[2], names, room))
+        head_expr = _convert(head, names, room)
+        args = tuple(_convert(x, names, room) for x in node[1:])
         if isinstance(head_expr, Constant):
             if head_expr.name[0].isupper():
                 return Nat(head_expr, args)
@@ -244,7 +249,7 @@ def _convert(node, names: Names) -> Expr:
 def from_sexpr(node, names: Names | None = None) -> Expr:
     """The expression that the read form *node* denotes, its names and
     atoms made by *names* (a new table when none is given)."""
-    return _convert(node, Names() if names is None else names)
+    return _convert(node, Names() if names is None else names, MAX_READ_DEPTH)
 
 
 def parse_expr(text: str) -> Expr:
@@ -252,10 +257,7 @@ def parse_expr(text: str) -> Expr:
         node = sexpr.parse_one(text)
     except SexprError as err:
         raise ExprSyntaxError(err.message, err.line, err.col) from err
-    try:
-        return _convert(node, Names())
-    except RecursionError:
-        raise ExprSyntaxError("nested too deeply") from None
+    return _convert(node, Names(), MAX_READ_DEPTH)
 
 
 _BINDER_HEADS = {Kappa: "Kappa", Exists: "exists", TheSetOf: "TheSetOf"}
@@ -361,10 +363,14 @@ def children(e: Expr) -> tuple:
 
 
 # How deeply a construction's logic and tests, and a lexicon reading, may
-# nest.  With interpreter.MAX_NESTING, composed logic then nests at most
-# about 200 levels, inside the stack every supported Python version gives
-# the recursive term walks.  The bundled resources nest at most 5 deep.
+# nest.  The bundled resources nest at most 5 deep.
 MAX_TERM_DEPTH = 5
+# How deeply any term read may nest: above the (interpreter.MAX_NESTING +
+# 1) * MAX_TERM_DEPTH = 165 levels of composed logic, and low enough that
+# an equality test, three stack levels a level under Python 3.10 and 3.11,
+# fits under a caller 400 frames deep.
+MAX_READ_DEPTH = 180
+_TOO_DEEP = f"term nests deeper than {MAX_READ_DEPTH} levels"
 
 
 def term_depth(e: Expr) -> int:
@@ -586,12 +592,15 @@ def conjunct_count(e: Expr) -> int:
     return len(e.args) if isinstance(e, And) else 1
 
 
-def _json_form(obj):
+def _json_form(obj, room: int):
     """The read form that the JSON encoding *obj* spells: an array is a
     list, a string the atom that ``sexpr.atom`` reads from it,
-    ``{"text": s}`` the string *s*, and a number its value."""
+    ``{"text": s}`` the string *s*, and a number its value.  Arrays may
+    nest *room* levels."""
     if isinstance(obj, list):
-        return SexprList(map(_json_form, obj))
+        if not room:
+            raise ExprSyntaxError(_TOO_DEEP)
+        return SexprList([_json_form(x, room - 1) for x in obj])
     if isinstance(obj, str):
         try:
             return sexpr.atom(obj)
@@ -610,7 +619,4 @@ def _json_form(obj):
 def expr_from_json(obj) -> Expr:
     """The expression that *obj* encodes, read from the form it spells as
     ``from_sexpr`` reads it."""
-    try:
-        return _convert(_json_form(obj), Names())
-    except RecursionError:
-        raise ExprSyntaxError("nested too deeply") from None
+    return _convert(_json_form(obj, MAX_READ_DEPTH), Names(), MAX_READ_DEPTH)

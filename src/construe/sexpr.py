@@ -272,12 +272,10 @@ def load_forms(paths: Iterable | None, text: str | None, prefix: str,
     rejects its form by raising ``FormError``, which adds that one finding;
     a handler that finds several faults in one form appends them to
     *findings* itself.  A handler that raises ``SexprError``
-    (``ExprSyntaxError`` is one) or ``RecursionError`` (a form nested too
-    deeply for the recursive logic layer) adds one ``{prefix}-syntax``
-    finding.  Every finding a form gives is prefixed with the source and
-    the form's line and column (only the source for a number or string,
-    which have no position).  Loading goes on with the next source or
-    form."""
+    (``ExprSyntaxError`` is one) adds one ``{prefix}-syntax`` finding.
+    Every finding a form gives is prefixed with the source and the form's
+    line and column (only the source for a number or string, which have no
+    position).  Loading goes on with the next source or form."""
     sources = [] if text is None else [("<string>", text)]
     for p in paths or ():
         try:
@@ -299,9 +297,6 @@ def load_forms(paths: Iterable | None, text: str | None, prefix: str,
                 load_form(form, findings)
             except FormError as err:
                 findings.append(err.finding)
-            except RecursionError:
-                findings.append(Finding(f"{prefix}-syntax",
-                                        "nested too deeply to load"))
             except SexprError as err:
                 findings.append(Finding(f"{prefix}-syntax", str(err)))
             if len(findings) > before:

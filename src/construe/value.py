@@ -20,9 +20,10 @@ method would have:
   ``__init__`` calls once the fields are filled: it may raise, and the
   values it returns fill the slots after the fields, in ``__slots__``
   order.  No subclass writes these three methods itself.
-- ``__eq__`` is true for a value of the same class whose fields are equal
-  (one field compared directly, several as tuples), and returns
-  ``NotImplemented`` for any other class.
+- ``__eq__`` is true for a value of the same class whose fields are equal,
+  compared one by one, and returns ``NotImplemented`` for any other
+  class.  Comparing field tuples instead would cost a nested value one
+  more level of the interpreter's stack.
 - ``__hash__`` is the hash of the field tuple.
 
 ``repr`` is the dataclass text, ``Name(field=value, ...)``.
@@ -82,9 +83,8 @@ def _compile_methods(cls: type):
         body.append(f"    {unpack} = self._derive()\n")
         body += [f"    _s{i}(self, _v{i})\n" for i in derived]
     mine = [f"self.{name}" for name in fields]
-    theirs = [f"other.{name}" for name in fields]
-    equal = (f"{mine[0]} == {theirs[0]}" if len(fields) == 1
-             else f"{_tuple(mine)} == {_tuple(theirs)}")
+    equal = " and ".join(f"self.{name} == other.{name}"
+                         for name in fields) or "True"
     exec(f"def __init__({', '.join(params)}):\n"
          + ("".join(body) or "    pass\n")
          + "def __eq__(self, other):\n"

@@ -7,6 +7,7 @@ the ground evaluator models truth over a tiny explicit universe.
 
 import random
 import re
+import sys
 from fractions import Fraction
 
 from construe.constructions import Literal, load_constructions
@@ -17,6 +18,31 @@ from construe.logic import (And, App, Constant, EQUALS, Nat, Not, Numeral,
                             QueryVar, free_query_vars, print_expr)
 from construe.sexpr import SexprError, SexprList, Symbol
 from construe.tagger import TagChart, Token
+
+
+# ---------------------------------------------------------------------------
+# Deep terms and deep callers
+
+# How many frames a deep caller's stack holds: the stack-independence tests
+# ask each question at the read bound from this far down and from the top.
+DEEP_CALLER = 400
+
+
+def deep_text(depth: int, leaf: str = "A") -> str:
+    """``(p (F ... leaf))``: a term that nests *depth* levels."""
+    return "(p " + "(F " * (depth - 1) + leaf + ")" * depth
+
+
+def from_deep_caller(f):
+    """``f()``, called with ``DEEP_CALLER`` frames on the stack."""
+    frame, held = sys._getframe(), 0
+    while frame is not None:
+        frame, held = frame.f_back, held + 1
+
+    def down(n):
+        return f() if n <= 0 else down(n - 1)
+
+    return down(DEEP_CALLER - held - 1)
 
 
 # ---------------------------------------------------------------------------

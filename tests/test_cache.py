@@ -18,11 +18,12 @@ import pytest
 import construe
 from conftest import (DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES,
                       RESOURCE_DIR)
+from helpers import deep_text
 from construe import cli
 from construe import constructions as cons
 from construe import kb as kbmod
 from construe import tagger
-from construe.logic import Constant, QueryVar, TypedVar
+from construe.logic import MAX_READ_DEPTH, Constant, QueryVar, TypedVar
 
 DEMO_PHRASES = ["big blue building", "2 sandwiches",
                 "Barack Obama eats a sandwich", "blowing out candles",
@@ -320,17 +321,31 @@ def test_resource_changed_while_loading_is_not_cached(
     assert entries(private_resource_cache) == []
 
 
-def test_resources_too_deep_to_pickle_still_interpret(
-        tmp_path, private_resource_cache):
-    depth = 400                     # loads, but is too deep for the pickler
-    deep = tmp_path / "deep.kb"
-    deep.write_text("(fn F 1 (resultIsa Thing))\n(fact base (p "
-                    + "(F " * depth + "A" + ")" * depth + "))\n",
-                    encoding="utf-8")
-    argv = ["interpret", *demo_args(), "--kb", str(deep), "big blue building"]
-    rc, out, err = call(argv)
-    assert rc == 0 and out and err == ""
-    assert entries(private_resource_cache) == []
+def _fact_kb(path, depth):
+    """A KB file whose one fact nests *depth* levels."""
+    path.write_text(f"(fn F 1 (resultIsa Thing))\n(fact base "
+                    f"{deep_text(depth)})\n", encoding="utf-8")
+    return path
+
+
+def test_fact_at_the_read_bound_is_cached_and_one_past_it_is_refused(
+        tmp_path, private_resource_cache, loads):
+    at = _fact_kb(tmp_path / "at.kb", MAX_READ_DEPTH)
+    argv = ["interpret", *demo_args(), "--kb", str(at), "big blue building"]
+    cold = call(argv)
+    assert cold[0] == 0 and cold[1] and cold[2] == ""
+    assert len(entries(private_resource_cache)) == 1
+    assert call(argv) == cold
+    assert loads == {"kb": 1, "lexicon": 1, "constructions": 1}
+    past = _fact_kb(tmp_path / "past.kb", MAX_READ_DEPTH + 1)
+    rc, out, err = call(["interpret", *demo_args(), "--kb", str(past),
+                         "big blue building"])
+    assert rc == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: --kb: kb-syntax: {past}: form at line 2, "
+                          "column 1: ")
+    assert err.endswith(f"nests deeper than {MAX_READ_DEPTH} levels (line 2, "
+                        f"column {12 + 3 * MAX_READ_DEPTH})\n")
+    assert err.count("\n") == 1
 
 
 def test_entry_reads_the_same_under_another_hash_seed(

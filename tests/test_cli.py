@@ -22,7 +22,8 @@ from construe.cli import main
 from construe.constructions import load_constructions_lenient
 from construe.interpreter import MAX_NESTING
 from construe.kb import load_kb_lenient
-from construe.logic import MAX_TERM_DEPTH, expr_from_json, print_expr
+from construe.logic import (MAX_READ_DEPTH, MAX_TERM_DEPTH, expr_from_json,
+                            print_expr, term_depth)
 from construe.tagger import load_lexicon_lenient
 
 
@@ -316,10 +317,12 @@ def test_logic_deeper_than_the_cap_is_rejected_at_load(tmp_path, capsys):
                     encoding="utf-8")
     rc, out = run_cli(["interpret", *_demo_args_with("--constructions", deep),
                        "building x"])
+    # the first LargeFn opens at column 51, and each level 9 columns on
     _assert_one_line_resource_error(
         capsys, rc, out,
-        f"error: --constructions: cons-form: {deep}: form at line 1, column "
-        f"1: deep: :logic nests deeper than {MAX_TERM_DEPTH} levels\n")
+        f"error: --constructions: cons-syntax: {deep}: form at line 1, column "
+        f"1: term nests deeper than {MAX_READ_DEPTH} levels (line 1, column "
+        f"{51 + 9 * MAX_READ_DEPTH})\n")
     # the deepest logic the cap lets through, fed into itself from the
     # deepest reading, stops at the nesting cap
     wrap = tmp_path / "wrap.cg"
@@ -336,6 +339,17 @@ def test_logic_deeper_than_the_cap_is_rejected_at_load(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"warning: nesting limit ({MAX_NESTING} levels) reached, "
         "interpretations may be incomplete\n")
+    # every interpretation reads back, the deepest within the read bound
+    rc, out = run_cli(["interpret", *args, "--lexicon", str(lex),
+                       "--format", "json", "zork"])
+    logic = [expr_from_json(i["logic"])
+             for i in json.loads(out)["interpretations"]]
+    rc_text, text = run_cli(["interpret", *args, "--lexicon", str(lex),
+                             "zork"])
+    assert rc == rc_text == 0
+    assert [f"[0:1] {print_expr(e)}" for e in logic] == text.splitlines()
+    assert max(map(term_depth, logic)) == (MAX_NESTING + 1) * MAX_TERM_DEPTH
+    assert max(map(term_depth, logic)) <= MAX_READ_DEPTH
 
 
 def test_eval_warns_about_each_truncated_caption(capsys):

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import BIO_KB_FILES, DEMO_KB_FILES
-from helpers import reference_holds
+from helpers import deep_text, from_deep_caller, reference_holds
 from construe import sexpr
 from construe.constructions import load_constructions
 from construe.interpreter import interpret
 from construe.kb import (ContextStack, UnknownTermError, UntypedTermError,
                          lint_kb, load_kb, load_kb_lenient)
-from construe.logic import (And, App, Constant, Nat, Not, QueryVar,
-                            from_sexpr, parse_expr, print_expr)
+from construe.logic import (MAX_READ_DEPTH, And, App, Constant, Nat, Not,
+                            QueryVar, from_sexpr, parse_expr, print_expr)
 from construe.sexpr import LoadError
 from construe.tagger import load_lexicon
 
@@ -447,6 +447,7 @@ PIN_KB = """
   (argIsa numbered 1 Integer) (argGenls genls 1 Animal)
   (interArgGenls feeds 1 Animal 2 Food)
   (fn PackFn 1 (resultIsa Animal)) (argIsa PackFn 1 Animal)
+  (disjoint (FooFn Rock) Dog)
 """
 _FIDO, _PACK, _ROCK = Constant("Fido"), Constant("PackFn"), Constant("Rock")
 _OWNS_1 = "argument 1 of owns must be an instance of Animal, got "
@@ -502,6 +503,9 @@ VIOLATION_PINS = [
                               "argument 2 must specialize Food; got "
                               "(PackFn Pebble)"),
         ("arg-isa", (2, 2, 1), _PACK_1 + "Pebble")]),
+    # a disjointness of a term the KB does not know contradicts nothing
+    ("(genls (FooFn Rock) Dog)", []),
+    ("(genls Dog (FooFn Rock))", []),
 ]
 
 
@@ -570,6 +574,30 @@ def test_lenient_load_collects_findings():
     codes = {f.code for f in findings}
     assert "kb-genls-cycle" in codes
     assert "kb-self-link" in codes
+
+
+@pytest.mark.parametrize("depth", [MAX_READ_DEPTH, MAX_READ_DEPTH + 1],
+                         ids=["at-bound", "past-bound"])
+def test_a_deep_fact_loads_the_same_from_a_deep_caller(depth):
+    """A fact at the read bound loads; one level deeper is a syntax
+    finding at its form, and the next form still loads."""
+    text = (f"(fn F 1 (resultIsa Thing))\n(fact base {deep_text(depth)})\n"
+            "(fact base (q B))\n")
+
+    def answer():
+        kb, findings = load_kb_lenient(text=text)
+        return ([(f.code, f.message) for f in findings],
+                kb.holds(parse_expr(deep_text(MAX_READ_DEPTH))),
+                kb.holds(parse_expr("(q B)")))
+
+    if depth == MAX_READ_DEPTH:
+        assert answer() == ([], True, True)
+    else:
+        message = (f"<string>: form at line 2, column 1: term nests deeper "
+                   f"than {MAX_READ_DEPTH} levels (line 2, column "
+                   f"{12 + 3 * MAX_READ_DEPTH})")
+        assert answer() == ([("kb-syntax", message)], False, True)
+    assert from_deep_caller(answer) == answer()
 
 
 def _genls_chain(links, closed=False):

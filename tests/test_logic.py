@@ -1,4 +1,5 @@
 import gc
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,16 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from helpers import random_facts, random_sentence, satisfying_projection
+from helpers import (deep_text, from_deep_caller, random_facts,
+                     random_sentence, satisfying_projection)
 from construe import logic
-from construe.logic import (And, App, Constant, Exists, ExprSyntaxError,
+from construe.interpreter import MAX_NESTING
+from construe.kb import load_kb
+from construe.logic import (MAX_READ_DEPTH, MAX_TERM_DEPTH, And, App,
+                            Constant, Exists, ExprSyntaxError,
                             Kappa, Names, Nat, Not, Numeral, QueryVar,
                             Text, TheSetOf, TypedVar, canonical_form,
                             equal_modulo_renaming,
                             expr_from_json, expr_to_json, free_query_vars,
                             free_vars, from_sexpr, parse_expr, print_expr,
                             quantify_existential, rename_query_vars, simplify,
-                            substitute)
+                            substitute, term_depth)
 from construe.sexpr import parse_all
 
 
@@ -365,19 +370,61 @@ def _nested(depth: int, leaf):
     return leaf
 
 
+TOO_DEEP = f"term nests deeper than {MAX_READ_DEPTH} levels"
+
+
 def test_text_nested_too_deeply_is_a_syntax_error():
     depth = 1000
     with pytest.raises(ExprSyntaxError) as exc:
         parse_expr("(p " * depth + "a" + ")" * depth)
-    assert exc.value.message == "nested too deeply"
+    assert exc.value.message == TOO_DEEP
     assert isinstance(parse_expr("(p " * 50 + "a" + ")" * 50), App)
 
 
 def test_json_nested_too_deeply_is_a_syntax_error():
     with pytest.raises(ExprSyntaxError) as exc:
         expr_from_json(_nested(900, "a"))
-    assert exc.value.message == "nested too deeply"
+    assert exc.value.message == TOO_DEEP
     assert isinstance(expr_from_json(_nested(50, "a")), App)
+
+
+def test_the_read_bound_covers_the_deepest_composed_logic():
+    assert (MAX_NESTING + 1) * MAX_TERM_DEPTH < MAX_READ_DEPTH
+
+
+@pytest.mark.parametrize("read, spell", [
+    (parse_expr, lambda depth: "(p " * depth + "a" + ")" * depth),
+    (expr_from_json, lambda depth: _nested(depth, "a"))], ids=["text", "json"])
+def test_a_read_answers_the_same_from_a_deep_caller(read, spell):
+    def answer(depth):
+        try:
+            return read(spell(depth))
+        except ExprSyntaxError as err:
+            return err.message
+
+    at, past = answer(MAX_READ_DEPTH), answer(MAX_READ_DEPTH + 1)
+    assert term_depth(at) == MAX_READ_DEPTH
+    assert from_deep_caller(lambda: answer(MAX_READ_DEPTH)) == at
+    assert past == TOO_DEEP
+    assert from_deep_caller(lambda: answer(MAX_READ_DEPTH + 1)) == past
+
+
+def test_term_walks_at_the_bound_answer_from_a_deep_caller():
+    text = deep_text(MAX_READ_DEPTH)
+    e, twin = parse_expr(text), parse_expr(text)
+    open_e = parse_expr(deep_text(MAX_READ_DEPTH, "?x"))
+    kb = load_kb(text="(fn F 1 (resultIsa Thing))\n(argIsa p 1 Thing)\n"
+                      "(argIsa F 1 Thing)\n(individual A)\n(isa A Thing)")
+
+    def walks():
+        return (print_expr(e), canonical_form(open_e),
+                substitute(open_e, {QueryVar("x"): Constant("A")}),
+                simplify(e), kb.check_plausibility(e), hash(e), e == twin,
+                pickle.loads(pickle.dumps(e)))
+
+    assert walks() == (text, deep_text(MAX_READ_DEPTH, "?v0"), e, e, [],
+                       hash(twin), True, e)
+    assert from_deep_caller(walks) == walks()
 
 
 def test_json_strings_read_as_the_atoms_they_spell():

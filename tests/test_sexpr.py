@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import RESOURCE_DIR
-from construe.logic import from_sexpr
+from construe.logic import MAX_READ_DEPTH, from_sexpr
 from construe.sexpr import (Finding, LoadError, SexprError, SexprList, Symbol,
                             load_forms, parse_all, parse_one, to_text)
 from helpers import reference_parse_all
@@ -237,8 +237,9 @@ def test_load_forms_reports_each_bad_form_and_goes_on(tmp_path):
         ("x-syntax", f"{good}: form at line 2, column 3: unknown sigil in "
                      "'$x' (typed variables are written $Type#k) "
                      "(line 2, column 6)"),
-        ("x-syntax", f"{good}: form at line 3, column 1: nested too deeply "
-                     "to load"),
+        ("x-syntax", f"{good}: form at line 3, column 1: term nests deeper "
+                     f"than {MAX_READ_DEPTH} levels (line 3, column "
+                     f"{1 + 3 * MAX_READ_DEPTH})"),
         ("ok", f"{good}: form at line 4, column 1: s"),
     ]
 
