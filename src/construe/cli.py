@@ -91,15 +91,21 @@ CACHE_FORMAT = 2
 CACHE_MAX_AGE_S = 30 * 24 * 3600
 
 
+# The size and modification time of every engine module when this one was
+# imported: the code that pickles and unpickles in this process, even if a
+# module file is edited while it runs.
+_ENGINE = tuple(sorted(
+    (e.name, e.stat().st_size, e.stat().st_mtime_ns)
+    for e in os.scandir(os.path.dirname(os.path.abspath(__file__)))
+    if e.name.endswith(".py")))
+
+
 def _cache_key(paths: tuple) -> tuple:
     """What a cache entry must have been written under: the entry format,
-    the Python version, the absolute resource *paths*, and the size and
-    modification time of every engine module, so that an entry never
+    the Python version, the absolute resource *paths*, and the engine
+    modules this process runs (``_ENGINE``), so that an entry never
     outlives the code that pickled it."""
-    code = os.path.dirname(os.path.abspath(__file__))
-    modules = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
-                     for e in os.scandir(code) if e.name.endswith(".py"))
-    return (CACHE_FORMAT, sys.version_info[:2], paths, tuple(modules))
+    return (CACHE_FORMAT, sys.version_info[:2], paths, _ENGINE)
 
 
 def _read_bytes(path: str) -> bytes:

@@ -419,7 +419,6 @@ class Repository:
         self._slot_types: dict[tuple, tuple] = {}
         # the type of every slot, as the constant naming it
         self.used_types: frozenset = frozenset()
-        self.has_anaphora = False       # any construction with :anaphoric slots
 
     def add(self, c: Construction, names: Names | None = None):
         """Store *c* and index its variants on the three tiers; a second
@@ -431,7 +430,6 @@ class Repository:
             raise FormError("cons-duplicate-id",
                             f"construction {c.id} defined twice")
         self.constructions[c.id] = c
-        self.has_anaphora = self.has_anaphora or bool(c.anaphoric_refs)
         self.used_types = self.used_types.union(
             names.constant(s.type) for s in c.all_slots())
         self.variants.extend(c.variants)

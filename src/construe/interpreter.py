@@ -6,9 +6,12 @@ The window starts at each token position at its maximum size and shrinks
 until one or more constructions apply, then the anchor advances one token.
 Sweeps over the anchors repeat until one adds no edge.  A revisit runs only
 the windows that hold an edge added since the anchor's last visit began,
-from the largest down; with anaphoric constructions, a new edge at or left
-of an anchor, where antecedents are searched, makes its next visit run
-every size.  Any other window would retrieve only candidates already tried.
+from the largest down, and is semi-naive: a window retrieves and applies
+only the bindings that hold such an edge, and what the others give is kept
+from the last visit.  An anaphoric construction's bindings are applied
+again only after a new edge ending at or before the anchor, where
+antecedents are searched, that can fill one of its anaphoric slots; such
+an edge makes the anchor's next visit run every size.
 
 Candidate constructions are found by chaining three exact-match tiers.  One
 walk from each anchor tiles its reach left to right with literal tokens and
@@ -24,7 +27,7 @@ per edge.
 from __future__ import annotations
 
 import itertools
-import math
+from math import prod
 
 from .constructions import (LEXICAL_SOURCE, SKELETON_SLOT, Construction,
                             Repository, typed_key)
@@ -69,6 +72,10 @@ class EngineConfig(Value):
         if self.outermost_policy not in _POLICIES:
             raise ValueError(f"outermost_policy must be one of {_POLICIES}")
         return ()
+
+
+# The configuration of an ``interpret`` call that passes none.
+_DEFAULT_CONFIG = EngineConfig()
 
 
 class Edge(Value):
@@ -126,6 +133,12 @@ class ParseGraph:
         self.truncated_by = ""           # the cap that cut the run short
         # retrieval's last anchor walk (``_walk``)
         self._last_walk: tuple = (None, 0, ())
+        # set by ``window_loop`` for each window that ran before: retrieval
+        # returns only the bindings that hold an edge numbered ``_since`` or
+        # later, and with ``_rerun`` every binding of an anaphoric
+        # construction; with ``_since`` -1, every binding
+        self._since = -1
+        self._rerun = False
         self._fresh = itertools.count(1)
 
     @property
@@ -232,9 +245,13 @@ def retrieve(graph: ParseGraph, start: int, end: int) -> list:
     The tilings of the anchor's walk (``_walk``) that end at *end* are
     confirmed on the skeleton tier, then on the typed tier.  Also records
     the window's typed-pattern candidate count (the product over tokens of
-    readings plus the surface form itself)."""
+    readings plus the surface form itself).  Inside ``window_loop`` a
+    window that ran before gets only the bindings it has not tried: those
+    that hold an edge added since (``graph._since``), and those of
+    anaphoric constructions whose antecedents may have changed
+    (``graph._rerun``)."""
     repo, lang = graph.repo, graph.config.language
-    graph.pattern_counts[(start, end)] = math.prod(graph.readings[start:end])
+    graph.pattern_counts[(start, end)] = prod(graph.readings[start:end])
     walk = graph._last_walk
     if walk[0] != (start, len(graph.edges)) or walk[1] < end:
         walk = graph._last_walk = _walk(graph, start, end)
@@ -278,18 +295,32 @@ def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
                    found: dict):
     """Typed-tier lookups for one complete tiling that matched the stored
     *skeleton* key.  Each slot tries the filler types that one of the key's
-    variants names there; every binding of a typed hit is added to *found*
-    under its (construction id, binding) signature."""
+    variants names there; every binding of a typed hit that ``retrieve``
+    asks for is added to *found* under its (construction id, binding)
+    signature.  A tiling, or a slot type combination, whose filler edges
+    are all older than ``graph._since`` is not looked up."""
     repo, lang = graph.repo, graph.config.language
+    since = graph._since
+    # the filler index lists each span's edges oldest first
+    if since >= 0 and not graph._rerun and all(
+            edges[-1].id < since for type_map in type_maps
+            for edges in type_map.values()):
+        return
     choices = [sorted(named.intersection(type_map))
                for named, type_map in zip(repo.slot_types(skeleton, lang),
                                           type_maps)]
     for combo in itertools.product(*choices):
-        variants = repo.lookup("typed", typed_key(skeleton, combo), lang)
         edge_lists = [type_maps[j][name] for j, name in enumerate(combo)]
-        for variant in variants:
+        if since >= 0 and not graph._rerun and all(
+                edges[-1].id < since for edges in edge_lists):
+            continue
+        for variant in repo.lookup("typed", typed_key(skeleton, combo), lang):
             slots = variant.slots
+            old = since >= 0 and not (graph._rerun and repo.constructions[
+                variant.construction_id].anaphoric_refs)
             for edges in itertools.product(*edge_lists):
+                if old and all(e.id < since for e in edges):
+                    continue
                 sig = (variant.construction_id,
                        tuple(sorted((s.index, e.id) for s, e in zip(slots, edges))))
                 if sig not in found:
@@ -446,10 +477,10 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
             graph.trace_discard("plausibility", c.id, span,
                                 "; ".join(f"{v.kind}: {v.message}" for v in violations))
             continue
-        children = tuple(sorted((s.index, e.id) for s, e in b.items()))
+        # the children are the signature's (slot index, edge id) pairs
         edge = graph.add_edge(span, c.id, logic, output_var, output_type,
                               _edge_kind(kb, logic) if output_var is None
-                              else "sentential", children)
+                              else "sentential", sig[2])
         if edge is not None:
             out.append(edge)
             graph._tried[sig] = edge
@@ -464,51 +495,118 @@ def window_loop(graph: ParseGraph):
     A visit of anchor *a* runs the sizes from the top down to ``need[a]``:
     every size on the first visit, and after it the smallest window at *a*
     that holds an edge added since *a*'s last visit began.  An anchor with
-    no such edge is not revisited.  A smaller window holds no new filler,
-    so it retrieves the same candidates, every one already tried: if one
-    applied last time, it applies again with its prior edge, and nothing
-    else can.  When the repository has anaphoric constructions, an edge
-    ending at or before an anchor can change its antecedents, and the
-    anchor's next visit runs every size."""
+    no such edge is not revisited.
+
+    A revisit is semi-naive (Bancilhon & Ramakrishnan 1986): a window
+    retrieves and applies only the bindings that hold an edge added since
+    the last visit began.  What the other bindings give is the last
+    visit's, kept in ``runs``: the size it stopped at, and whether what
+    applied there came from a construction without anaphoric slots, whose
+    edges come back whenever its bindings are applied again, or only from
+    an anaphoric one.  So a larger window applies only with a new binding,
+    and the revisit still stops at that size unless only anaphoric
+    bindings applied there and their antecedents changed; a smaller window
+    may never have run and retrieves every binding.  Below ``need[a]`` no
+    window holds a new edge, so a visit that stops there without applying
+    stops where the last one did.
+
+    An anaphoric binding's antecedents change only with a new edge ending
+    at or before the anchor that can fill one of the anaphoric slot types
+    retrieved there.  Such an edge makes the anchor's next visit run every
+    size and apply its anaphoric bindings again."""
     config = graph.config
     n = len(graph.tokens)
-    anaphora = graph.repo.has_anaphora
-    unseen = config.max_window + 1      # no window holds a new edge
+    top = config.max_window
+    unseen = top + 1                    # no window holds a new edge
     need = [1] * n
-    while True:
-        before = len(graph.edges)
-        for start in range(n):
-            low = need[start]
-            if low == unseen:
-                continue
-            if graph.truncated:
+    # per anchor, its last visit as (the size it stopped at, the edge count
+    # when it began, what applied at that size)
+    runs: list = [None] * n
+    anaphoric: dict = {}    # anchor -> the anaphoric slot types retrieved there
+    antecedent: dict = {}   # anchor -> the newest edge that can fill one there
+    try:
+        while True:
+            before = len(graph.edges)
+            for start in range(n):
+                low = need[start]
+                if low == unseen:
+                    continue
+                if graph.truncated_by:
+                    return
+                need[start] = unseen
+                visit_start = len(graph.edges)
+                prior = runs[start]
+                for size in range(min(top, n - start), low - 1, -1):
+                    applied = 0
+                    if prior:
+                        applied = _resume(graph, prior, size,
+                                          antecedent.get(start, -1))
+                    for r in retrieve(graph, start, start + size):
+                        c = r.construction
+                        if c.anaphoric_refs:
+                            anaphoric.setdefault(start, set()).update(
+                                s.type for s in c.anaphoric_refs)
+                            if apply_construction(graph, c, r.binding,
+                                                  (start, start + size)):
+                                applied |= _ANAPHORIC
+                        elif apply_construction(graph, c, r.binding,
+                                                (start, start + size)):
+                            applied |= _STABLE
+                    if applied:
+                        break
+                if prior and not applied and prior[0] < size:
+                    # the smaller windows hold no edge added since the
+                    # earlier visit: it still stops there, as it did
+                    size, applied = prior[0], prior[2]
+                runs[start] = (size, visit_start, applied)
+                # only a window that applied can have added edges
+                for edge in graph.edges[visit_start:] if applied else ():
+                    # the anchors whose reach holds the edge, each down to its
+                    # smallest window that does
+                    for a in range(max(0, edge.end - top), edge.start + 1):
+                        if edge.end - a < need[a]:
+                            need[a] = edge.end - a
+                    for a, types in anaphoric.items():
+                        if a >= edge.end and _fills(graph, edge, types):
+                            need[a], antecedent[a] = 1, edge.id
+            if len(graph.edges) == before or graph.truncated_by:
                 return
-            need[start] = unseen
-            visit_start = len(graph.edges)
-            for size in range(min(config.max_window, n - start), low - 1, -1):
-                applied = False
-                for r in retrieve(graph, start, start + size):
-                    edges = apply_construction(graph, r.construction, r.binding,
-                                               (start, start + size))
-                    applied = applied or bool(edges)
-                if applied:
-                    break
-            for edge in graph.edges[visit_start:]:
-                # the anchors whose reach holds the edge, each down to its
-                # smallest window that does
-                for a in range(max(0, edge.end - config.max_window),
-                               edge.start + 1):
-                    need[a] = min(need[a], edge.end - a)
-                if anaphora:
-                    need[edge.end:] = [1] * (n - edge.end)
-        if len(graph.edges) == before or graph.truncated:
-            return
+    finally:
+        graph._since = -1
+
+
+# What applied at a window: a construction without anaphoric slots (its
+# edges come back whenever its bindings are applied again), an anaphoric
+# one (whose antecedents may change).
+_STABLE, _ANAPHORIC = 1, 2
+
+
+def _resume(graph: ParseGraph, visit: tuple, size: int, antecedent: int) -> int:
+    """Make retrieval at the window of *size* skip what the anchor's last
+    *visit* tried there, and return what applied among it.  A window below
+    the visit's stop may never have run, so it retrieves everything."""
+    stop, since, applied = visit
+    if size < stop:
+        graph._since = -1
+        return 0
+    graph._since = since
+    graph._rerun = rerun = antecedent >= since
+    if size > stop:
+        return 0
+    # a new antecedent: the anaphoric bindings are applied again
+    return applied & _STABLE if rerun else applied
+
+
+def _fills(graph: ParseGraph, edge: Edge, types: set) -> bool:
+    """Whether the filler index holds *edge* under one of *types*."""
+    type_map = graph._fillers.get(edge.start, {}).get(edge.end, {})
+    return any(edge in type_map.get(t, ()) for t in types)
 
 
 def interpret(text: str, kb: KnowledgeBase, repo: Repository, lexicon: Lexicon,
               config: EngineConfig | None = None) -> ParseGraph:
     """Tag, seed lexical edges, and run the window loop to fixpoint."""
-    config = config or EngineConfig()
+    config = config or _DEFAULT_CONFIG
     chart = tag(text, lexicon)
     graph = ParseGraph(text, chart, kb, repo, config)
     _seed_tag_edges(graph)

@@ -164,6 +164,48 @@ def test_changed_engine_module_is_a_miss(tmp_path, private_resource_cache):
     assert sorted(private_resource_cache.iterdir()) == [entry]
 
 
+# Edits an engine module of the running package after importing the CLI,
+# then interprets twice, counting the KB loads.
+_EDITED_WHILE_RUNNING = """
+import os, sys
+from construe import cli, kb
+loads = []
+load_kb = kb.load_kb
+def counted(*args, **kwargs):
+    loads.append(1)
+    return load_kb(*args, **kwargs)
+kb.load_kb = counted
+module = os.path.join(os.path.dirname(cli.__file__), "tagger.py")
+st = os.stat(module)
+os.utime(module, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+for _ in range(2):
+    assert cli.main(sys.argv[1:]) == 0
+print(len(loads), file=sys.stderr)
+"""
+
+
+def test_engine_module_edited_after_import_keeps_the_imported_key(
+        tmp_path, private_resource_cache):
+    """The key names the engine modules as the process imported them: a
+    process whose module file changes while it runs writes its entry under
+    the code it runs, hits it, and a process started after the change,
+    which runs other code, does not load it."""
+    pkg = tmp_path / "pkg"
+    shutil.copytree(Path(construe.__file__).parent, pkg / "construe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    argv = ["interpret", *demo_args(), "big blue building"]
+    env = dict(os.environ, PYTHONPATH=str(pkg))
+    proc = subprocess.run([sys.executable, "-c", _EDITED_WHILE_RUNNING, *argv],
+                          capture_output=True, env=env, check=True)
+    # one miss, then a hit
+    assert proc.stderr.decode().split() == ["1"]
+    [entry] = entries(private_resource_cache)
+    written = _identity(entry)
+    # the later process misses and overwrites the entry, with equal output
+    assert 2 * _run_module(pkg, argv) == proc.stdout
+    assert _identity(entry) != written
+
+
 def test_stale_temporary_file_is_cleared(private_resource_cache, loads):
     argv = ["interpret", *demo_args(), "big blue building"]
     cold = call(argv)

@@ -203,6 +203,44 @@ def test_agenda_revisits_anchors_for_later_edges(monkeypatch, text):
                                                            lexicon))
 
 
+def test_revisit_below_an_anaphoric_stop_that_no_longer_applies(monkeypatch):
+    """"finale now" stops its anchor's first visit: its fifth antecedent
+    candidate, "big", passes its test.  On the second sweep "great big
+    olympics" comes nearer and pushes "big" out of the five, so that window
+    no longer applies, and the revisit runs the window "finale" below it for
+    the first time."""
+    kb = load_kb(text="(collection Event) (collection Games) (collection Big) "
+                      "(collection GoodEvent) (genls Games Event) "
+                      "(genls GoodEvent Event) (collection Parade) "
+                      "(genls Parade GoodEvent) "
+                      + "".join(f"(collection Olympics{i}) "
+                                f"(genls Olympics{i} Games) " for i in range(4))
+                      + "(fn BigFn 1 (resultGenls Big)) "
+                        "(fn GreatFn 1 (resultGenls Event)) "
+                        "(fn FinaleFn 1 (resultGenls Event))")
+    lexicon = load_lexicon(text='(lex "big" Parade) ' + "".join(
+        f'(lex "olympics" Olympics{i}) ' for i in range(4)))
+    repo = load_constructions(text="""
+        (construction :id big :nl "big $Games#0" :logic (BigFn $Games#0)
+          :output-type Big)
+        (construction :id great :nl "great $Big#0" :logic (GreatFn $Big#0)
+          :output-type Event)
+        (construction :id finale :nl "finale now" :logic (FinaleFn $Event#1)
+          :anaphoric ($Event#1) :test+ (genls $Event#1 GoodEvent)
+          :output-type Event)
+        (construction :id solo :nl "finale" :logic (FinaleFn Parade)
+          :output-type Event)""")
+    text = "great big olympics finale now"
+    graph = interpret(text, kb, repo, lexicon)
+    made = [(e.source, print_expr(e.logic)) for e in graph.edges]
+    assert made.index(("finale", "(FinaleFn Parade)")) \
+        < made.index(("great", "(GreatFn (BigFn Olympics0))")) \
+        < made.index(("solo", "(FinaleFn Parade)"))
+    monkeypatch.setattr(interpreter, "window_loop", full_sweep_window_loop)
+    assert graph_outcome(graph) == graph_outcome(interpret(text, kb, repo,
+                                                           lexicon))
+
+
 def test_agenda_matches_full_sweeps_on_random_instances():
     for seed in range(150):
         graph, _ = random_instance(random.Random(seed))
@@ -247,6 +285,50 @@ def test_agenda_matches_full_sweeps_on_feeding_instances(monkeypatch,
     # bounded revisits skip windows
     assert fed > 30 and anaphors > 100
     assert windows["agenda"] < windows["full"]
+
+
+@pytest.mark.parametrize("max_window", [12, 3, 2])
+def test_revisits_apply_only_untried_bindings(demo_kb, demo_repo, demo_lexicon,
+                                              bio_kb, bio_repo, bio_lexicon,
+                                              monkeypatch, max_window):
+    """Semi-naive revisits: a construction without anaphoric slots is never
+    applied again with a binding it has tried at that window.  The skipping
+    ends with the loop: retrieval on a finished graph, also one that
+    ``max_edges`` cut short, returns what brute force finds."""
+    applied, repeats = [], []
+    apply = interpreter.apply_construction
+
+    def counted(graph, c, binding, span):
+        sig = (c.id, span,
+               tuple(sorted((s.index, e.id) for s, e in binding.items())))
+        applied.append(sig)
+        if not c.anaphoric_refs and sig in graph._tried:
+            repeats.append(sig)
+        return apply(graph, c, binding, span)
+
+    monkeypatch.setattr(interpreter, "apply_construction", counted)
+    graphs = []
+    for max_edges in (50_000, 12):
+        config = EngineConfig(max_window=max_window, max_edges=max_edges)
+        graphs += [interpret(t, demo_kb, demo_repo, demo_lexicon, config)
+                   for t in DEMO_TEXTS]
+        graphs += [interpret(t, bio_kb, bio_repo, bio_lexicon, config)
+                   for t in BIO_TEXTS]
+    for seed in range(150):
+        graph, _ = random_instance(random.Random(seed), feeding=True,
+                                   max_window=max_window)
+        window_loop(graph)
+        graphs.append(graph)
+    assert len(applied) > 500 and repeats == []
+    assert sum(g.truncated_by == "edge limit" for g in graphs) > 10
+    rng = random.Random(max_window)
+    for graph in graphs:
+        n = len(graph.tokens)
+        for _ in range(2 if n else 0):
+            start = rng.randrange(n)
+            end = rng.randint(start + 1, min(n, start + max_window))
+            assert retrieval_signatures(retrieve(graph, start, end)) \
+                == brute_force_matches(graph, start, end)
 
 
 def subterms(e):
