@@ -519,6 +519,7 @@ def run_lint(manifest: RunManifest) -> list:
                                 manifest.construction_files, "--constructions")
     findings = list(findings) + list(lex_findings) + list(cons_findings)
     findings.extend(kbmod.lint_kb(kb))
+    findings.extend(tagger.lint_lexicon(lexicon))
     findings.extend(cons.lint_constructions(repo, kb))
     return findings
 

@@ -2,6 +2,12 @@
 the tag chart, semantic testing, plausibility checking, recursive
 composition on a parse graph, and anaphor resolution.
 
+Each tagged concept seeds a lexical edge whose type, kind and
+plausibility verdict are the KB's answer for the reading
+(``KnowledgeBase.lexical_reading``), and every edge is filed under the
+slot types its type can fill (``KnowledgeBase.filler_types``).  The KB
+computes each answer once, so an input costs only what it decides.
+
 The window starts at each token position at its maximum size and shrinks
 until one or more constructions apply, then the anchor advances one token.
 Sweeps over the anchors repeat until one adds no edge.  A revisit runs only
@@ -32,9 +38,9 @@ from math import prod
 from .constructions import (LEXICAL_SOURCE, SKELETON_SLOT, Construction,
                             Repository, typed_key)
 from .kb import DEFAULT_CONTEXT, KnowledgeBase
-from .logic import (And, App, Constant, EQUALS, Expr, Nat, Numeral, QueryVar,
-                    Text, TypedVar, canonical_form, conjunct_count,
-                    free_query_vars, is_sentence, print_expr,
+from .logic import (And, App, Constant, EQUALS, Expr, QueryVar, TypedVar,
+                    canonical_form, conjunct_count, free_query_vars,
+                    is_sentence, print_expr,
                     quantify_existential, rename_query_vars, simplify,
                     substitute)
 from .tagger import Lexicon, TagChart, tag
@@ -194,46 +200,35 @@ class ParseGraph:
 
     def _file_filler(self, edge: Edge):
         """Index the edge under every used slot type that generalizes its
-        type, so retrieval asks the KB once per edge, not once per tiling."""
+        type, so retrieval does not ask the KB per tiling; the KB answers
+        once per type and used-type set."""
         if edge.output_type is None:
             return
-        types = self.kb.match_types(edge.output_type) & self._used_types
-        if types:
+        names = self.kb.filler_types(edge.output_type, self._used_types)
+        if names:
             type_map = self._fillers.setdefault(edge.start, {}) \
                 .setdefault(edge.end, {})
-            for t in types:
-                type_map.setdefault(t.name, []).append(edge)
-
-
-def _edge_kind(kb: KnowledgeBase, logic: Expr) -> str:
-    if is_sentence(logic):
-        return "sentential"
-    if isinstance(logic, (Numeral, Text)):
-        return "instance"
-    if isinstance(logic, (Constant, Nat)):
-        return "instance" if kb.kindedness(logic) == "individual" else "collection"
-    return "collection"
+            for name in names:
+                type_map.setdefault(name, []).append(edge)
 
 
 def _seed_tag_edges(graph: ParseGraph):
-    """One edge per concept of each tag span.  A span carries each concept
-    once and no construction may take ``LEXICAL_SOURCE`` as its id, so no
-    seed can equal another edge and none needs a dedup key."""
-    kb = graph.kb
+    """One edge per concept of each tag span, its type, kind and
+    plausibility read from the KB's answer for the reading
+    (``lexical_reading``).  A span carries each concept once and no
+    construction may take ``LEXICAL_SOURCE`` as its id, so no seed can
+    equal another edge and none needs a dedup key."""
+    reading = graph.kb.lexical_reading
     for span in graph.chart.spans:
+        where = (span.start, span.end)
         for concept in span.concepts:
-            if isinstance(concept, Numeral):
-                output_type: Expr = Constant(kb.numeral_type_name(concept.value))
-            else:
-                output_type = concept
-            violations = kb.check_plausibility(concept)
+            output_type, kind, violations = reading(concept)
             if violations:
-                graph.trace_discard("plausibility", LEXICAL_SOURCE,
-                                    (span.start, span.end),
+                graph.trace_discard("plausibility", LEXICAL_SOURCE, where,
                                     "; ".join(v.message for v in violations))
                 continue
-            graph.insert_edge((span.start, span.end), LEXICAL_SOURCE, concept,
-                              None, output_type, _edge_kind(kb, concept))
+            graph.insert_edge(where, LEXICAL_SOURCE, concept, None,
+                              output_type, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +474,7 @@ def apply_construction(graph: ParseGraph, c: Construction, binding: dict,
             continue
         # the children are the signature's (slot index, edge id) pairs
         edge = graph.add_edge(span, c.id, logic, output_var, output_type,
-                              _edge_kind(kb, logic) if output_var is None
+                              kb.edge_kind(logic) if output_var is None
                               else "sentential", sig[2])
         if edge is not None:
             out.append(edge)

@@ -21,10 +21,13 @@ instance of its own collection (``numeral_type_name``) and of every
 collection above it, and specializes none.  Queries ask the taxonomy one
 way, ``known`` and then membership in a closure; only ``subsumes`` and
 ``generalizations`` raise ``UnknownTermError``.  A KB is observably
-immutable once loaded: ``genls_closure``, ``isa_closure`` and
-``match_types`` (behind ``numeral_instance_types``) fill idempotent memos,
-which no query's result depends on, so every query is safe for concurrent
-use.
+immutable once loaded: ``genls_closure``, ``isa_closure``,
+``match_types`` (behind ``numeral_instance_types``), ``lexical_reading``
+and ``filler_types`` fill idempotent memos, which no query's result
+depends on, so every query is safe for concurrent use.  The last two hold
+what the interpreter asks of every lexical edge and every edge it files,
+once per reading and per (type, slot-type set), so neither grows with the
+number of inputs.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from typing import Iterable
 from . import sexpr
 from .logic import (App, And, Constant, Exists, Expr, ExprSyntaxError, Kappa,
                     Nat, Not, Names, Numeral, Text, TheSetOf, TypedVar,
-                    QueryVar, children, from_sexpr, is_ground, print_expr)
+                    QueryVar, children, from_sexpr, is_ground, is_sentence,
+                    print_expr)
 from .sexpr import Finding, FormError
 from .value import Value
 
@@ -138,6 +142,11 @@ class KnowledgeBase:
         self._genls_memo: dict[Expr, frozenset] = {}
         self._isa_memo: dict[Expr, frozenset] = {}
         self._match_memo: dict[Expr, frozenset] = {}
+        # function-term reading, or a number's collection name -> its
+        # ``lexical_reading``
+        self._reading_memo: dict = {}
+        # (type, slot-type set) -> ``filler_types``
+        self._filler_memo: dict[tuple, tuple] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -179,6 +188,50 @@ class KnowledgeBase:
                 return "individual"
             return "collection"
         return "individual"
+
+    def edge_kind(self, logic: Expr) -> str:
+        """'sentential', 'instance' or 'collection': the kind of an
+        interpretation whose logic is *logic*."""
+        if is_sentence(logic):
+            return "sentential"
+        if isinstance(logic, (Numeral, Text)):
+            return "instance"
+        if isinstance(logic, TermLike):
+            return "instance" if self.kindedness(logic) == "individual" \
+                else "collection"
+        return "collection"
+
+    def lexical_reading(self, concept: Expr) -> tuple:
+        """(output type, edge kind, violations) of a concept the lexicon
+        offers: its type (for a number, its own collection), its
+        ``edge_kind`` and what ``check_plausibility`` finds in it.  The
+        plausibility walk has nothing to check in a constant, and a
+        number's answer depends only on its collection, so the memo holds
+        one entry per other reading and per numeral collection."""
+        cls = concept.__class__
+        if cls is Constant:
+            return (concept, "instance" if self._kinds.get(concept.name)
+                    == "individual" else "collection", ())
+        key = self.numeral_type_name(concept.value) if cls is Numeral \
+            else concept
+        cached = self._reading_memo.get(key)
+        if cached is None:
+            cached = self._reading_memo[key] = (
+                (Constant(key), "instance", ()) if cls is Numeral else
+                (concept, self.edge_kind(concept),
+                 tuple(self.check_plausibility(concept))))
+        return cached
+
+    def filler_types(self, t: Expr, used: frozenset) -> tuple:
+        """The names of the collections in *used* that ``match_types(t)``
+        holds, sorted: which of a repository's slot types (*used*) an
+        interpretation of type *t* can fill."""
+        key = (t, used)
+        cached = self._filler_memo.get(key)
+        if cached is None:
+            cached = self._filler_memo[key] = tuple(sorted(
+                g.name for g in self.match_types(t) & used))
+        return cached
 
     # -- taxonomy ----------------------------------------------------------
 

@@ -1,16 +1,22 @@
 """Lexicon-driven concept tagging.
 
 Input text is tokenized on whitespace, with hyphens, brackets and common
-punctuation kept as boundary tokens.  Tokens the lexicon knows nothing
-about are split into sub-word segments when every segment has a reading
-(so "G12V" can become G / 12 / V), and hyphen-adjacent tokens are joined
-back together when the joined surface is a lexicon entry ("K-Ras").
-Digit runs always read as their numeric value.  All ambiguity is kept:
-one span may carry many candidate concepts, and spans may overlap.
+punctuation kept as boundary tokens, by one compiled pattern.  In text
+that holds a hyphen, hyphen-adjacent tokens are joined back together when
+the joined surface is a lexicon entry ("K-Ras").  Each token's readings
+are then looked up once; a token the lexicon knows nothing about is split
+into sub-word segments when every segment has a reading (so "G12V" can
+become G / 12 / V), and only substrings of a length that some entry has
+are looked up.  Digit runs always read as their numeric value.  A
+multiword entry matches only tokens that whitespace separates in the
+text.  All ambiguity is kept: one span may carry many candidate concepts,
+and spans may overlap.  ``lint_lexicon`` names the entries that no text
+can tag.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -20,7 +26,10 @@ from .logic import (MAX_TERM_DEPTH, Constant, Expr, Names, Nat, Numeral,
 from .sexpr import FormError
 from .value import Value
 
-_BOUNDARY_CHARS = set("-()[]{}.,;:!?")
+# a boundary character (- ( ) [ ] { } . , ; : ! ?), or a run of characters
+# that are neither those nor whitespace; in a str pattern, ``\s`` matches
+# what ``str.isspace`` accepts
+_TOKEN_RE = re.compile(r"[-()\[\]{}.,;:!?]|[^-()\[\]{}.,;:!?\s]+")
 _MAX_SEGMENT_LEN = 64
 
 
@@ -70,7 +79,15 @@ class Lexicon:
         # surface -> its readings, de-duplicated and sorted by print_expr
         self._exact: dict[str, tuple] = {}
         self._folded: dict[str, tuple] = {}
-        self._multiword_lens: set[int] = set()
+        # the folded first word of each multiword entry -> the word
+        # counts of the entries it starts
+        self._multiword: dict[str, set] = {}
+        # the lengths of the keys of both tables, and the shortest (the
+        # longest surface ``segment`` takes while there is none)
+        self._key_lens: set[int] = set()
+        self._shortest_key = _MAX_SEGMENT_LEN
+        # every surface added, as written, in the order first added
+        self.surfaces: dict[str, None] = {}
 
     def add(self, surface: str, readings: Iterable[Expr], exact_case: bool = False):
         if not surface:
@@ -83,8 +100,12 @@ class Lexicon:
         else:
             table, key = self._folded, surface.casefold()
         table[key] = _merged(table.get(key, ()), readings)
+        self._key_lens.add(len(key))
+        self._shortest_key = min(self._shortest_key, len(key))
+        self.surfaces[surface] = None
         if " " in surface:
-            self._multiword_lens.add(surface.count(" ") + 1)
+            self._multiword.setdefault(surface.split(" ")[0].casefold(),
+                                       set()).add(surface.count(" ") + 1)
 
     def lookup(self, surface: str) -> tuple:
         """All readings for a surface form, deterministically ordered."""
@@ -93,10 +114,6 @@ class Lexicon:
         if exact is None:
             return folded or ()
         return exact if folded is None else _merged(exact, folded)
-
-    @property
-    def multiword_lengths(self) -> tuple:
-        return tuple(sorted(self._multiword_lens))
 
 
 def _merged(first: tuple, second: tuple) -> tuple:
@@ -173,22 +190,8 @@ def load_lexicon(paths: Iterable | None = None, *, text: str | None = None,
 
 def tokenize(text: str) -> list:
     """Whitespace split, then boundary characters become their own tokens."""
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        if text[i] in _BOUNDARY_CHARS:
-            tokens.append(Token(text[i], i, i + 1))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in _BOUNDARY_CHARS:
-            j += 1
-        tokens.append(Token(text[i:j], i, j))
-        i = j
-    return tokens
+    return [Token(m.group(), m.start(), m.end())
+            for m in _TOKEN_RE.finditer(text)]
 
 
 def _is_digits(s: str) -> bool:
@@ -199,16 +202,26 @@ def segment(surface: str, lexicon: Lexicon) -> list:
     """The preferred decomposition of *surface* into two or more
     consecutive segments, each a lexicon hit or a maximal digit run:
     fewest segments, then longer segments first, left to right.  Returns
-    ``[segments]``, or ``[]`` when there is no such decomposition."""
+    ``[segments]``, or ``[]`` when there is no such decomposition.
+
+    An ASCII substring folds to a key of its own length, so one is looked
+    up only when some key of the lexicon has that length, and an ASCII
+    surface without digits shorter than two of the shortest keys has no
+    decomposition."""
     n = len(surface)
     if n < 2 or n > _MAX_SEGMENT_LEN:
         return []
+    lengths = range(n + 1)
+    if surface.isascii():
+        if n < 2 * lexicon._shortest_key and surface.isalpha():
+            return []
+        lengths = lexicon._key_lens
     # best[i]: the preferred decomposition of surface[i:], None if none
     best: list = [None] * n + [()]
+    digits_end = n      # the end of the digit run at i, or i if none
     for i in range(n - 1, -1, -1):
-        digits_end = i
-        while digits_end < n and _is_digits(surface[digits_end]):
-            digits_end += 1
+        if not _is_digits(surface[i]):
+            digits_end = i
         # longest first, so the first with the fewest segments is preferred;
         # at 0 the whole surface is not a decomposition
         for j in range(n if i else n - 1, i, -1):
@@ -216,17 +229,18 @@ def segment(surface: str, lexicon: Lexicon) -> list:
             if rest is None or (best[i] is not None
                                 and len(rest) + 1 >= len(best[i])):
                 continue
-            if j == digits_end or lexicon.lookup(surface[i:j]):
+            if j == digits_end or (j - i in lengths
+                                   and lexicon.lookup(surface[i:j])):
                 best[i] = (surface[i:j],) + rest
     return [] if best[0] is None else [list(best[0])]
 
 
-def _readings(token: Token, lexicon: Lexicon) -> tuple:
-    """The token's readings, each once: a digit run also reads as its
-    value."""
-    found = lexicon.lookup(token.surface)
-    if _is_digits(token.surface):
-        value = Numeral(Fraction(int(token.surface)))
+def _readings(surface: str, lexicon: Lexicon) -> tuple:
+    """The readings of a token's *surface*, each once: a digit run also
+    reads as its value."""
+    found = lexicon.lookup(surface)
+    if _is_digits(surface):
+        value = Numeral(Fraction(int(surface)))
         if value not in found:
             found += (value,)
     return found
@@ -260,43 +274,64 @@ def _join_hyphenated(tokens: list, lexicon: Lexicon) -> list:
     return out
 
 
-def _split_unknown(tokens: list, lexicon: Lexicon) -> list:
-    """Replace tokens without any reading by their preferred sub-word
-    decomposition, when one exists."""
-    out = []
+def _tokens(text: str, lexicon: Lexicon) -> tuple:
+    """(tokens, their readings) of *text*: hyphen runs that the lexicon
+    knows joined, and each token without readings replaced by its
+    preferred sub-word decomposition, when one exists.  Each token is
+    looked up once."""
+    tokens = tokenize(text)
+    if "-" in text:
+        tokens = _join_hyphenated(tokens, lexicon)
+    out, readings = [], []
     for tok in tokens:
-        if lexicon.lookup(tok.surface) or _is_digits(tok.surface):
-            out.append(tok)
-            continue
-        decompositions = segment(tok.surface, lexicon)
+        found = _readings(tok.surface, lexicon)
+        decompositions = () if found else segment(tok.surface, lexicon)
         if not decompositions:
             out.append(tok)
+            readings.append(found)
             continue
         offset = tok.start
         for piece in decompositions[0]:
             out.append(Token(piece, offset, offset + len(piece), parent=tok))
+            readings.append(_readings(piece, lexicon))
             offset += len(piece)
-    return out
+    return out, readings
 
 
 def tag(text: str, lexicon: Lexicon) -> TagChart:
     """Tag *text* with every candidate concept the lexicon offers.  No
     consolidation: every reading of every span is kept, and no span
-    carries one concept twice."""
-    tokens = tokenize(text)
-    tokens = _join_hyphenated(tokens, lexicon)
-    tokens = _split_unknown(tokens, lexicon)
-
-    spans = []
-    for i, tok in enumerate(tokens):
-        readings = _readings(tok, lexicon)
-        if readings:
-            spans.append(TagSpan(i, i + 1, readings))
-    for length in lexicon.multiword_lengths:
-        for i in range(0, len(tokens) - length + 1):
-            surface = " ".join(t.surface for t in tokens[i:i + length])
-            readings = lexicon.lookup(surface)
-            if readings:
-                spans.append(TagSpan(i, i + length, readings))
-    spans.sort(key=lambda s: (s.start, s.end))
+    carries one concept twice.  A multiword entry matches only tokens that
+    whitespace separates in the text, their surfaces joined by one
+    space."""
+    tokens, readings = _tokens(text, lexicon)
+    spans = [TagSpan(i, i + 1, found)
+             for i, found in enumerate(readings) if found]
+    multiword = lexicon._multiword
+    if multiword:
+        for i, tok in enumerate(tokens):
+            for length in multiword.get(tok.surface.casefold(), ()):
+                window = tokens[i:i + length]
+                if len(window) == length and all(
+                        a.end < b.start for a, b in zip(window, window[1:])):
+                    found = lexicon.lookup(" ".join(t.surface for t in window))
+                    if found:
+                        spans.append(TagSpan(i, i + length, found))
+        spans.sort(key=lambda s: (s.start, s.end))
     return TagChart(text, tokens, spans)
+
+
+def lint_lexicon(lexicon: Lexicon) -> list:
+    """Entries that tagging can never produce.  ``tag`` looks an entry up
+    under the surface of one token, or of tokens that whitespace separates
+    joined by single spaces; so the text that spells the entry, tokenized,
+    joined and split as ``tag`` does, must give the entry back."""
+    findings = []
+    for surface in lexicon.surfaces:
+        tokens, _ = _tokens(surface, lexicon)
+        spelled = " ".join(t.surface for t in tokens)
+        if spelled != surface:
+            findings.append(sexpr.Finding(
+                "lex-unreachable", f"lexicon entry {surface!r} can never be "
+                                   f"tagged: its text tags as {spelled!r}"))
+    return findings

@@ -325,6 +325,34 @@ def reference_parse_all(text):
 
 
 # ---------------------------------------------------------------------------
+# Character-at-a-time text tokenizer (tokenizer oracle)
+
+_BOUNDARY_CHARS = set("-()[]{}.,;:!?")
+
+
+def reference_tokenize(text):
+    """The loop ``tagger.tokenize`` replaced, as (surface, start, end)
+    triples: whitespace (``str.isspace``) separates tokens, and each
+    boundary character is a token of its own."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        if text[i] in _BOUNDARY_CHARS:
+            tokens.append((text[i], i, i + 1))
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace() and text[j] not in _BOUNDARY_CHARS:
+            j += 1
+        tokens.append((text[i:j], i, j))
+        i = j
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # Sub-word segmentation (segmentation oracle)
 
 def reference_segmentations(surface, lexicon):

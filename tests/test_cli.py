@@ -567,6 +567,18 @@ def test_lint_reports_cycle_with_names(tmp_path):
     assert "kb-genls-cycle" in out and "A" in out and "B" in out
 
 
+def test_lint_reports_an_entry_tagging_never_produces(tmp_path):
+    lex = tmp_path / "dotted.lex"
+    lex.write_text('(lex "U.S." Building)\n(lex "New York" Building)\n',
+                   encoding="utf-8")
+    rc, out = run_cli(["lint", "--kb", str(DEMO_KB_FILES[0]),
+                       "--kb", str(DEMO_KB_FILES[1]), "--lexicon", str(lex),
+                       "--constructions", str(DEMO_CG_FILES[0])])
+    assert rc == 3
+    assert out == ("lex-unreachable\tlexicon entry 'U.S.' can never be "
+                   "tagged: its text tags as 'U . S .'\n")
+
+
 def test_lint_json_format(tmp_path):
     bad = tmp_path / "bad.kb"
     bad.write_text("(genls A A)\n", encoding="utf-8")

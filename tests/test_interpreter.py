@@ -4,6 +4,7 @@ import time
 import pytest
 
 import helpers
+from conftest import BIO_KB_FILES, DEMO_KB_FILES
 from helpers import (brute_force_matches, full_sweep_window_loop,
                      graph_outcome, random_instance, reference_antecedents,
                      retrieval_signatures)
@@ -248,6 +249,53 @@ def test_agenda_matches_full_sweeps_on_random_instances():
         window_loop(graph)
         full_sweep_window_loop(oracle)
         assert graph_outcome(graph) == graph_outcome(oracle), seed
+
+
+def test_a_warm_kb_gives_what_a_fresh_one_gives(demo_repo, demo_lexicon,
+                                              bio_repo, bio_lexicon,
+                                              monkeypatch):
+    """The KB's memos (``lexical_reading``, ``filler_types``, the
+    closures) are idempotent: on a KB already used for other inputs, an
+    input has the outcome it has on a freshly loaded one."""
+    sets = [(DEMO_KB_FILES, demo_repo, demo_lexicon, DEMO_TEXTS),
+            (BIO_KB_FILES, bio_repo, bio_lexicon, BIO_TEXTS)]
+    for kb_files, repo, lexicon, texts in sets:
+        fresh = [graph_outcome(interpret(t, load_kb(kb_files), repo, lexicon))
+                 for t in texts]
+        warm_kb = load_kb(kb_files)
+        for t in reversed(texts):
+            interpret(t, warm_kb, repo, lexicon)
+        assert [graph_outcome(interpret(t, warm_kb, repo, lexicon))
+                for t in texts] == fresh
+
+    def outcome(seed, feeding=False):
+        graph, _ = random_instance(random.Random(seed), feeding=feeding)
+        window_loop(graph)
+        return graph.kb, graph_outcome(graph)
+
+    fresh = [outcome(seed)[1] for seed in range(100)]
+    # the KB text of a seed does not depend on *feeding*: from here on each
+    # seed's KB is loaded once, used first for the feeding instance, with
+    # its other repository and input
+    kbs = {}
+    monkeypatch.setattr(helpers, "load_kb",
+                        lambda text: kbs.setdefault(text, load_kb(text=text)))
+    for seed in range(100):
+        used, _ = outcome(seed, feeding=True)
+        warm, got = outcome(seed)
+        assert warm is used and got == fresh[seed], seed
+
+
+def test_kb_memos_do_not_grow_with_inputs(demo_repo, demo_lexicon):
+    """A number's reading is its collection's, so the KB's per-reading and
+    per-type memos stay the size one input makes them."""
+    kb = load_kb(DEMO_KB_FILES)
+    interpret("1 sandwiches", kb, demo_repo, demo_lexicon)
+    sizes = (len(kb._reading_memo), len(kb._filler_memo))
+    assert sizes[0] >= 1
+    for n in range(2, 501):
+        interpret(f"{n} sandwiches", kb, demo_repo, demo_lexicon)
+    assert (len(kb._reading_memo), len(kb._filler_memo)) == sizes
 
 
 @pytest.mark.parametrize("max_window", [12, 3, 2])

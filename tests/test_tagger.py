@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import BIO_LEX_FILES
 from construe.logic import MAX_TERM_DEPTH, Constant, Numeral, print_expr
-from construe.tagger import (Lexicon, load_lexicon, load_lexicon_lenient,
-                             segment, tag, tokenize)
-from helpers import reference_segmentations
+from construe.tagger import (Lexicon, lint_lexicon, load_lexicon,
+                             load_lexicon_lenient, segment, tag, tokenize)
+from helpers import reference_segmentations, reference_tokenize
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,22 @@ def test_tokenize_tracks_character_spans():
 def test_tokenize_punctuation_boundaries():
     assert [t.surface for t in tokenize("wimbledon, the end.")] == \
         ["wimbledon", ",", "the", "end", "."]
+
+
+# letters, digits, every boundary character, and whitespace that is not
+# ASCII space (the information separators, NEL, no-break, line and
+# ideographic spaces)
+_TEXT_CHARS = (list("aZé9ß_") + list("-()[]{}.,;:!?") +
+               [" ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+                "\xa0", "\u2028", "\u3000"])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_TEXT_CHARS), st.characters()),
+                max_size=40).map("".join))
+def test_tokenize_equals_the_character_loop(text):
+    assert [(t.surface, t.start, t.end) for t in tokenize(text)] == \
+        reference_tokenize(text)
 
 
 # ---------------------------------------------------------------------------
@@ -88,6 +104,15 @@ def test_segment_bio_tokens_match_the_enumerator(bio_lex):
     for token in ("G12V", "G12D", "V600E", "K12Q", "GV", "G12X", "T790M"):
         assert segment(token, bio_lex) == \
             reference_segmentations(token, bio_lex)[:1]
+
+
+def test_segment_finds_pieces_whose_folded_length_differs():
+    # "Straße" folds to "strasse", and "ﬁsh" to "fish": a piece's length
+    # and its key's length differ
+    lex = _lexicon_of(["ab", "strasse", "ﬁsh"])
+    for token in ("abStraße", "abSTRASSE", "Straßeab", "abfish", "fishﬁsh"):
+        assert segment(token, lex) == reference_segmentations(token, lex)[:1]
+        assert segment(token, lex) != []
 
 
 def test_segment_long_ambiguous_token_is_fast():
@@ -178,6 +203,35 @@ def test_tag_blue_building(demo_lexicon):
 def test_tag_multiword_span(demo_lexicon):
     chart = tag("Barack Obama eats a sandwich", demo_lexicon)
     assert chart.concepts_at(0, 2) == (Constant("BarackObama"),)
+
+
+def test_multiword_entries_match_only_words_apart():
+    lex = load_lexicon(text='(lex "G" G) (lex "V" V) (lex "G 12" G12)\n'
+                            '(lex "big" Big) (lex "dog" Dog)\n'
+                            '(lex "big dog" BigDog) (lex "New York" NYC)')
+    # sub-word pieces are not words apart
+    for text in ("G12V", "bigdog"):
+        chart = tag(text, lex)
+        assert all(s.end - s.start == 1 for s in chart.spans), text
+    assert [t.surface for t in tag("bigdog", lex).tokens] == ["big", "dog"]
+    assert tag("G 12V", lex).concepts_at(0, 2) == (Constant("G12"),)
+    assert tag("a big dog", lex).concepts_at(1, 3) == (Constant("BigDog"),)
+    for text in ("New York", "new  york", "New\tYork"):
+        assert tag(text, lex).concepts_at(0, 2) == (Constant("NYC"),), text
+
+
+def test_lint_reports_entries_tagging_never_produces(demo_lexicon):
+    lex = load_lexicon(text='(lex "U.S." US) (lex "e.g" ForExample)\n'
+                            '(lex "big  dog" BigDog) (lex " cat" Cat)\n'
+                            '(lex "New York" NYC) (lex "K-Ras" KRas)')
+    found = lint_lexicon(lex)
+    assert [f.code for f in found] == ["lex-unreachable"] * 4
+    assert [f.message.split(" can never")[0] for f in found] == [
+        "lexicon entry 'U.S.'", "lexicon entry 'e.g'",
+        "lexicon entry 'big  dog'", "lexicon entry ' cat'"]
+    assert "tags as 'U . S .'" in found[0].message
+    assert lint_lexicon(demo_lexicon) == []
+    assert lint_lexicon(load_lexicon(BIO_LEX_FILES)) == []
 
 
 def test_numerals_tag_with_their_value(demo_lexicon):
