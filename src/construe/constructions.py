@@ -157,6 +157,8 @@ def _parse_plain(piece: str, names: Names) -> list:
     def literal_run(text):
         if "$" in text:
             raise _TemplateError(f"unreadable typed variable in {piece!r}")
+        if not text:    # most runs: nothing between two typed variables
+            return []
         return [Literal(names.name(t.surface), names.name(t.surface.casefold()))
                 for t in tagger.tokenize(text)]
 

@@ -206,8 +206,8 @@ def segment(surface: str, lexicon: Lexicon) -> list:
 
     An ASCII substring folds to a key of its own length, so one is looked
     up only when some key of the lexicon has that length, and an ASCII
-    surface without digits shorter than two of the shortest keys has no
-    decomposition."""
+    surface of letters only, shorter than two of the shortest keys, has
+    no decomposition."""
     n = len(surface)
     if n < 2 or n > _MAX_SEGMENT_LEN:
         return []
