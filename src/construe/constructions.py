@@ -407,53 +407,48 @@ def parse_construction(dsl_text: str) -> Construction:
 
 
 class Repository:
-    """Constructions plus the lexical / skeleton / typed lookup tiers.
-    Immutable once loaded; lookups are safe for concurrent use."""
+    """Constructions plus the lexical / skeleton / typed lookup tiers, all
+    built when it is made.  Immutable; lookups are safe for concurrent use."""
 
-    def __init__(self):
-        self.constructions: dict[str, Construction] = {}
-        self.variants: list[TemplateVariant] = []
-        self._tiers: dict[str, dict] = {"lexical": {}, "skeleton": {},
-                                        "typed": {}}
-        self._skeleton_prefixes: dict[str, set] = {}
-        # (language, skeleton key) -> per slot position, the slot types
-        # that the key's variants name there
-        self._slot_types: dict[tuple, tuple] = {}
-        # the type of every slot, as the constant naming it
-        self.used_types: frozenset = frozenset()
-
-    def add(self, c: Construction, names: Names | None = None):
-        """Store *c* and index its variants on the three tiers; a second
-        construction with *c*'s id raises ``FormError``.  *names* makes
-        the constants of its slot types, so that under the table of the
+    def __init__(self, constructions: Iterable[Construction] = (),
+                 names: Names | None = None):
+        """Index *constructions*, whose ids are distinct.  *names* makes
+        the constants of their slot types, so that under the table of the
         KB's load they are the very constants of the KB."""
         names = Names() if names is None else names
-        if c.id in self.constructions:
-            raise FormError("cons-duplicate-id",
-                            f"construction {c.id} defined twice")
-        self.constructions[c.id] = c
-        self.used_types = self.used_types.union(
-            names.constant(s.type) for s in c.all_slots())
-        self.variants.extend(c.variants)
+        self.constructions = {c.id: c for c in constructions}
+        self.variants: list[TemplateVariant] = [
+            v for c in self.constructions.values() for v in c.variants]
+        # the type of every slot, as the constant naming it
+        self.used_types: frozenset = frozenset(
+            names.constant(s.type) for c in self.constructions.values()
+            for s in c.all_slots())
+        hits: dict[str, dict] = {"lexical": {}, "skeleton": {}, "typed": {}}
         # a tier holds equal variants once; only one construction's
         # alternations can spell a variant twice
-        for v in dict.fromkeys(c.variants):
+        for v in dict.fromkeys(self.variants):
             skeleton, lexical = derive_keys(v)
             typed = typed_key(skeleton, [s.type for s in v.slots])
             for tier, key in (("lexical", lexical), ("skeleton", skeleton),
                               ("typed", typed)):
-                index, key = self._tiers[tier], (v.language, key)
-                index[key] = index.get(key, ()) + (v,)
-            key = (v.language, skeleton)
-            types = self._slot_types.get(key) or (frozenset(),) * len(v.slots)
-            self._slot_types[key] = tuple(
-                named | {s.type} for named, s in zip(types, v.slots))
-            prefixes = self._skeleton_prefixes.setdefault(v.language, set())
-            prefixes.update(skeleton[:i] for i in range(len(skeleton) + 1))
+                hits[tier].setdefault((v.language, key), []).append(v)
+        self._tiers: dict[str, dict] = {
+            tier: {key: tuple(vs) for key, vs in index.items()}
+            for tier, index in hits.items()}
+        # (language, skeleton key) -> per slot position, the slot types
+        # that the key's variants name there
+        self._slot_types: dict[tuple, tuple] = {
+            key: tuple(frozenset(s.type for s in position)
+                       for position in zip(*(v.slots for v in vs)))
+            for key, vs in self._tiers["skeleton"].items()}
+        self._skeleton_prefixes: dict[str, set] = {}
+        for language, skeleton in self._tiers["skeleton"]:
+            self._skeleton_prefixes.setdefault(language, set()).update(
+                skeleton[:i] for i in range(len(skeleton) + 1))
 
     def lookup(self, tier: str, key: tuple, language: str = "en") -> tuple:
         """Exact-match retrieval on one tier: the stored variants, each
-        once, in the order they were added; ``()`` when nothing matches."""
+        once, in the order they were given; ``()`` when nothing matches."""
         return self._tiers[tier].get((language, tuple(key)), ())
 
     def slot_types(self, skeleton: tuple, language: str = "en") -> tuple:
@@ -468,10 +463,13 @@ class Repository:
         return self._skeleton_prefixes.get(language, set())
 
 
-def _add_form(repo: Repository, names: Names, form, findings: list):
+def _add_form(accepted: dict, names: Names, form, findings: list):
     c = _parse_form(form, names)
     if _validate(c, findings):
-        repo.add(c, names)
+        if c.id in accepted:
+            raise FormError("cons-duplicate-id",
+                            f"construction {c.id} defined twice")
+        accepted[c.id] = c
 
 
 def load_constructions_lenient(paths: Iterable | None = None, *,
@@ -480,10 +478,11 @@ def load_constructions_lenient(paths: Iterable | None = None, *,
     """Load and return (repository, findings); only an unreadable file
     raises.  *names* is the load's name table (``logic.Names``), by default
     its own."""
-    repo, names = Repository(), Names() if names is None else names
-    return repo, sexpr.load_forms(
+    accepted, names = {}, Names() if names is None else names
+    findings = sexpr.load_forms(
         paths, text, "cons",
-        lambda form, found: _add_form(repo, names, form, found))
+        lambda form, found: _add_form(accepted, names, form, found))
+    return Repository(accepted.values(), names), findings
 
 
 def load_constructions(paths: Iterable | None = None, *,

@@ -24,7 +24,9 @@ way, ``known`` and then membership in a closure; only ``subsumes`` and
 immutable once loaded: ``genls_closure``, ``isa_closure``,
 ``match_types`` (behind ``numeral_instance_types``), ``lexical_reading``
 and ``filler_types`` fill idempotent memos, which no query's result
-depends on, so every query is safe for concurrent use.  The last two hold
+depends on.  A memo stores only a finished value and never mutates an
+entry, so a thread reads a whole answer or none, and every query is safe
+for concurrent use.  The last two hold
 what the interpreter asks of every lexical edge and every edge it files,
 once per reading and per (type, slot-type set), so neither grows with the
 number of inputs.

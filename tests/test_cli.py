@@ -772,9 +772,12 @@ def test_eval_length_unit_chars(tmp_path):
 # ---------------------------------------------------------------------------
 # determinism across processes
 
-def test_byte_identical_output_across_hash_seeds():
+@pytest.mark.parametrize("fmt", ["cycl", "json", "trace"])
+def test_byte_identical_output_across_hash_seeds(fmt):
+    """Also the trace's pattern counts and discards, though the repository
+    holds its skeleton prefixes and slot types in hash-ordered sets."""
     cmd = [sys.executable, "-m", "construe", "interpret", *demo_args(),
-           "wimbledon olympics , the end of the 2015 season"]
+           "--format", fmt, "wimbledon olympics , the end of the 2015 season"]
     outputs = []
     for seed in ("0", "1", "12345"):
         env = dict(os.environ, PYTHONHASHSEED=seed)

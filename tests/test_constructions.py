@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from conftest import DEMO_CG_FILES
+from helpers import random_instance
 from construe.constructions import (SKELETON_SLOT, Repository, TypedSlot,
                                     derive_keys, expand_variants,
                                     load_constructions,
@@ -270,8 +273,16 @@ def test_a_tier_holds_equal_variants_once():
     assert hit.elements[1] == TypedSlot("Thing", 0)
 
 
+def _loaded_repos(demo_repo, bio_repo):
+    """The demo and bio repositories, and those of random instances, half
+    of them with an anaphoric construction."""
+    return [demo_repo, bio_repo] + [
+        random_instance(random.Random(seed), feeding=seed % 2 == 1)[0].repo
+        for seed in range(20)]
+
+
 def test_every_variant_reachable_from_all_three_tiers(demo_repo, bio_repo):
-    for repo in (demo_repo, bio_repo):
+    for repo in _loaded_repos(demo_repo, bio_repo):
         for v in repo.variants:
             skeleton, lexical = derive_keys(v)
             assert v in repo.lookup("lexical", lexical, v.language)
@@ -279,20 +290,35 @@ def test_every_variant_reachable_from_all_three_tiers(demo_repo, bio_repo):
             assert v in repo.lookup("typed", _variant_typed_key(v), v.language)
 
 
-def test_used_types_is_union_of_slot_types(demo_repo):
-    expected = set()
-    for c in demo_repo.constructions.values():
-        expected |= {s.type for s in c.all_slots()}
-    assert {t.name for t in demo_repo.used_types} == expected
+def test_used_types_is_union_of_slot_types(demo_repo, bio_repo):
+    for repo in _loaded_repos(demo_repo, bio_repo):
+        expected = set()
+        for c in repo.constructions.values():
+            expected |= {s.type for s in c.all_slots()}
+        assert {t.name for t in repo.used_types} == expected
 
 
-def test_slot_types_of_a_skeleton_key_are_its_variants(demo_repo):
-    keys = {(v.language, derive_keys(v)[0]) for v in demo_repo.variants}
-    for language, skeleton in keys:
-        variants = demo_repo.lookup("skeleton", skeleton, language)
-        expected = tuple(frozenset(v.slots[j].type for v in variants)
-                         for j in range(skeleton.count(SKELETON_SLOT)))
-        assert demo_repo.slot_types(skeleton, language) == expected
+def test_slot_types_of_a_skeleton_key_are_its_variants(demo_repo, bio_repo):
+    for repo in _loaded_repos(demo_repo, bio_repo):
+        keys = {(v.language, derive_keys(v)[0]) for v in repo.variants}
+        for language, skeleton in keys:
+            variants = repo.lookup("skeleton", skeleton, language)
+            expected = tuple(frozenset(v.slots[j].type for v in variants)
+                             for j in range(skeleton.count(SKELETON_SLOT)))
+            assert repo.slot_types(skeleton, language) == expected
+
+
+def test_skeleton_prefixes_are_every_prefix_of_every_stored_key(demo_repo,
+                                                                bio_repo):
+    for repo in _loaded_repos(demo_repo, bio_repo):
+        for language in {v.language for v in repo.variants}:
+            keys = {derive_keys(v)[0] for v in repo.variants
+                    if v.language == language}
+            prefixes = repo.skeleton_prefixes(language)
+            assert () in prefixes and keys <= prefixes
+            assert prefixes == {key[:i] for key in keys
+                                for i in range(len(key) + 1)}
+        assert repo.skeleton_prefixes("xx") == set()
 
 
 def test_used_types_are_the_loads_own_constants(demo_repo):
@@ -331,6 +357,37 @@ def test_construction_findings_name_file_and_form(tmp_path):
                       "got id"),
         ("cons-form", f"{path}: form at line 5, column 1: expected a :keyword, "
                       "got (a \"b\")")]
+
+
+def test_a_definition_that_breaks_an_invariant_claims_no_id():
+    text = ('(construction :id d :nl "$Thing#0 a" :logic (p $Other#1))\n'
+            '(construction :id d :nl "$Thing#0 a" :logic (p $Thing#0))\n'
+            '(construction :id d :nl "$Thing#0 b" :logic (q $Thing#0))\n')
+    repo, findings = load_constructions_lenient(text=text)
+    assert [(f.code, f.message) for f in findings] == [
+        ("cons-unbound-slot", "<string>: form at line 1, column 1: "
+                              "construction d: $Other#1 in the logic template "
+                              "is neither a template slot nor an anaphoric "
+                              "reference"),
+        ("cons-duplicate-id", "<string>: form at line 3, column 1: "
+                              "construction d defined twice")]
+    assert list(repo.constructions) == ["d"]
+    [variant] = repo.variants
+    assert variant.elements[1].text == "a"
+
+
+@pytest.mark.parametrize("template, message", [
+    ("", "empty template"),
+    ("[a|b $Thing#0", "unbalanced '[' in template"),
+    ("a] $Thing#0", "unbalanced ']' in template"),
+    ("[a [b]] $Thing#0", "nested alternation in '[a [b]]'"),
+    ("$ $Thing#0", "unreadable typed variable in '$'")])
+def test_template_syntax_findings(template, message):
+    repo, findings = load_constructions_lenient(
+        text=f'(construction :id c :nl "{template}" :logic (p $Thing#0))')
+    assert [(f.code, f.message) for f in findings] == [
+        ("cons-template", f"<string>: form at line 1, column 1: c: {message}")]
+    assert repo.constructions == {}
 
 
 def test_construction_id_lex_is_reserved():

@@ -1,10 +1,13 @@
 import random
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 import helpers
-from conftest import BIO_KB_FILES, DEMO_KB_FILES
+from conftest import (BIO_CG_FILES, BIO_KB_FILES, BIO_LEX_FILES,
+                      DEMO_CG_FILES, DEMO_KB_FILES, DEMO_LEX_FILES)
 from helpers import (brute_force_matches, full_sweep_window_loop,
                      graph_outcome, random_instance, reference_antecedents,
                      retrieval_signatures)
@@ -286,16 +289,84 @@ def test_a_warm_kb_gives_what_a_fresh_one_gives(demo_repo, demo_lexicon,
         assert warm is used and got == fresh[seed], seed
 
 
+KB_MEMOS = ("_genls_memo", "_isa_memo", "_match_memo", "_reading_memo",
+            "_filler_memo")
+
+
 def test_kb_memos_do_not_grow_with_inputs(demo_repo, demo_lexicon):
-    """A number's reading is its collection's, so the KB's per-reading and
-    per-type memos stay the size one input makes them."""
+    """A number's reading is its collection's, and a repeated modifier
+    makes a term of a type already asked about, so each of the KB's five
+    memos stays the size that one input of each shape makes it."""
     kb = load_kb(DEMO_KB_FILES)
-    interpret("1 sandwiches", kb, demo_repo, demo_lexicon)
-    sizes = (len(kb._reading_memo), len(kb._filler_memo))
-    assert sizes[0] >= 1
-    for n in range(2, 501):
-        interpret(f"{n} sandwiches", kb, demo_repo, demo_lexicon)
-    assert (len(kb._reading_memo), len(kb._filler_memo)) == sizes
+
+    def sizes():
+        return [len(getattr(kb, memo)) for memo in KB_MEMOS]
+
+    shapes = [(lambda n: f"{n} sandwiches", 300),
+              (lambda n: f"the song has {n} notes", 300),
+              (lambda n: "big " * n + "blue building", 8)]
+    for shape, _ in shapes:
+        interpret(shape(1), kb, demo_repo, demo_lexicon)
+    first = sizes()
+    assert all(first)
+    for shape, count in shapes:
+        for n in range(2, count + 1):
+            interpret(shape(n), kb, demo_repo, demo_lexicon)
+    assert sizes() == first
+
+
+def _fresh_copy(graph):
+    """A graph on *graph*'s text and resources holding the edges it holds
+    now, in order."""
+    copy = ParseGraph(graph.text, graph.chart, graph.kb, graph.repo,
+                      graph.config)
+    for e in graph.edges:
+        copy.add_edge(e.span, e.source, e.logic, e.output_var, e.output_type,
+                      e.kind, e.children)
+    return copy
+
+
+def test_threads_sharing_fresh_resources_match_a_sequential_run():
+    """The resource contract: one loaded KB, lexicon and repository serve
+    concurrent ``interpret`` calls, each with the outcome it has alone.
+    Four threads share freshly loaded resources and switch every
+    microsecond, so that they fill the KB's memos at once; a memo stores
+    only a finished value and never mutates an entry.  This covers the GIL
+    build of CPython only: a free-threaded build, which CI does not run,
+    would interleave the threads more finely still."""
+    def outcome(graph):
+        return graph_outcome(graph) + (graph.truncated_by,)
+
+    def loaded(kb_files, lex_files, cg_files):
+        return (load_kb(kb_files), load_constructions(cg_files),
+                load_lexicon(lex_files))
+
+    # each input four times in a row, so that all four threads run it at
+    # once and ask the KB the same questions
+    def phrases(texts, files):
+        alone, shared = loaded(*files), loaded(*files)
+        return ([o for t in texts for o in [outcome(interpret(t, *alone))] * 4],
+                [lambda t=t: interpret(t, *shared)
+                 for t in texts for _ in range(4)])
+
+    sets = [phrases(DEMO_TEXTS, (DEMO_KB_FILES, DEMO_LEX_FILES, DEMO_CG_FILES)),
+            phrases(BIO_TEXTS, (BIO_KB_FILES, BIO_LEX_FILES, BIO_CG_FILES))]
+    for seed in range(40):
+        oracle, _ = random_instance(random.Random(seed), feeding=seed % 2 == 1)
+        window_loop(oracle)
+        seeded, _ = random_instance(random.Random(seed), feeding=seed % 2 == 1)
+        copies = [_fresh_copy(seeded) for _ in range(4)]
+        sets.append(([outcome(oracle)] * 4,
+                     [lambda g=g: window_loop(g) or g for g in copies]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for sequential, runs in sets:
+                assert list(pool.map(lambda run: outcome(run()), runs,
+                                     timeout=60)) == sequential
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("max_window", [12, 3, 2])
