@@ -12,12 +12,14 @@ The window starts at each token position at its maximum size and shrinks
 until one or more constructions apply, then the anchor advances one token.
 Sweeps over the anchors repeat until one adds no edge.  A revisit runs only
 the windows that hold an edge added since the anchor's last visit began,
-from the largest down, and is semi-naive: a window retrieves and applies
-only the bindings that hold such an edge, and what the others give is kept
-from the last visit.  An anaphoric construction's bindings are applied
-again only after a new edge ending at or before the anchor, where
-antecedents are searched, that can fill one of its anaphoric slots; such
-an edge makes the anchor's next visit run every size.
+from the largest down, and is semi-naive: it passes retrieval the edge
+count when that visit began as a watermark (``since``), so a window
+retrieves and applies only the bindings that hold an edge numbered at or
+above it; what the others give is kept from the last visit.  An anaphoric
+construction's bindings are retrieved again (``rerun``) only after a new
+edge ending at or before the anchor, where antecedents are searched, that
+can fill one of its anaphoric slots; such an edge makes the anchor's next
+visit run every size.
 
 Candidate constructions are found by chaining three exact-match tiers.  One
 walk from each anchor tiles its reach left to right with literal tokens and
@@ -129,7 +131,6 @@ class ParseGraph:
         self._used_types = repo.used_types
         self._prefixes = repo.skeleton_prefixes(config.language)
         self.edges: list[Edge] = []
-        self._by_span: dict[tuple, list] = {}
         self._fillers: dict[int, dict] = {}   # start -> end -> slot type -> edges
         self._dedup: dict[tuple, Edge] = {}
         # application signature -> the edge it added, or None
@@ -139,12 +140,6 @@ class ParseGraph:
         self.truncated_by = ""           # the cap that cut the run short
         # retrieval's last anchor walk (``_walk``)
         self._last_walk: tuple = (None, 0, ())
-        # set by ``window_loop`` for each window that ran before: retrieval
-        # returns only the bindings that hold an edge numbered ``_since`` or
-        # later, and with ``_rerun`` every binding of an anaphoric
-        # construction; with ``_since`` -1, every binding
-        self._since = -1
-        self._rerun = False
         self._fresh = itertools.count(1)
 
     @property
@@ -155,7 +150,8 @@ class ParseGraph:
         return next(self._fresh)
 
     def edges_at(self, start: int, end: int) -> list:
-        return self._by_span.get((start, end), [])
+        """The edges on [start, end), by a scan: for checks, not the engine."""
+        return [e for e in self.edges if e.start == start and e.end == end]
 
     def trace_discard(self, kind: str, construction: str, span: tuple, detail: str):
         self.trace.append(TraceEvent(kind, construction, span, detail))
@@ -194,7 +190,6 @@ class ParseGraph:
         edge = Edge(len(self.edges), span[0], span[1], source, logic,
                     output_var, output_type, kind, children, nesting)
         self.edges.append(edge)
-        self._by_span.setdefault(span, []).append(edge)
         self._file_filler(edge)
         return edge
 
@@ -234,17 +229,19 @@ def _seed_tag_edges(graph: ParseGraph):
 # ---------------------------------------------------------------------------
 # Retrieval
 
-def retrieve(graph: ParseGraph, start: int, end: int) -> list:
+def retrieve(graph: ParseGraph, start: int, end: int, since: int = -1,
+             rerun: bool = False) -> list:
     """Constructions applicable to the window, with their slot bindings.
 
     The tilings of the anchor's walk (``_walk``) that end at *end* are
     confirmed on the skeleton tier, then on the typed tier.  Also records
     the window's typed-pattern candidate count (the product over tokens of
-    readings plus the surface form itself).  Inside ``window_loop`` a
-    window that ran before gets only the bindings it has not tried: those
-    that hold an edge added since (``graph._since``), and those of
-    anaphoric constructions whose antecedents may have changed
-    (``graph._rerun``)."""
+    readings plus the surface form itself).  Given the watermark *since*,
+    an edge count, only the bindings that hold an edge numbered *since* or
+    above are returned, and with *rerun* also every binding of an
+    anaphoric construction, whose antecedents may have changed:
+    ``window_loop`` passes them for a window that ran before.  With *since*
+    -1, the default, every binding is returned."""
     repo, lang = graph.repo, graph.config.language
     graph.pattern_counts[(start, end)] = prod(graph.readings[start:end])
     walk = graph._last_walk
@@ -253,7 +250,7 @@ def retrieve(graph: ParseGraph, start: int, end: int) -> list:
     found: dict = {}
     for pos, skeleton, type_maps in walk[2]:
         if pos == end and repo.lookup("skeleton", skeleton, lang):
-            _typed_matches(graph, skeleton, type_maps, found)
+            _typed_matches(graph, skeleton, type_maps, found, since, rerun)
     return [found[sig] for sig in sorted(found)] if found else []
 
 
@@ -287,17 +284,17 @@ def _walk(graph: ParseGraph, start: int, end: int) -> tuple:
 
 
 def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
-                   found: dict):
+                   found: dict, since: int, rerun: bool):
     """Typed-tier lookups for one complete tiling that matched the stored
     *skeleton* key.  Each slot tries the filler types that one of the key's
     variants names there; every binding of a typed hit that ``retrieve``
-    asks for is added to *found* under its (construction id, binding)
-    signature.  A tiling, or a slot type combination, whose filler edges
-    are all older than ``graph._since`` is not looked up."""
+    asks for under the watermark *since* and *rerun* is added to *found*
+    under its (construction id, binding) signature.  Without *rerun*, a
+    tiling, or a slot type combination, whose filler edges are all older
+    than *since* is not looked up."""
     repo, lang = graph.repo, graph.config.language
-    since = graph._since
     # the filler index lists each span's edges oldest first
-    if since >= 0 and not graph._rerun and all(
+    if since >= 0 and not rerun and all(
             edges[-1].id < since for type_map in type_maps
             for edges in type_map.values()):
         return
@@ -306,12 +303,12 @@ def _typed_matches(graph: ParseGraph, skeleton: tuple, type_maps: tuple,
                                           type_maps)]
     for combo in itertools.product(*choices):
         edge_lists = [type_maps[j][name] for j, name in enumerate(combo)]
-        if since >= 0 and not graph._rerun and all(
+        if since >= 0 and not rerun and all(
                 edges[-1].id < since for edges in edge_lists):
             continue
         for variant in repo.lookup("typed", typed_key(skeleton, combo), lang):
             slots = variant.slots
-            old = since >= 0 and not (graph._rerun and repo.constructions[
+            old = since >= 0 and not (rerun and repo.constructions[
                 variant.construction_id].anaphoric_refs)
             for edges in itertools.product(*edge_lists):
                 if old and all(e.id < since for e in edges):
@@ -494,7 +491,8 @@ def window_loop(graph: ParseGraph):
 
     A revisit is semi-naive (Bancilhon & Ramakrishnan 1986): a window
     retrieves and applies only the bindings that hold an edge added since
-    the last visit began.  What the other bindings give is the last
+    the last visit began, that visit's edge count being the watermark it
+    passes to ``retrieve``.  What the other bindings give is the last
     visit's, kept in ``runs``: the size it stopped at, and whether what
     applied there came from a construction without anaphoric slots, whose
     edges come back whenever its bindings are applied again, or only from
@@ -509,9 +507,8 @@ def window_loop(graph: ParseGraph):
     at or before the anchor that can fill one of the anaphoric slot types
     retrieved there.  Such an edge makes the anchor's next visit run every
     size and apply its anaphoric bindings again."""
-    config = graph.config
-    n = len(graph.tokens)
-    top = config.max_window
+    kb, used = graph.kb, graph._used_types
+    n, top = len(graph.tokens), graph.config.max_window
     unseen = top + 1                    # no window holds a new edge
     need = [1] * n
     # per anchor, its last visit as (the size it stopped at, the edge count
@@ -519,83 +516,66 @@ def window_loop(graph: ParseGraph):
     runs: list = [None] * n
     anaphoric: dict = {}    # anchor -> the anaphoric slot types retrieved there
     antecedent: dict = {}   # anchor -> the newest edge that can fill one there
-    try:
-        while True:
-            before = len(graph.edges)
-            for start in range(n):
-                low = need[start]
-                if low == unseen:
-                    continue
-                if graph.truncated_by:
-                    return
-                need[start] = unseen
-                visit_start = len(graph.edges)
-                prior = runs[start]
-                for size in range(min(top, n - start), low - 1, -1):
-                    applied = 0
-                    if prior:
-                        applied = _resume(graph, prior, size,
-                                          antecedent.get(start, -1))
-                    for r in retrieve(graph, start, start + size):
-                        c = r.construction
-                        if c.anaphoric_refs:
-                            anaphoric.setdefault(start, set()).update(
-                                s.type for s in c.anaphoric_refs)
-                            if apply_construction(graph, c, r.binding,
-                                                  (start, start + size)):
-                                applied |= _ANAPHORIC
-                        elif apply_construction(graph, c, r.binding,
-                                                (start, start + size)):
-                            applied |= _STABLE
-                    if applied:
-                        break
-                if prior and not applied and prior[0] < size:
-                    # the smaller windows hold no edge added since the
-                    # earlier visit: it still stops there, as it did
-                    size, applied = prior[0], prior[2]
-                runs[start] = (size, visit_start, applied)
-                # only a window that applied can have added edges
-                for edge in graph.edges[visit_start:] if applied else ():
-                    # the anchors whose reach holds the edge, each down to its
-                    # smallest window that does
-                    for a in range(max(0, edge.end - top), edge.start + 1):
-                        if edge.end - a < need[a]:
-                            need[a] = edge.end - a
-                    for a, types in anaphoric.items():
-                        if a >= edge.end and _fills(graph, edge, types):
-                            need[a], antecedent[a] = 1, edge.id
-            if len(graph.edges) == before or graph.truncated_by:
+    while True:
+        before = len(graph.edges)
+        for start in range(n):
+            low = need[start]
+            if low == unseen:
+                continue
+            if graph.truncated_by:
                 return
-    finally:
-        graph._since = -1
+            need[start] = unseen
+            visit_start = len(graph.edges)
+            # the last visit; an anchor not visited yet stops above every size
+            stop, since, last = runs[start] or (unseen, -1, 0)
+            rerun = antecedent.get(start, -1) >= since
+            # what the skipped bindings applied at the stop: a new
+            # antecedent applies the anaphoric ones again
+            kept = last & _STABLE if rerun else last
+            for size in range(min(top, n - start), low - 1, -1):
+                # below the last stop a window may never have run: retrieve all
+                floor = since if size >= stop else -1
+                applied = kept if size == stop else 0
+                for r in retrieve(graph, start, start + size, floor, rerun):
+                    c = r.construction
+                    if c.anaphoric_refs:
+                        anaphoric.setdefault(start, set()).update(
+                            s.type for s in c.anaphoric_refs)
+                        if apply_construction(graph, c, r.binding,
+                                              (start, start + size)):
+                            applied |= _ANAPHORIC
+                    elif apply_construction(graph, c, r.binding,
+                                            (start, start + size)):
+                        applied |= _STABLE
+                if applied:
+                    break
+            if not applied and stop < size:
+                # the smaller windows hold no edge added since the earlier
+                # visit: it still stops there, as it did
+                size, applied = stop, last
+            runs[start] = (size, visit_start, applied)
+            # only a window that applied can have added edges
+            for edge in graph.edges[visit_start:] if applied else ():
+                # the anchors whose reach holds the edge, each down to its
+                # smallest window that does
+                for a in range(max(0, edge.end - top), edge.start + 1):
+                    if edge.end - a < need[a]:
+                        need[a] = edge.end - a
+                if not anaphoric or edge.output_type is None:
+                    continue
+                # the edge's names in the filler index
+                fills = kb.filler_types(edge.output_type, used)
+                for a, types in anaphoric.items():
+                    if a >= edge.end and not types.isdisjoint(fills):
+                        need[a], antecedent[a] = 1, edge.id
+        if len(graph.edges) == before or graph.truncated_by:
+            return
 
 
 # What applied at a window: a construction without anaphoric slots (its
 # edges come back whenever its bindings are applied again), an anaphoric
 # one (whose antecedents may change).
 _STABLE, _ANAPHORIC = 1, 2
-
-
-def _resume(graph: ParseGraph, visit: tuple, size: int, antecedent: int) -> int:
-    """Make retrieval at the window of *size* skip what the anchor's last
-    *visit* tried there, and return what applied among it.  A window below
-    the visit's stop may never have run, so it retrieves everything."""
-    stop, since, applied = visit
-    if size < stop:
-        graph._since = -1
-        return 0
-    graph._since = since
-    graph._rerun = rerun = antecedent >= since
-    if size > stop:
-        return 0
-    # a new antecedent: the anaphoric bindings are applied again
-    return applied & _STABLE if rerun else applied
-
-
-def _fills(graph: ParseGraph, edge: Edge, types: set) -> bool:
-    """Whether the filler index holds *edge* under one of *types*."""
-    type_map = graph._fillers.get(edge.start, {}).get(edge.end, {})
-    return any(edge in type_map.get(t, ()) for t in types)
 
 
 def interpret(text: str, kb: KnowledgeBase, repo: Repository, lexicon: Lexicon,

@@ -28,8 +28,9 @@ depends on.  A memo stores only a finished value and never mutates an
 entry, so a thread reads a whole answer or none, and every query is safe
 for concurrent use.  The last two hold
 what the interpreter asks of every lexical edge and every edge it files,
-once per reading and per (type, slot-type set), so neither grows with the
-number of inputs.
+once per reading and per (type, slot-type set).  The closures keep no
+function term the KB does not link, as inputs compose them, so no memo
+grows with the number of inputs.
 """
 
 from __future__ import annotations
@@ -240,6 +241,12 @@ class KnowledgeBase:
     def _has_explicit_links(self, t: Expr) -> bool:
         return t in self._isa or t in self._genls
 
+    def _composed(self, t: Expr) -> bool:
+        """Whether *t* is a function term the KB does not link, as inputs
+        compose them: no memo keeps an answer for one, so the memos do
+        not grow with the inputs."""
+        return t.__class__ is Nat and not self._has_explicit_links(t)
+
     def _virtual_parents(self, t: Expr, kinds: tuple) -> list:
         """Signature-derived links for a NAT with no explicit links."""
         if not isinstance(t, Nat) or self._has_explicit_links(t):
@@ -276,7 +283,11 @@ class KnowledgeBase:
         return frozenset(seen)
 
     def genls_closure(self, t: Expr) -> frozenset:
-        """Reflexive-transitive closure over genls links only."""
+        """Reflexive-transitive closure over genls links only.  A composed
+        term's is its parents' closures with itself."""
+        if self._composed(t):
+            return frozenset((t,)).union(
+                *map(self.genls_closure, self.genls_parents(t)))
         cached = self._genls_memo.get(t)
         if cached is None:
             cached = self._genls_memo[t] = self._closure(t, self.genls_parents)
@@ -287,8 +298,10 @@ class KnowledgeBase:
         genls closure."""
         cached = self._isa_memo.get(t)
         if cached is None:
-            cached = self._isa_memo[t] = frozenset().union(
+            cached = frozenset().union(
                 *map(self.genls_closure, self.isa_parents(t)))
+            if not self._composed(t):
+                self._isa_memo[t] = cached
         return cached
 
     def generalizations(self, t: Expr) -> frozenset:
@@ -320,9 +333,10 @@ class KnowledgeBase:
         if cached is None:
             if not self.known(t):
                 return frozenset()
-            cached = self._match_memo[t] = (
-                self.genls_closure(t) if self.kindedness(t) == "collection"
-                else self.isa_closure(t))
+            cached = (self.genls_closure(t) if self.kindedness(t)
+                      == "collection" else self.isa_closure(t))
+            if not self._composed(t):
+                self._match_memo[t] = cached
         return cached
 
     # -- numerals ----------------------------------------------------------

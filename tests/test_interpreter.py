@@ -294,9 +294,11 @@ KB_MEMOS = ("_genls_memo", "_isa_memo", "_match_memo", "_reading_memo",
 
 
 def test_kb_memos_do_not_grow_with_inputs(demo_repo, demo_lexicon):
-    """A number's reading is its collection's, and a repeated modifier
-    makes a term of a type already asked about, so each of the KB's five
-    memos stays the size that one input of each shape makes it."""
+    """A number's reading is its collection's, a repeated modifier makes a
+    term of a type already asked about, and the closure of a function term
+    the KB does not link (one per "big blue" more) is not kept, so each of
+    the KB's five memos stays the size that one input of each shape makes
+    it."""
     kb = load_kb(DEMO_KB_FILES)
 
     def sizes():
@@ -304,7 +306,8 @@ def test_kb_memos_do_not_grow_with_inputs(demo_repo, demo_lexicon):
 
     shapes = [(lambda n: f"{n} sandwiches", 300),
               (lambda n: f"the song has {n} notes", 300),
-              (lambda n: "big " * n + "blue building", 8)]
+              (lambda n: "big " * n + "blue building", 8),
+              (lambda n: "big " + "big blue " * n + "building", 6)]
     for shape, _ in shapes:
         interpret(shape(1), kb, demo_repo, demo_lexicon)
     first = sizes()
@@ -313,6 +316,41 @@ def test_kb_memos_do_not_grow_with_inputs(demo_repo, demo_lexicon):
         for n in range(2, count + 1):
             interpret(shape(n), kb, demo_repo, demo_lexicon)
     assert sizes() == first
+
+
+def test_kb_memos_keep_no_composed_terms():
+    """A semantic test matches a fact against a composed collection
+    (``match_types``) and an argument constraint asks what a composed
+    individual is an instance of (``isa_closure``).  Neither is a term the
+    KB links, so no memo keeps it, and the memos stay the size that one
+    input of each shape makes them."""
+    kb = load_kb(text="(collection A) (collection Thing) (genls A Thing) "
+                      "(individual X) (isa X A) (fn F 1 (resultGenlsArg 1)) "
+                      "(fn G 1 (resultIsa A)) (argIsa H 1 A) (fact base (p A))")
+    lexicon = load_lexicon(text='(lex "x" X) (lex "a" A)')
+    repo = load_constructions(text="""
+        (construction :id big :nl "big $Thing#0" :logic (F $Thing#0)
+          :output-type (slot 0))
+        (construction :id good :nl "good $Thing#0" :logic (J $Thing#0)
+          :test+ (p $Thing#0) :output-type Thing)
+        (construction :id g :nl "g $A#0" :logic (G $A#0) :output-type A)
+        (construction :id h :nl "h $A#0" :logic (H $A#0)
+          :output-type Thing)""")
+
+    def run(n):
+        good = interpret("good " + "big " * n + "a", kb, repo, lexicon)
+        h = interpret("h " + "g " * n + "x", kb, repo, lexicon)
+        return ([print_expr(e.logic) for e in good.edges if e.source == "good"],
+                [print_expr(e.logic) for e in h.edges if e.source == "h"],
+                [len(getattr(kb, memo)) for memo in KB_MEMOS])
+
+    def nested(head, functor, leaf, n):
+        return f"({head} " + f"({functor} " * n + leaf + ")" * (n + 1)
+
+    first = run(1)[2]
+    for n in range(1, 6):
+        assert run(n) == ([nested("J", "F", "A", n)], [nested("H", "G", "X", n)],
+                          first), n
 
 
 def _fresh_copy(graph):
@@ -378,9 +416,9 @@ def test_agenda_matches_full_sweeps_on_feeding_instances(monkeypatch,
     windows = {"agenda": 0, "full": 0}
 
     def counted(name, fn):
-        def wrapper(graph, start, end):
+        def wrapper(graph, start, end, *watermark):
             windows[name] += 1
-            return fn(graph, start, end)
+            return fn(graph, start, end, *watermark)
         return wrapper
 
     monkeypatch.setattr(interpreter, "retrieve",
@@ -448,6 +486,40 @@ def test_revisits_apply_only_untried_bindings(demo_kb, demo_repo, demo_lexicon,
             end = rng.randint(start + 1, min(n, start + max_window))
             assert retrieval_signatures(retrieve(graph, start, end)) \
                 == brute_force_matches(graph, start, end)
+
+
+def test_retrieval_under_a_watermark_is_brute_force_restricted(run, run_bio):
+    """``retrieve(graph, s, e, since=k)`` returns the brute-force bindings
+    that hold an edge numbered k or above, and with ``rerun`` also every
+    binding of a construction with anaphoric slots."""
+    graphs = [run(t) for t in DEMO_TEXTS] + [run_bio(t) for t in BIO_TEXTS]
+    for seed in range(150):
+        graph, _ = random_instance(random.Random(seed), feeding=True)
+        window_loop(graph)
+        graphs.append(graph)
+    rng = random.Random(0)
+    narrowed = reruns = 0
+    for graph in graphs:
+        n = len(graph.tokens)
+        for _ in range(3 if n else 0):
+            start = rng.randrange(n)
+            end = rng.randint(start + 1, min(n, start + graph.config.max_window))
+            since = rng.randint(0, len(graph.edges))
+            full = brute_force_matches(graph, start, end)
+            new = {(cid, b) for cid, b in full
+                   if any(i >= since for _, i in b)}
+            anaphoric = {(cid, b) for cid, b in full
+                         if graph.repo.constructions[cid].anaphoric_refs}
+            assert retrieval_signatures(
+                retrieve(graph, start, end, since=since)) == new
+            assert retrieval_signatures(
+                retrieve(graph, start, end, since=since, rerun=True)) \
+                == new | anaphoric
+            narrowed += bool(new) and new != full
+            reruns += bool(anaphoric - new)
+    assert retrieval_signatures(retrieve(graphs[0], 0, 3)) \
+        == brute_force_matches(graphs[0], 0, 3)
+    assert narrowed > 20 and reruns > 20
 
 
 def subterms(e):

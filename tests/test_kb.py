@@ -600,6 +600,29 @@ def test_a_deep_fact_loads_the_same_from_a_deep_caller(depth):
     assert from_deep_caller(answer) == answer()
 
 
+def test_a_closure_at_the_read_bound_answers_from_a_deep_caller():
+    """``genls_closure`` goes through a function term the KB does not link
+    one nesting level at a time and keeps none of it: a term at the read
+    bound still answers from a deep caller, and only the KB's own term is
+    memoised."""
+    kb = load_kb(text="(collection A) (collection B) (genls A B) "
+                      "(fn F 1 (resultGenlsArg 1))")
+    # the F chain of a fact read at the bound
+    top = term = parse_expr(deep_text(MAX_READ_DEPTH)).args[0]
+    chain = set()
+    while isinstance(term, Nat):
+        chain.add(term)
+        term = term.args[0]
+
+    def answer():
+        return kb.genls_closure(top) == chain | {Constant("A"), Constant("B")}, \
+            kb.subsumes(Constant("B"), top, "genls")
+
+    assert answer() == (True, True)
+    assert from_deep_caller(answer) == answer()
+    assert list(kb._genls_memo) == [Constant("A")]
+
+
 def _genls_chain(links, closed=False):
     text = "".join(f"(genls C{i} C{i + 1})\n" for i in range(links))
     return text + (f"(genls C{links} C0)\n" if closed else "")
